@@ -8,52 +8,4 @@ decode-and-forward relays plus opportunistic selection. Outage
 probability and level crossing rate summarize the resulting SINR series.
 """
 
-from .channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
-                      MissingLinkError, SyntheticChannelParams, TraceError,
-                      downsample, extract_shadowing, fspl_db, gain_at,
-                      generate_synthetic, load_trace, overlay, save_trace)
-from .engine import (ConfigError, CsvChannelSource, ExperimentConfig,
-                     RadioConfig, RunResult, ShadowParams, SummaryRow,
-                     SyntheticChannelSource, assemble_channels,
-                     required_source_links, run, sweep, write_aggregate_csv,
-                     write_summary_csv)
-from .config import load_config, with_on_body_coherence
-from .metrics import (MetricsCurve, MetricsError, SinrSeries, default_thresholds,
-                      empirical_outage, gain_at_outage, lcr_curve,
-                      level_crossing_rate, outage_curve, read_curve_csv,
-                      read_series_csv, threshold_at_outage, write_curve_csv,
-                      write_series_csv)
-from .network import (Interferer, Interval, MacConfig, NodeSpec, Role,
-                      ScheduledTx, SlotSchedule, WbanConfig, active_interferers,
-                      build_schedule, draw_offset, overlap_fraction,
-                      superframe_layout)
-from .relaying import (NoiseModel, RelayDecision, compute_sinr, end_to_end_sinr,
-                       evaluate_superframe, select_relay)
-from .seeding import derive_seed, substream
-from .units import db_to_linear, dbm_to_mw, linear_to_db
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BodyLocation", "ChannelSet", "ChannelTrace", "LinkId", "MissingLinkError",
-    "SyntheticChannelParams", "TraceError", "downsample", "extract_shadowing",
-    "fspl_db", "gain_at", "generate_synthetic", "load_trace", "overlay",
-    "save_trace",
-    "ConfigError", "CsvChannelSource", "ExperimentConfig", "RadioConfig",
-    "RunResult", "ShadowParams", "SummaryRow", "SyntheticChannelSource",
-    "assemble_channels", "required_source_links", "run", "sweep",
-    "write_aggregate_csv", "write_summary_csv",
-    "load_config", "with_on_body_coherence",
-    "MetricsCurve", "MetricsError", "SinrSeries", "default_thresholds",
-    "empirical_outage", "gain_at_outage", "lcr_curve", "level_crossing_rate",
-    "outage_curve", "read_curve_csv", "read_series_csv", "threshold_at_outage",
-    "write_curve_csv", "write_series_csv",
-    "Interferer", "Interval", "MacConfig", "NodeSpec", "Role", "ScheduledTx",
-    "SlotSchedule", "WbanConfig", "active_interferers", "build_schedule",
-    "draw_offset", "overlap_fraction", "superframe_layout",
-    "NoiseModel", "RelayDecision", "compute_sinr", "end_to_end_sinr",
-    "evaluate_superframe", "select_relay",
-    "derive_seed", "substream",
-    "db_to_linear", "dbm_to_mw", "linear_to_db",
-    "__version__",
-]

@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 from scipy.signal import lfilter
 
+from .metrics import _read_float_pairs
 from .seeding import substream
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -132,24 +133,21 @@ class ChannelTrace:
 
 @dataclass(frozen=True)
 class SyntheticChannelParams:
-    """Parameters of the autoregressive lognormal shadowing generator."""
+    """Marginal statistics and coherence of the AR(1) shadowing of a link class."""
 
     mean_gain_db: float
     shadow_sigma_db: float
     coherence_time_ms: float
-    duration_ms: float
-    sample_period_ms: float
-    seed: int
 
     def __post_init__(self):
         if not math.isfinite(self.mean_gain_db):
-            raise ValueError("mean_gain_db must be finite")
+            raise ValueError(f"mean_gain_db must be finite, got {self.mean_gain_db}")
         if not (math.isfinite(self.shadow_sigma_db) and self.shadow_sigma_db >= 0):
-            raise ValueError("shadow_sigma_db must be nonnegative")
+            raise ValueError(
+                f"shadow_sigma_db must be finite and >= 0, got {self.shadow_sigma_db}")
         if not (math.isfinite(self.coherence_time_ms) and self.coherence_time_ms > 0):
-            raise ValueError("coherence_time_ms must be positive")
-        if not (0 < self.sample_period_ms <= self.duration_ms):
-            raise ValueError("need 0 < sample_period_ms <= duration_ms")
+            raise ValueError("coherence_time_ms must be finite and positive, got "
+                             f"{self.coherence_time_ms}")
 
 
 _HEADER_RE = re.compile(r"^link=(?P<link>[^,]+),period_ms=(?P<period>[^,\s]+)$")
@@ -183,26 +181,15 @@ def load_trace(path, link: LinkId | None = None) -> ChannelTrace:
 
     gains = []
     tol = 1e-6 * period
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise TraceError(f"{path}:{lineno}: expected '<t_ms>,<gain_db>', got {raw!r}")
-        try:
-            t, gain = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise TraceError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, t, gain in _read_float_pairs(path, lines, TraceError, "<t_ms>,<gain_db>"):
         expected_t = len(gains) * period
         if abs(t - expected_t) > tol:
             raise TraceError(f"{path}:{lineno}: timestamp {t} is not the expected "
                              f"multiple {expected_t} of period {period}")
         if not math.isfinite(gain):
-            raise TraceError(f"{path}:{lineno}: non-finite gain {parts[1]!r}")
+            text = lines[lineno - 1].strip().split(",")[1]
+            raise TraceError(f"{path}:{lineno}: non-finite gain {text!r}")
         gains.append(gain)
-    if not gains:
-        raise TraceError(f"{path}:2: no data rows")
     return ChannelTrace(link if link is not None else file_link, period, np.array(gains))
 
 
@@ -273,7 +260,8 @@ def overlay(part1: ChannelTrace, part2_shadowing: ChannelTrace,
                         part1.samples[:n] + part2_shadowing.samples[:n])
 
 
-def generate_synthetic(params: SyntheticChannelParams, link: LinkId) -> ChannelTrace:
+def generate_synthetic(params: SyntheticChannelParams, link: LinkId, duration_ms: float,
+                       sample_period_ms: float, seed: int) -> ChannelTrace:
     """Generate a lognormal block-fading trace with exponential correlation.
 
     The dB-domain gain follows a stationary AR(1) process
@@ -283,24 +271,19 @@ def generate_synthetic(params: SyntheticChannelParams, link: LinkId) -> ChannelT
 
     with rho = exp(-period / coherence_time) and w ~ N(0, 1), so every
     sample is N(mean, sigma^2) and the autocorrelation decays with the
-    configured coherence time. Deterministic in (params, link): the
+    configured coherence time. Deterministic in the arguments: the
     generator stream is derived from the seed and the link label.
     """
-    n = int(math.floor(params.duration_ms / params.sample_period_ms + 1e-9))
-    rho = math.exp(-params.sample_period_ms / params.coherence_time_ms)
-    shocks = substream(params.seed, "trace", str(link)).standard_normal(n)
+    if not (0 < sample_period_ms <= duration_ms):
+        raise ValueError("need 0 < sample_period_ms <= duration_ms")
+    n = int(math.floor(duration_ms / sample_period_ms + 1e-9))
+    rho = math.exp(-sample_period_ms / params.coherence_time_ms)
+    shocks = substream(seed, "trace", str(link)).standard_normal(n)
     shocks[0] *= params.shadow_sigma_db
     if n > 1:
         shocks[1:] *= params.shadow_sigma_db * math.sqrt(1.0 - rho * rho)
     deviations = lfilter([1.0], [1.0, -rho], shocks)
-    return ChannelTrace(link, params.sample_period_ms, params.mean_gain_db + deviations)
-
-
-def gain_at(trace: ChannelTrace, t_ms: float) -> float:
-    """Gain in dB at time t, holding each sample for one period."""
-    if not (0 <= t_ms < trace.duration_ms):
-        raise TraceError(f"time {t_ms} ms outside trace span [0, {trace.duration_ms}) ms")
-    return float(trace.samples[int(t_ms // trace.sample_period_ms)])
+    return ChannelTrace(link, sample_period_ms, params.mean_gain_db + deviations)
 
 
 class ChannelSet:
@@ -346,9 +329,6 @@ class ChannelSet:
         except KeyError:
             raise MissingLinkError(f"no channel trace for link {link}") from None
 
-    def gain_db(self, link: LinkId, epoch: int) -> float:
-        return float(self.trace(link).samples[epoch])
-
     def cross_trace(self, tx_subject: int, rx_subject: int,
                     rx_location: BodyLocation) -> ChannelTrace:
         key = (tx_subject, rx_subject, rx_location)
@@ -361,7 +341,3 @@ class ChannelSet:
                              f"to {rx_subject}:{rx_location}: "
                              + ", ".join(str(c) for c in candidates))
         return self._traces[candidates[0]]
-
-    def cross_gain_db(self, tx_subject: int, rx_subject: int,
-                      rx_location: BodyLocation, epoch: int) -> float:
-        return float(self.cross_trace(tx_subject, rx_subject, rx_location).samples[epoch])

@@ -57,7 +57,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, args.seed)
-    result = engine.sweep(config, workers=args.threads)
+    result = engine.sweep(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for run_result in result.runs:
@@ -165,8 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the combination matrix with repetitions")
     common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads across combinations")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen-traces", help="write the synthetic source traces")

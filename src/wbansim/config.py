@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import BodyLocation
+from .channel import BodyLocation, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
-                     ShadowParams, SyntheticChannelSource)
+                     SyntheticChannelSource)
 from .network import MacConfig, NodeSpec, Role, WbanConfig
 from .relaying import NoiseModel
 
@@ -86,11 +86,12 @@ def _parse_wban(raw, index: int) -> WbanConfig:
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _parse_shadow(raw, section: str, base: ShadowParams | None = None) -> ShadowParams:
+def _parse_shadow(raw, section: str, base: SyntheticChannelParams | None = None,
+                  ) -> SyntheticChannelParams:
     raw = _as_mapping(raw, section)
     try:
         if base is None:
-            return ShadowParams(
+            return SyntheticChannelParams(
                 _as_float(_require(raw, "mean_gain_db", section), f"{section}.mean_gain_db"),
                 _as_float(_require(raw, "shadow_sigma_db", section), f"{section}.shadow_sigma_db"),
                 _as_float(_require(raw, "coherence_time_ms", section), f"{section}.coherence_time_ms"))
@@ -100,7 +101,7 @@ def _parse_shadow(raw, section: str, base: ShadowParams | None = None) -> Shadow
         for key in merged:
             if key in raw:
                 merged[key] = _as_float(raw[key], f"{section}.{key}")
-        return ShadowParams(**merged)
+        return SyntheticChannelParams(**merged)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
 

@@ -15,7 +15,6 @@ summary quantities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -29,30 +28,12 @@ from .metrics import (MetricsCurve, MetricsError, SinrSeries, empirical_outage,
                       lcr_curve, level_crossing_rate, threshold_at_outage,
                       default_thresholds)
 from .network import MacConfig, WbanConfig, overlap_lengths, superframe_layout
-from .relaying import NoiseModel
+from .relaying import NoiseModel, cooperative_sinr
 from .seeding import derive_seed, substream
 
 
 class ConfigError(Exception):
     """A configuration problem, named after the offending section or key."""
-
-
-@dataclass(frozen=True)
-class ShadowParams:
-    """Marginal statistics and coherence of one class of links."""
-
-    mean_gain_db: float
-    shadow_sigma_db: float
-    coherence_time_ms: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean_gain_db):
-            raise ValueError(f"mean_gain_db must be finite, got {self.mean_gain_db}")
-        if not self.shadow_sigma_db >= 0.0:
-            raise ValueError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}")
-        if not self.coherence_time_ms > 0.0:
-            raise ValueError(
-                f"coherence_time_ms must be positive, got {self.coherence_time_ms}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +47,9 @@ class SyntheticChannelSource:
 
     sample_period_ms: float = 120.0
     duration_ms: float = 4_800_000.0
-    on_body: ShadowParams = ShadowParams(-55.0, 6.0, 240.0)
-    inter_body: ShadowParams = ShadowParams(-70.0, 6.0, 500.0)
-    overrides: Mapping[str, ShadowParams] = field(default_factory=dict)
+    on_body: SyntheticChannelParams = SyntheticChannelParams(-55.0, 6.0, 240.0)
+    inter_body: SyntheticChannelParams = SyntheticChannelParams(-70.0, 6.0, 500.0)
+    overrides: Mapping[str, SyntheticChannelParams] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.sample_period_ms > 0.0:
@@ -78,18 +59,15 @@ class SyntheticChannelSource:
             raise ValueError("duration_ms must cover at least one sample, got "
                              f"{self.duration_ms}")
 
-    def params_for(self, link: LinkId) -> ShadowParams:
+    def params_for(self, link: LinkId) -> SyntheticChannelParams:
         override = self.overrides.get(str(link))
         if override is not None:
             return override
         return self.on_body if link.is_intra else self.inter_body
 
     def trace(self, link: LinkId, seed: int) -> ChannelTrace:
-        p = self.params_for(link)
-        return generate_synthetic(
-            SyntheticChannelParams(p.mean_gain_db, p.shadow_sigma_db,
-                                   p.coherence_time_ms, self.duration_ms,
-                                   self.sample_period_ms, seed), link)
+        return generate_synthetic(self.params_for(link), link, self.duration_ms,
+                                  self.sample_period_ms, seed)
 
 
 @dataclass(frozen=True)
@@ -375,7 +353,6 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
         return total
 
     noise_mw = config.noise.noise_mw
-    w_in, w_out = config.hop_weights
     times = (start_index + np.arange(epochs)) * period
     series: dict[int, dict[str, SinrSeries]] = {}
     for i, sensor in enumerate(victim.sensors):
@@ -389,13 +366,8 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
             nu_sr.append(p_sensor * link_gain(sensor.location, relay.location) / den_relay_b)
             p_relay = 10.0 ** (relay.tx_power_dbm / 10.0)
             nu_rh.append(p_relay * link_gain(relay.location, hub_loc) / den_hub_f)
-        mins = (np.minimum(nu_sr[0], nu_rh[0]), np.minimum(nu_sr[1], nu_rh[1]))
-        metric1 = np.minimum(w_in * nu_sr[0], w_out * nu_rh[0])
-        metric2 = np.minimum(w_in * nu_sr[1], w_out * nu_rh[1])
-        chosen_min = np.where(metric1 >= metric2, mins[0], mins[1])
-        single = nu_direct
-        coop = np.maximum(nu_direct, chosen_min)
-        series[i] = {"single": SinrSeries(times, 10.0 * np.log10(single)),
+        coop = cooperative_sinr(nu_direct, nu_sr, nu_rh, config.hop_weights)
+        series[i] = {"single": SinrSeries(times, 10.0 * np.log10(nu_direct)),
                      "coop": SinrSeries(times, 10.0 * np.log10(coop))}
 
     thresholds = config.thresholds_db
@@ -480,22 +452,16 @@ def _run_combination(config: ExperimentConfig, victim: int,
     return results
 
 
-def sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
+def sweep(config: ExperimentConfig) -> SweepResult:
     """Run the victim x interferer matrix with repetitions and aggregate.
 
     The combination matrix comes from sweep_victims x sweep_interferers
     (minus self-pairs), falling back to the configured victim and
-    interferers. Results are deterministic in the master seed and
-    independent of the worker count; standard deviations are population
-    deviations over the repetitions.
+    interferers. Results are deterministic in the master seed; standard
+    deviations are population deviations over the repetitions.
     """
     pairs = _sweep_pairs(config)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_pair = list(pool.map(
-                lambda vu: _run_combination(config, vu[0], vu[1]), pairs))
-    else:
-        per_pair = [_run_combination(config, v, u) for v, u in pairs]
+    per_pair = [_run_combination(config, v, u) for v, u in pairs]
 
     rows: list[SummaryRow] = []
     aggregates: list[AggregateRow] = []

@@ -171,15 +171,31 @@ def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray | None = None,
     return MetricsCurve("lcr", thresholds_db, np.array(rates))
 
 
-def gain_at_outage(coop_curve: MetricsCurve, single_curve: MetricsCurve,
-                   probability: float) -> float:
-    """How many dB more threshold the cooperative scheme tolerates.
+def _read_float_pairs(path, lines, error, row_format: str):
+    """Yield (line number, first, second) for each data row of a two-column CSV.
 
-    Difference of the inverted outage curves at the same probability,
-    positive when cooperation helps.
+    ``lines`` is the whole file and its header is skipped; blank lines are
+    ignored. A row that is not two numbers, or a file without data rows,
+    raises ``error`` with a ``path:line:`` prefix. Rows are yielded as they
+    are read, so a caller's own check of one row fires before a parse
+    error in a later row.
     """
-    return (threshold_at_outage(coop_curve, probability)
-            - threshold_at_outage(single_curve, probability))
+    count = 0
+    for lineno, raw in enumerate(lines[1:], start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise error(f"{path}:{lineno}: expected '{row_format}', got {raw!r}")
+        try:
+            first, second = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
+        count += 1
+        yield lineno, first, second
+    if not count:
+        raise error(f"{path}:2: no data rows")
 
 
 _CURVE_HEADER_RE = re.compile(
@@ -203,21 +219,8 @@ def read_curve_csv(path) -> tuple[MetricsCurve, str, str]:
     header = _CURVE_HEADER_RE.match(lines[0].strip())
     if header is None:
         raise MetricsError(f"{path}:1: malformed curve header {lines[0]!r}")
-    thresholds, values = [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise MetricsError(f"{path}:{lineno}: expected '<threshold_db>,<value>', got {raw!r}")
-        try:
-            thresholds.append(float(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise MetricsError(f"{path}:{lineno}: {exc}") from exc
-    if not thresholds:
-        raise MetricsError(f"{path}:2: no data rows")
+    _, thresholds, values = zip(*_read_float_pairs(path, lines, MetricsError,
+                                                   "<threshold_db>,<value>"))
     return (MetricsCurve(header.group("kind"), np.array(thresholds), np.array(values)),
             header.group("scheme"), header.group("subject"))
 
@@ -236,21 +239,8 @@ def read_series_csv(path) -> SinrSeries:
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != "time_ms,sinr_db":
         raise MetricsError(f"{path}:1: expected header 'time_ms,sinr_db'")
-    times, values = [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise MetricsError(f"{path}:{lineno}: expected '<time_ms>,<sinr_db>', got {raw!r}")
-        try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise MetricsError(f"{path}:{lineno}: {exc}") from exc
-    if not times:
-        raise MetricsError(f"{path}:2: no data rows")
+    _, times, values = zip(*_read_float_pairs(path, lines, MetricsError,
+                                              "<time_ms>,<sinr_db>"))
     try:
         return SinrSeries(np.array(times), np.array(values))
     except MetricsError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -78,9 +77,6 @@ class WbanConfig:
         if set(sensor_locs) & coord_locs:
             raise ValueError("sensor locations must differ from hub and relay locations")
 
-    def nodes(self) -> tuple[NodeSpec, ...]:
-        return (self.hub, *self.relays, *self.sensors)
-
 
 @dataclass(frozen=True)
 class MacConfig:
@@ -103,30 +99,8 @@ class MacConfig:
             raise ValueError(f"beacon_frac must lie in [0, 1), got {self.beacon_frac}")
 
     @property
-    def t_idle_ms(self) -> float:
-        return (self.n_coexisting - 1) * self.slot_len_ms
-
-    @property
     def cycle_ms(self) -> float:
         return self.n_coexisting * self.slot_len_ms
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Circular interval [start, start + dur) on the cycle."""
-
-    start_ms: float
-    dur_ms: float
-
-
-@dataclass(frozen=True)
-class ScheduledTx:
-    """One transmission sub-interval of a superframe."""
-
-    kind: str  # "beacon" | "broadcast" | "forward"
-    node: NodeSpec
-    interval: Interval
-    sensor_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -137,29 +111,6 @@ class SuperframeLayout:
     broadcast: tuple[tuple[float, float], ...]  # per sensor: (rel start, dur)
     forward: tuple[tuple[float, float], ...]
     transmissions: tuple[tuple[float, float, NodeSpec], ...]
-
-
-@dataclass(frozen=True)
-class SlotSchedule:
-    """Concrete superframe of one network at a drawn offset."""
-
-    subject: int
-    superframe: int
-    offset_ms: float
-    cycle_ms: float
-    entries: tuple[ScheduledTx, ...]
-
-    def _find(self, kind: str, sensor_index: int) -> Interval:
-        for entry in self.entries:
-            if entry.kind == kind and entry.sensor_index == sensor_index:
-                return entry.interval
-        raise ValueError(f"schedule has no {kind} interval for sensor {sensor_index}")
-
-    def broadcast_interval(self, sensor_index: int) -> Interval:
-        return self._find("broadcast", sensor_index)
-
-    def forward_interval(self, sensor_index: int) -> Interval:
-        return self._find("forward", sensor_index)
 
 
 def superframe_layout(wban: WbanConfig, mac: MacConfig) -> SuperframeLayout:
@@ -189,30 +140,6 @@ def superframe_layout(wban: WbanConfig, mac: MacConfig) -> SuperframeLayout:
     return SuperframeLayout((0.0, beacon_dur), tuple(broadcast), tuple(forward), tuple(txs))
 
 
-def draw_offset(rng: np.random.Generator, mac: MacConfig) -> float:
-    """Draw one superframe start offset, uniform over the whole cycle."""
-    return float(rng.uniform(0.0, mac.cycle_ms))
-
-
-def build_schedule(wban: WbanConfig, mac: MacConfig, offset_ms: float,
-                   superframe: int = 0) -> SlotSchedule:
-    """Place a network's superframe at the given offset, wrapping modulo the cycle."""
-    cycle = mac.cycle_ms
-    if not 0 <= offset_ms < cycle:
-        raise ValueError(f"offset {offset_ms} ms outside [0, {cycle}) ms")
-    layout = superframe_layout(wban, mac)
-    entries = [ScheduledTx("beacon", wban.hub,
-                           Interval(offset_ms % cycle, layout.beacon[1]))]
-    for i in range(len(wban.sensors)):
-        b_rel, b_dur = layout.broadcast[i]
-        f_rel, f_dur = layout.forward[i]
-        entries.append(ScheduledTx("broadcast", wban.sensors[i],
-                                   Interval((offset_ms + b_rel) % cycle, b_dur), i))
-        entries.append(ScheduledTx("forward", wban.relays[i % len(wban.relays)],
-                                   Interval((offset_ms + f_rel) % cycle, f_dur), i))
-    return SlotSchedule(wban.subject, superframe, offset_ms, cycle, tuple(entries))
-
-
 def overlap_lengths(delta, dur_a, dur_b, cycle_ms):
     """Circular overlap length of arcs [0, dur_a) and [delta, delta + dur_b).
 
@@ -223,34 +150,3 @@ def overlap_lengths(delta, dur_a, dur_b, cycle_ms):
     direct = np.maximum(0.0, np.minimum(np.minimum(end_b, cycle_ms), dur_a) - delta)
     wrapped = np.maximum(0.0, np.minimum(dur_a, np.maximum(end_b - cycle_ms, 0.0)))
     return direct + wrapped
-
-
-def overlap_fraction(a: Interval, b: Interval, cycle_ms: float) -> float:
-    """Fraction of interval a covered by interval b on the circular cycle."""
-    if a.dur_ms <= 0:
-        return 0.0
-    delta = (b.start_ms - a.start_ms) % cycle_ms
-    return float(overlap_lengths(delta, a.dur_ms, b.dur_ms, cycle_ms)) / a.dur_ms
-
-
-class Interferer(NamedTuple):
-    subject: int
-    node: NodeSpec
-    fraction: float
-
-
-def active_interferers(victim_interval: Interval, others: Iterable[SlotSchedule],
-                       cycle_ms: float) -> list[Interferer]:
-    """All foreign transmissions overlapping a receive interval.
-
-    Returns one entry per overlapping foreign sub-interval with the
-    fraction of the victim interval it covers; a transmitter active for
-    several overlapping sub-intervals appears once per sub-interval.
-    """
-    hits = []
-    for schedule in others:
-        for entry in schedule.entries:
-            fraction = overlap_fraction(victim_interval, entry.interval, cycle_ms)
-            if fraction > 0:
-                hits.append(Interferer(schedule.subject, entry.node, fraction))
-    return hits

@@ -1,22 +1,18 @@
-"""Per-packet SINR and three-branch opportunistic relay selection.
+"""Receiver noise and three-branch opportunistic relay selection.
 
 A sensor packet reaches the hub over the direct link and, through one of
 two decode-and-forward relays, over a two-hop path whose quality is the
 weaker of its hops. Each superframe the relay whose weaker hop is
 strongest is selected, and the hub keeps whichever arriving copy carries
-the higher SINR. Interference from foreign networks enters the SINR
-denominator weighted by the fraction of the packet interval it overlaps.
+the higher SINR.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .channel import BodyLocation, ChannelSet, LinkId
-from .network import SlotSchedule, WbanConfig, active_interferers
-from .units import dbm_to_mw, db_to_linear
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,150 +27,26 @@ class NoiseModel:
 
     @property
     def noise_mw(self) -> float:
-        return dbm_to_mw(self.noise_floor_dbm)
+        return 10.0 ** (self.noise_floor_dbm / 10.0)
 
 
-def compute_sinr(tx_power_dbm: float, gain_db: float, noise: NoiseModel,
-                 interferers: Iterable[tuple[float, float, float]] = ()) -> float:
-    """Linear SINR of one transmission at one receiver.
-
-    Args:
-        tx_power_dbm: Desired transmitter power (-inf mutes the signal).
-        gain_db: Channel gain of the desired link.
-        noise: Receiver noise floor.
-        interferers: (power_dbm, gain_db, overlap_fraction) per interfering
-            transmission; fractions weight each interferer by the share of
-            the packet interval it collides with.
-
-    An empty interferer list yields the plain SNR.
-    """
-    for name, value in (("tx_power_dbm", tx_power_dbm), ("gain_db", gain_db)):
-        if math.isnan(value) or value == math.inf:
-            raise ValueError(f"{name} must be a real value, got {value}")
-    signal_mw = dbm_to_mw(tx_power_dbm) * db_to_linear(gain_db)
-    denominator = noise.noise_mw
-    for power_dbm, intf_gain_db, fraction in interferers:
-        if math.isnan(power_dbm) or math.isnan(intf_gain_db) or math.isnan(fraction):
-            raise ValueError("interferer terms must not be NaN")
-        if power_dbm == math.inf or intf_gain_db == math.inf:
-            raise ValueError("interferer power and gain must be below +inf")
-        if not -1e-9 <= fraction <= 1 + 1e-9:
-            raise ValueError(f"overlap fraction {fraction} outside [0, 1]")
-        fraction = min(max(fraction, 0.0), 1.0)
-        denominator += fraction * dbm_to_mw(power_dbm) * db_to_linear(intf_gain_db)
-    return signal_mw / denominator
-
-
-def select_relay(nu_sr1: float, nu_r1h: float, nu_sr2: float, nu_r2h: float,
-                 hop_weights: tuple[float, float] = (1.0, 1.0)) -> tuple[int, float]:
-    """Pick the relay whose weaker (weighted) hop is strongest.
+def cooperative_sinr(nu_direct, nu_sr, nu_rh, hop_weights: tuple[float, float]):
+    """Cooperative SINR: the better of the direct copy and the selected relay branch.
 
     Args:
-        nu_sr1, nu_r1h: Linear SINR of relay 1's incoming and outgoing hop.
-        nu_sr2, nu_r2h: Same for relay 2.
-        hop_weights: Optional (incoming, outgoing) weights applied to the
-            hop strengths in the selection metric only; there is no
-            established default other than equal weights.
+        nu_direct: Linear SINR of the direct sensor-to-hub copy per packet.
+        nu_sr: (relay 1, relay 2) linear SINRs of the sensor-to-relay hop.
+        nu_rh: (relay 1, relay 2) linear SINRs of the relay-to-hub hop.
+        hop_weights: (incoming, outgoing) weights applied to the hop
+            strengths in the selection metric only.
 
-    Returns:
-        (chosen relay 1 or 2, unweighted bottleneck SINR of that relay).
-        Ties go to relay 1.
+    Per packet, the relay whose weaker weighted hop is strongest is
+    selected, ties going to relay 1; its branch carries the unweighted
+    weaker hop. A muted relay has zero hop SINRs, so its branch never
+    beats the direct copy. Works element-wise on scalars or numpy arrays.
     """
-    values = (nu_sr1, nu_r1h, nu_sr2, nu_r2h)
-    if any(math.isnan(v) or v <= 0 or v == math.inf for v in values):
-        raise ValueError(f"hop SINRs must be positive and finite, got {values}")
     w_in, w_out = hop_weights
-    if not (w_in > 0 and w_out > 0):
-        raise ValueError(f"hop weights must be positive, got {hop_weights}")
-    metric1 = min(w_in * nu_sr1, w_out * nu_r1h)
-    metric2 = min(w_in * nu_sr2, w_out * nu_r2h)
-    if metric1 >= metric2:
-        return 1, min(nu_sr1, nu_r1h)
-    return 2, min(nu_sr2, nu_r2h)
-
-
-def end_to_end_sinr(nu_direct: float, nu_relay_min: float) -> tuple[float, float]:
-    """(single-link, cooperative) SINR for one packet.
-
-    The single-link scheme uses the direct SINR alone; the cooperative
-    scheme keeps the better of the direct copy and the selected relay
-    path's bottleneck, so it can never fall below the single-link value.
-    """
-    return nu_direct, max(nu_direct, nu_relay_min)
-
-
-@dataclass(frozen=True)
-class RelayDecision:
-    """Outcome of one sensor's packet in one superframe."""
-
-    epoch: int
-    sensor_index: int
-    sensor_location: BodyLocation
-    nu_sr: tuple[float, float]
-    nu_rh: tuple[float, float]
-    nu_min: tuple[float, float]
-    chosen_relay: int
-    nu_direct: float
-    single: float
-    cooperative: float
-
-
-def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
-                        channels: ChannelSet, noise: NoiseModel, epoch: int,
-                        hop_weights: tuple[float, float] = (1.0, 1.0),
-                        ) -> list[RelayDecision]:
-    """Evaluate every sensor packet of one network in one superframe.
-
-    Uses the epoch's block gains throughout: the sensor broadcast is heard
-    at the hub and at both relays (interference taken at each receiver's
-    own location over the broadcast sub-interval), the forward hop is
-    heard at the hub over the forward sub-interval, and relay selection
-    works on the same block gains, as it happens just before the sensor
-    transmission. Relays muted to -inf power yield zero-quality branches
-    instead of an error, which reduces the cooperative scheme to the
-    single-link one.
-    """
-    victim = next((s for s in schedules if s.subject == wban.subject), None)
-    if victim is None:
-        raise ValueError(f"no schedule for subject {wban.subject}")
-    others = [s for s in schedules if s.subject != wban.subject]
-    cycle = victim.cycle_ms
-    subject, hub_loc = wban.subject, wban.hub.location
-
-    def interference(interval, rx_location):
-        return [(hit.node.tx_power_dbm,
-                 channels.cross_gain_db(hit.subject, subject, rx_location, epoch),
-                 hit.fraction)
-                for hit in active_interferers(interval, others, cycle)]
-
-    decisions = []
-    for i, sensor in enumerate(wban.sensors):
-        broadcast = victim.broadcast_interval(i)
-        forward = victim.forward_interval(i)
-        hub_b = interference(broadcast, hub_loc)
-        hub_f = interference(forward, hub_loc)
-        nu_direct = compute_sinr(
-            sensor.tx_power_dbm,
-            channels.gain_db(LinkId(subject, sensor.location, subject, hub_loc), epoch),
-            noise, hub_b)
-        nu_sr, nu_rh = [], []
-        for relay in wban.relays:
-            nu_sr.append(compute_sinr(
-                sensor.tx_power_dbm,
-                channels.gain_db(LinkId(subject, sensor.location, subject, relay.location), epoch),
-                noise, interference(broadcast, relay.location)))
-            nu_rh.append(compute_sinr(
-                relay.tx_power_dbm,
-                channels.gain_db(LinkId(subject, relay.location, subject, hub_loc), epoch),
-                noise, hub_f))
-        # Same max-min rule as select_relay, but tolerating muted relays.
-        mins = (min(nu_sr[0], nu_rh[0]), min(nu_sr[1], nu_rh[1]))
-        w_in, w_out = hop_weights
-        metrics = (min(w_in * nu_sr[0], w_out * nu_rh[0]),
-                   min(w_in * nu_sr[1], w_out * nu_rh[1]))
-        chosen = 1 if metrics[0] >= metrics[1] else 2
-        single, cooperative = end_to_end_sinr(nu_direct, mins[chosen - 1])
-        decisions.append(RelayDecision(
-            epoch, i, sensor.location, (nu_sr[0], nu_sr[1]), (nu_rh[0], nu_rh[1]),
-            mins, chosen, nu_direct, single, cooperative))
-    return decisions
+    mins = (np.minimum(nu_sr[0], nu_rh[0]), np.minimum(nu_sr[1], nu_rh[1]))
+    metric1 = np.minimum(w_in * nu_sr[0], w_out * nu_rh[0])
+    metric2 = np.minimum(w_in * nu_sr[1], w_out * nu_rh[1])
+    return np.maximum(nu_direct, np.where(metric1 >= metric2, mins[0], mins[1]))

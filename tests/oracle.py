@@ -1,0 +1,248 @@
+"""Scalar, per-superframe reference model that the vectorised engine is checked against.
+
+It places every network's superframe at a drawn offset, finds the foreign
+transmissions overlapping each victim receive interval on the circular
+cycle, and scores one sensor packet at a time with scalar SINR and max-min
+relay selection. It shares with the engine only the superframe layout and
+the circular overlap length.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
+
+from wbansim.channel import BodyLocation, ChannelSet, LinkId
+from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
+                             superframe_layout)
+from wbansim.relaying import NoiseModel
+
+
+# ------------------------------------------------------------------ schedule
+
+@dataclass(frozen=True)
+class Interval:
+    """Circular interval [start, start + dur) on the cycle."""
+
+    start_ms: float
+    dur_ms: float
+
+
+@dataclass(frozen=True)
+class ScheduledTx:
+    """One transmission sub-interval of a superframe."""
+
+    kind: str  # "beacon" | "broadcast" | "forward"
+    node: NodeSpec
+    interval: Interval
+    sensor_index: int | None = None
+
+
+@dataclass(frozen=True)
+class SlotSchedule:
+    """Concrete superframe of one network at a drawn offset."""
+
+    subject: int
+    superframe: int
+    offset_ms: float
+    cycle_ms: float
+    entries: tuple[ScheduledTx, ...]
+
+    def _find(self, kind: str, sensor_index: int) -> Interval:
+        for entry in self.entries:
+            if entry.kind == kind and entry.sensor_index == sensor_index:
+                return entry.interval
+        raise ValueError(f"schedule has no {kind} interval for sensor {sensor_index}")
+
+    def broadcast_interval(self, sensor_index: int) -> Interval:
+        return self._find("broadcast", sensor_index)
+
+    def forward_interval(self, sensor_index: int) -> Interval:
+        return self._find("forward", sensor_index)
+
+
+def build_schedule(wban: WbanConfig, mac: MacConfig, offset_ms: float,
+                   superframe: int = 0) -> SlotSchedule:
+    """Place a network's superframe at the given offset, wrapping modulo the cycle."""
+    cycle = mac.cycle_ms
+    if not 0 <= offset_ms < cycle:
+        raise ValueError(f"offset {offset_ms} ms outside [0, {cycle}) ms")
+    layout = superframe_layout(wban, mac)
+    entries = [ScheduledTx("beacon", wban.hub,
+                           Interval(offset_ms % cycle, layout.beacon[1]))]
+    for i in range(len(wban.sensors)):
+        b_rel, b_dur = layout.broadcast[i]
+        f_rel, f_dur = layout.forward[i]
+        entries.append(ScheduledTx("broadcast", wban.sensors[i],
+                                   Interval((offset_ms + b_rel) % cycle, b_dur), i))
+        entries.append(ScheduledTx("forward", wban.relays[i % len(wban.relays)],
+                                   Interval((offset_ms + f_rel) % cycle, f_dur), i))
+    return SlotSchedule(wban.subject, superframe, offset_ms, cycle, tuple(entries))
+
+
+def overlap_fraction(a: Interval, b: Interval, cycle_ms: float) -> float:
+    """Fraction of interval a covered by interval b on the circular cycle."""
+    if a.dur_ms <= 0:
+        return 0.0
+    delta = (b.start_ms - a.start_ms) % cycle_ms
+    return float(overlap_lengths(delta, a.dur_ms, b.dur_ms, cycle_ms)) / a.dur_ms
+
+
+class Interferer(NamedTuple):
+    subject: int
+    node: NodeSpec
+    fraction: float
+
+
+def active_interferers(victim_interval: Interval, others: Iterable[SlotSchedule],
+                       cycle_ms: float) -> list[Interferer]:
+    """All foreign transmissions overlapping a receive interval.
+
+    Returns one entry per overlapping foreign sub-interval with the
+    fraction of the victim interval it covers; a transmitter active for
+    several overlapping sub-intervals appears once per sub-interval.
+    """
+    hits = []
+    for schedule in others:
+        for entry in schedule.entries:
+            fraction = overlap_fraction(victim_interval, entry.interval, cycle_ms)
+            if fraction > 0:
+                hits.append(Interferer(schedule.subject, entry.node, fraction))
+    return hits
+
+
+# ---------------------------------------------------------------- sinr, relay
+
+def compute_sinr(tx_power_dbm: float, gain_db: float, noise: NoiseModel,
+                 interferers: Iterable[tuple[float, float, float]] = ()) -> float:
+    """Linear SINR of one transmission at one receiver.
+
+    Args:
+        tx_power_dbm: Desired transmitter power (-inf mutes the signal).
+        gain_db: Channel gain of the desired link.
+        noise: Receiver noise floor.
+        interferers: (power_dbm, gain_db, overlap_fraction) per interfering
+            transmission; fractions weight each interferer by the share of
+            the packet interval it collides with.
+
+    An empty interferer list yields the plain SNR.
+    """
+    for name, value in (("tx_power_dbm", tx_power_dbm), ("gain_db", gain_db)):
+        if math.isnan(value) or value == math.inf:
+            raise ValueError(f"{name} must be a real value, got {value}")
+    signal_mw = 10.0 ** (tx_power_dbm / 10.0) * 10.0 ** (gain_db / 10.0)
+    denominator = noise.noise_mw
+    for power_dbm, intf_gain_db, fraction in interferers:
+        if math.isnan(power_dbm) or math.isnan(intf_gain_db) or math.isnan(fraction):
+            raise ValueError("interferer terms must not be NaN")
+        if power_dbm == math.inf or intf_gain_db == math.inf:
+            raise ValueError("interferer power and gain must be below +inf")
+        if not -1e-9 <= fraction <= 1 + 1e-9:
+            raise ValueError(f"overlap fraction {fraction} outside [0, 1]")
+        fraction = min(max(fraction, 0.0), 1.0)
+        denominator += fraction * 10.0 ** (power_dbm / 10.0) * 10.0 ** (intf_gain_db / 10.0)
+    return signal_mw / denominator
+
+
+def select_relay(nu_sr1: float, nu_r1h: float, nu_sr2: float, nu_r2h: float,
+                 hop_weights: tuple[float, float] = (1.0, 1.0)) -> tuple[int, float]:
+    """Pick the relay whose weaker (weighted) hop is strongest.
+
+    Args:
+        nu_sr1, nu_r1h: Linear SINR of relay 1's incoming and outgoing hop.
+        nu_sr2, nu_r2h: Same for relay 2.
+        hop_weights: Optional (incoming, outgoing) weights applied to the
+            hop strengths in the selection metric only; there is no
+            established default other than equal weights.
+
+    Returns:
+        (chosen relay 1 or 2, unweighted bottleneck SINR of that relay).
+        Ties go to relay 1.
+    """
+    values = (nu_sr1, nu_r1h, nu_sr2, nu_r2h)
+    if any(math.isnan(v) or v <= 0 or v == math.inf for v in values):
+        raise ValueError(f"hop SINRs must be positive and finite, got {values}")
+    w_in, w_out = hop_weights
+    if not (w_in > 0 and w_out > 0):
+        raise ValueError(f"hop weights must be positive, got {hop_weights}")
+    metric1 = min(w_in * nu_sr1, w_out * nu_r1h)
+    metric2 = min(w_in * nu_sr2, w_out * nu_r2h)
+    if metric1 >= metric2:
+        return 1, min(nu_sr1, nu_r1h)
+    return 2, min(nu_sr2, nu_r2h)
+
+
+@dataclass(frozen=True)
+class RelayDecision:
+    """Outcome of one sensor's packet in one superframe."""
+
+    epoch: int
+    sensor_index: int
+    sensor_location: BodyLocation
+    nu_sr: tuple[float, float]
+    nu_rh: tuple[float, float]
+    nu_min: tuple[float, float]
+    chosen_relay: int
+    nu_direct: float
+    single: float
+    cooperative: float
+
+
+def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
+                        channels: ChannelSet, noise: NoiseModel, epoch: int,
+                        hop_weights: tuple[float, float] = (1.0, 1.0),
+                        ) -> list[RelayDecision]:
+    """Evaluate every sensor packet of one network in one superframe.
+
+    Uses the epoch's block gains throughout: the sensor broadcast is heard
+    at the hub and at both relays (interference taken at each receiver's
+    own location over the broadcast sub-interval), the forward hop is
+    heard at the hub over the forward sub-interval, and relay selection
+    works on the same block gains, as it happens just before the sensor
+    transmission. Relays muted to -inf power yield zero-quality branches
+    instead of an error, which reduces the cooperative scheme to the
+    single-link one.
+    """
+    victim = next((s for s in schedules if s.subject == wban.subject), None)
+    if victim is None:
+        raise ValueError(f"no schedule for subject {wban.subject}")
+    others = [s for s in schedules if s.subject != wban.subject]
+    cycle = victim.cycle_ms
+    subject, hub_loc = wban.subject, wban.hub.location
+
+    def gain(tx_loc, rx_loc):
+        return float(channels.trace(LinkId(subject, tx_loc, subject, rx_loc)).samples[epoch])
+
+    def interference(interval, rx_location):
+        return [(hit.node.tx_power_dbm,
+                 float(channels.cross_trace(hit.subject, subject, rx_location).samples[epoch]),
+                 hit.fraction)
+                for hit in active_interferers(interval, others, cycle)]
+
+    decisions = []
+    for i, sensor in enumerate(wban.sensors):
+        broadcast = victim.broadcast_interval(i)
+        forward = victim.forward_interval(i)
+        hub_b = interference(broadcast, hub_loc)
+        hub_f = interference(forward, hub_loc)
+        nu_direct = compute_sinr(sensor.tx_power_dbm, gain(sensor.location, hub_loc),
+                                 noise, hub_b)
+        nu_sr, nu_rh = [], []
+        for relay in wban.relays:
+            nu_sr.append(compute_sinr(
+                sensor.tx_power_dbm, gain(sensor.location, relay.location),
+                noise, interference(broadcast, relay.location)))
+            nu_rh.append(compute_sinr(
+                relay.tx_power_dbm, gain(relay.location, hub_loc), noise, hub_f))
+        # Same max-min rule as select_relay, but tolerating muted relays.
+        mins = (min(nu_sr[0], nu_rh[0]), min(nu_sr[1], nu_rh[1]))
+        w_in, w_out = hop_weights
+        metrics = (min(w_in * nu_sr[0], w_out * nu_rh[0]),
+                   min(w_in * nu_sr[1], w_out * nu_rh[1]))
+        chosen = 1 if metrics[0] >= metrics[1] else 2
+        single, cooperative = nu_direct, max(nu_direct, mins[chosen - 1])
+        decisions.append(RelayDecision(
+            epoch, i, sensor.location, (nu_sr[0], nu_sr[1]), (nu_rh[0], nu_rh[1]),
+            mins, chosen, nu_direct, single, cooperative))
+    return decisions

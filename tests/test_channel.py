@@ -5,7 +5,7 @@ import pytest
 
 from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
                              MissingLinkError, SyntheticChannelParams, TraceError,
-                             downsample, extract_shadowing, fspl_db, gain_at,
+                             downsample, extract_shadowing, fspl_db,
                              generate_synthetic, load_trace, overlay, save_trace)
 
 LINK = LinkId.parse("1:HD->1:C")
@@ -177,30 +177,29 @@ def test_measured_gain_rebuilds_from_parts():
 
 # ------------------------------------------------------------------ synthetic
 
-def syn_params(**kw):
-    base = dict(mean_gain_db=-55.0, shadow_sigma_db=6.0, coherence_time_ms=500.0,
-                duration_ms=120.0 * 2000, sample_period_ms=120.0, seed=0)
-    base.update(kw)
-    return SyntheticChannelParams(**base)
+def synthetic(link=LINK, duration_ms=120.0 * 2000, sample_period_ms=120.0, seed=0, **kw):
+    params = dict(mean_gain_db=-55.0, shadow_sigma_db=6.0, coherence_time_ms=500.0)
+    params.update(kw)
+    return generate_synthetic(SyntheticChannelParams(**params), link, duration_ms,
+                              sample_period_ms, seed)
 
 
 def test_synthetic_is_deterministic_per_link():
-    a = generate_synthetic(syn_params(), LINK)
-    b = generate_synthetic(syn_params(), LINK)
-    other = generate_synthetic(syn_params(), LinkId.parse("1:HD->1:LH"))
+    a = synthetic()
+    b = synthetic()
+    other = synthetic(LinkId.parse("1:HD->1:LH"))
     np.testing.assert_array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, other.samples)
     assert a.n_samples == 2000
 
 
 def test_synthetic_zero_sigma_is_flat():
-    trace = generate_synthetic(syn_params(shadow_sigma_db=0.0), LINK)
+    trace = synthetic(shadow_sigma_db=0.0)
     np.testing.assert_array_equal(trace.samples, np.full(2000, -55.0))
 
 
 def test_synthetic_marginal_and_correlation():
-    params = syn_params(duration_ms=120.0 * 100_000)
-    samples = generate_synthetic(params, LINK).samples
+    samples = synthetic(duration_ms=120.0 * 100_000).samples
     assert samples.mean() == pytest.approx(-55.0, abs=0.2)
     assert samples.std() == pytest.approx(6.0, abs=0.3)
     lag1 = np.corrcoef(samples[:-1], samples[1:])[0, 1]
@@ -208,26 +207,13 @@ def test_synthetic_marginal_and_correlation():
 
 
 def test_synthetic_param_validation():
+    for bad in (dict(mean_gain_db=math.inf), dict(shadow_sigma_db=-1.0),
+                dict(shadow_sigma_db=math.inf), dict(coherence_time_ms=0.0),
+                dict(coherence_time_ms=math.inf)):
+        with pytest.raises(ValueError):
+            synthetic(**bad)
     with pytest.raises(ValueError):
-        syn_params(shadow_sigma_db=-1.0)
-    with pytest.raises(ValueError):
-        syn_params(coherence_time_ms=0.0)
-    with pytest.raises(ValueError):
-        syn_params(duration_ms=60.0)  # shorter than one sample period
-
-
-# --------------------------------------------------------------- time lookup
-
-def test_gain_at_holds_samples_for_one_period():
-    trace = make_trace([1.0, 2.0, 3.0])
-    assert gain_at(trace, 0.0) == 1.0
-    assert gain_at(trace, 119.9) == 1.0
-    assert gain_at(trace, 120.0) == 2.0
-    assert gain_at(trace, 359.9) == 3.0
-    with pytest.raises(TraceError, match="outside"):
-        gain_at(trace, 360.0)
-    with pytest.raises(TraceError, match="outside"):
-        gain_at(trace, -0.1)
+        synthetic(duration_ms=60.0)  # shorter than one sample period
 
 
 # --------------------------------------------------------------- channel sets
@@ -239,7 +225,7 @@ def test_channel_set_lookup_and_errors():
     assert channels.sample_period_ms == 120.0
     assert channels.min_samples() == 2
     assert [str(l) for l in channels.links()] == ["1:HD->1:C", "1:HD->1:LH"]
-    assert channels.gain_db(LINK, 1) == 2.0
+    assert channels.trace(LINK).samples[1] == 2.0
     with pytest.raises(MissingLinkError, match="1:HD->1:RH"):
         channels.trace(LinkId.parse("1:HD->1:RH"))
     with pytest.raises(TraceError, match="duplicate"):
@@ -259,7 +245,7 @@ def test_channel_set_cross_lookup():
     ])
     chest = channels.cross_trace(2, 1, BodyLocation.CHEST)
     assert str(chest.link) == "2:LH->1:C"
-    assert channels.cross_gain_db(2, 1, BodyLocation.LEFT_HIP, 0) == 2.0
+    assert channels.cross_trace(2, 1, BodyLocation.LEFT_HIP).samples[0] == 2.0
     with pytest.raises(MissingLinkError, match="no interference trace"):
         channels.cross_trace(3, 1, BodyLocation.CHEST)
 

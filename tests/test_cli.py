@@ -262,15 +262,14 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
-def test_sweep_threads_do_not_change_results(tmp_path):
+def test_sweep_writes_every_combination(tmp_path):
     config = write_config(tmp_path, CONFIG + """
 sweep:
   victims: [1, 2]
   interferers: [1, 2]
 """)
-    main(["sweep", "--config", config, "--out", str(tmp_path / "serial"), "--quiet"])
-    main(["sweep", "--config", config, "--out", str(tmp_path / "threaded"),
-          "--threads", "4", "--quiet"])
-    assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "threaded")
-    summary = (tmp_path / "serial" / "summary.csv").read_text().splitlines()
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--out", str(out), "--quiet"]) == 0
+    assert {p.name for p in (out / "runs").iterdir()} == {"1x2", "2x1"}
+    summary = (out / "summary.csv").read_text().splitlines()
     assert len(summary) == 1 + 2 * 2 * 2  # pairs x reps x schemes

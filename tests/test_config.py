@@ -1,11 +1,18 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from wbansim.channel import BodyLocation, LinkId
 from wbansim.config import load_config, with_on_body_coherence
 from wbansim.engine import ConfigError, CsvChannelSource, SyntheticChannelSource
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+DEFAULT_CONFIG = ROOT / "configs" / "default.yaml"
 
 BASE = """
 wbans:
@@ -82,9 +89,12 @@ def test_bad_values_are_named(tmp_path):
                                                         "{location: XX}")))
     with pytest.raises(ConfigError, match="epochs"):
         load_config(write_config(tmp_path, BASE.replace("epochs: 50", "epochs: many")))
-    with pytest.raises(ConfigError, match="channels.synthetic.on_body"):
-        load_config(write_config(tmp_path, BASE.replace("shadow_sigma_db: 6.0, coherence_time_ms: 240.0",
-                                                        "shadow_sigma_db: -6.0, coherence_time_ms: 240.0")))
+    for bad in ("shadow_sigma_db: -6.0, coherence_time_ms: 240.0",
+                "shadow_sigma_db: .inf, coherence_time_ms: 240.0",
+                "shadow_sigma_db: 6.0, coherence_time_ms: .inf"):
+        with pytest.raises(ConfigError, match="channels.synthetic.on_body"):
+            load_config(write_config(tmp_path, BASE.replace(
+                "shadow_sigma_db: 6.0, coherence_time_ms: 240.0", bad)))
 
 
 def test_mute_power_spelling(tmp_path):
@@ -184,3 +194,30 @@ def test_coherence_swap_touches_on_body_only(tmp_path):
     assert swapped.channels.overrides["2:LH->1:LH"].coherence_time_ms == 500.0
     # The original is untouched.
     assert config.channels.on_body.coherence_time_ms == 240.0
+
+
+def _key_paths(mapping, prefix=""):
+    paths = set()
+    for key, value in mapping.items():
+        paths.add(f"{prefix}{key}")
+        if isinstance(value, dict):
+            paths |= _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def test_readme_config_blocks_load(tmp_path):
+    blocks = re.findall(r"^```yaml\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    default = load_config(DEFAULT_CONFIG)
+    default_keys = _key_paths(yaml.safe_load(DEFAULT_CONFIG.read_text()))
+    for k, block in enumerate(blocks):
+        # Unknown keys are ignored by the loader, so a misspelt key would
+        # load silently with its default: check key names and values too.
+        assert _key_paths(yaml.safe_load(block)) <= default_keys
+        config = load_config(write_config(tmp_path, block, f"readme{k}.yaml"))
+        assert config.noise == default.noise
+        assert dict(config.radio.link_distances_m) == dict(default.radio.link_distances_m)
+        np.testing.assert_array_equal(config.thresholds_db, default.thresholds_db)
+        assert config.lcr_ref_threshold_db == default.lcr_ref_threshold_db
+        assert config.channels.on_body == default.channels.on_body
+        assert config.channels.inter_body == default.channels.inter_body

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries,
-                             default_thresholds, empirical_outage, gain_at_outage,
+                             default_thresholds, empirical_outage,
                              lcr_curve, level_crossing_rate, outage_curve,
                              read_curve_csv, read_series_csv, threshold_at_outage,
                              write_curve_csv, write_series_csv)
@@ -96,15 +96,6 @@ def test_threshold_requires_bracketing():
         threshold_at_outage(curve, 0.0)
     with pytest.raises(MetricsError, match="outage curve"):
         threshold_at_outage(MetricsCurve("lcr", np.array([0.0]), np.array([0.0])), 0.1)
-
-
-def test_gain_reads_off_curve_shift():
-    thresholds = np.linspace(0.0, 10.0, 11)
-    values = np.linspace(0.0, 1.0, 11)
-    single = MetricsCurve("outage", thresholds, values)
-    coop = MetricsCurve("outage", thresholds + 3.0, values)
-    assert gain_at_outage(coop, single, 0.1) == pytest.approx(3.0)
-    assert gain_at_outage(single, single, 0.37) == pytest.approx(0.0)
 
 
 # ------------------------------------------------------------------ crossings

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import constant_set, make_wban
-from wbansim.network import MacConfig, build_schedule
-from wbansim.relaying import (NoiseModel, compute_sinr, end_to_end_sinr,
-                              evaluate_superframe, select_relay)
+from oracle import build_schedule, compute_sinr, evaluate_superframe, select_relay
+from wbansim.network import MacConfig
+from wbansim.relaying import NoiseModel, cooperative_sinr
 
 NOISE = NoiseModel(-100.0)
 MAC = MacConfig(n_coexisting=2, slot_len_ms=60.0, beacon_frac=0.1)
@@ -94,14 +96,65 @@ def test_select_relay_rejects_degenerate_hops():
         select_relay(1.0, 1.0, 1.0, 1.0, hop_weights=(0.0, 1.0))
 
 
+def coop(direct, hops, hop_weights=(1.0, 1.0)):
+    """Kernel on one packet; hops is (sr1, r1h, sr2, r2h) as in select_relay."""
+    return cooperative_sinr(direct, (hops[0], hops[2]), (hops[1], hops[3]), hop_weights)
+
+
 def test_end_to_end_keeps_better_copy():
-    assert end_to_end_sinr(2.0, 5.0) == (2.0, 5.0)
-    assert end_to_end_sinr(5.0, 2.0) == (5.0, 5.0)
+    # Relay 1's branch (bottleneck 5) is selected; the hub keeps the better copy.
+    assert coop(2.0, (5.0, 5.0, 1.0, 1.0)) == 5.0
+    assert coop(5.0, (2.0, 2.0, 1.0, 1.0)) == 5.0
     rng = np.random.default_rng(23)
-    for _ in range(500):
-        direct, relay = rng.lognormal(size=2)
-        single, coop = end_to_end_sinr(direct, relay)
-        assert coop >= single
+    direct, hops = rng.lognormal(size=500), rng.lognormal(size=(4, 500))
+    assert np.all(coop(direct, hops) >= direct)
+
+
+# ----------------------------------------------------------------- properties
+
+sinrs = st.floats(min_value=1e-6, max_value=1e6)
+weights = st.tuples(st.floats(min_value=0.1, max_value=10.0),
+                    st.floats(min_value=0.1, max_value=10.0))
+
+
+@st.composite
+def packets(draw):
+    """(direct, (sr1, r1h, sr2, r2h)); relay 2 is often a copy of relay 1, an exact tie."""
+    direct = draw(sinrs)
+    sr1, r1h = draw(sinrs), draw(sinrs)
+    sr2, r2h = draw(st.one_of(st.tuples(sinrs, sinrs), st.just((sr1, r1h))))
+    return direct, (sr1, r1h, sr2, r2h)
+
+
+@given(packets(), weights)
+def test_kernel_matches_scalar_selection(packet, hop_weights):
+    direct, hops = packet
+    _, relay_min = select_relay(*hops, hop_weights=hop_weights)
+    assert coop(direct, hops, hop_weights) == max(direct, relay_min)
+
+
+@given(st.lists(packets(), min_size=1, max_size=20), weights)
+def test_kernel_never_loses_to_the_direct_link(batch, hop_weights):
+    direct = np.array([d for d, _ in batch])
+    hops = np.array([h for _, h in batch]).T
+    assert np.all(coop(direct, hops, hop_weights) >= direct)
+
+
+@given(packets(), weights)
+def test_swapping_relays_matters_only_on_ties(packet, hop_weights):
+    direct, (sr1, r1h, sr2, r2h) = packet
+    w_in, w_out = hop_weights
+    tie = min(w_in * sr1, w_out * r1h) == min(w_in * sr2, w_out * r2h)
+    same = (coop(direct, (sr1, r1h, sr2, r2h), hop_weights)
+            == coop(direct, (sr2, r2h, sr1, r1h), hop_weights))
+    assert same or tie
+
+
+@given(sinrs, sinrs, sinrs, weights)
+def test_zero_hops_give_the_direct_sinr(direct, sr1, sr2, hop_weights):
+    # A muted relay forwards at zero SINR, whatever it heard from the sensor.
+    assert coop(direct, (sr1, 0.0, sr2, 0.0), hop_weights) == direct
+    assert coop(direct, (0.0, 0.0, 0.0, 0.0), hop_weights) == direct
 
 
 # ----------------------------------------------------------------- superframe
