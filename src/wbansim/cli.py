@@ -31,27 +31,29 @@ def trace_filename(link: LinkId) -> str:
             f"{link.rx_subject}_{link.rx_location}.csv")
 
 
-def _write_run_outputs(result: engine.RunResult, out_dir: Path, quiet: bool) -> None:
+def _write_curves(result: engine.RunResult, out_dir: Path) -> None:
+    """One curve CSV per scheme and curve kind of a run."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for scheme in ("single", "coop"):
         for kind in ("outage", "lcr"):
-            path = out_dir / f"{kind}_{scheme}.csv"
-            metrics.write_curve_csv(result.curves[scheme][kind], path, scheme,
-                                    result.victim_subject)
+            metrics.write_curve_csv(result.curves[scheme][kind],
+                                    out_dir / f"{kind}_{scheme}.csv",
+                                    scheme, result.victim_subject)
+
+
+def _cmd_simulate(args) -> int:
+    config = load_config(args.config, args.seed)
+    result = engine.run(config)
+    out_dir = Path(args.out)
+    _write_curves(result, out_dir)
     engine.write_summary_csv(result.summary, out_dir / "summary.csv")
-    if not quiet:
+    if not args.quiet:
         for row in result.summary:
             print(f"{row.scheme}: thr@1%={row.thr_at_1pct_db:.2f} dB  "
                   f"thr@10%={row.thr_at_10pct_db:.2f} dB  "
                   f"gain@10%={row.gain_at_10pct_db:.2f} dB  "
                   f"lcr@ref={row.lcr_at_ref_hz:.3f} Hz")
         print(f"wrote {out_dir}")
-
-
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config, args.seed)
-    result = engine.run(config)
-    _write_run_outputs(result, Path(args.out), args.quiet)
     return 0
 
 
@@ -61,14 +63,8 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for run_result in result.runs:
-        run_dir = (out_dir / "runs" / run_result.summary[0].combination
-                   / f"rep{run_result.rep}")
-        run_dir.mkdir(parents=True, exist_ok=True)
-        for scheme in ("single", "coop"):
-            for kind in ("outage", "lcr"):
-                metrics.write_curve_csv(run_result.curves[scheme][kind],
-                                        run_dir / f"{kind}_{scheme}.csv",
-                                        scheme, run_result.victim_subject)
+        _write_curves(run_result, out_dir / "runs" / run_result.summary[0].combination
+                      / f"rep{run_result.rep}")
     engine.write_summary_csv(result.rows, out_dir / "summary.csv")
     engine.write_aggregate_csv(result.aggregates, out_dir / "aggregate.csv")
     if not args.quiet:
@@ -114,15 +110,9 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError(f"thresholds: expected 'start:stop:step', got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"thresholds: expected numbers in {text!r}") from None
-    if step <= 0 or stop <= start:
-        raise ConfigError("thresholds: need start < stop and a positive step")
-    count = round((stop - start) / step)
-    if abs(start + count * step - stop) > 1e-9:
-        raise ConfigError(f"thresholds: step {step} does not divide [{start}, {stop}]")
-    return np.linspace(start, stop, count + 1)
+        return metrics.threshold_grid(*(float(p) for p in parts))
+    except ValueError as exc:
+        raise ConfigError(f"thresholds: {exc}") from None
 
 
 def _cmd_metrics(args) -> int:
@@ -180,8 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="trace CSV donating the shadowing")
     p.add_argument("--distance-m", type=float, required=True,
                    help="donor link distance for path loss removal")
-    p.add_argument("--frequency-hz", type=float, default=2.36e9,
-                   help="carrier frequency (default 2.36 GHz)")
+    p.add_argument("--frequency-hz", type=float, default=engine.RadioConfig.frequency_hz,
+                   help="carrier frequency in Hz (default %(default)s)")
     p.add_argument("--link", default=None, help="output link label, like 2:LH->1:C")
     p.add_argument("--out-file", required=True, help="output trace CSV")
     p.set_defaults(func=_cmd_overlay_traces)

@@ -1,8 +1,11 @@
-"""YAML experiment configuration: loading, validation, defaults.
+"""YAML experiment configuration: loading and validation.
 
 The file is a nested mapping with one section per concern (mac, noise,
-radio, channels, metrics, relaying) plus the network definitions and the
-sweep matrix. Validation errors name the offending section and key.
+radio, channels, metrics, relaying, interference, sweep) plus the network
+definitions and the run settings. Each section is read by one
+``_Section``: a key that is absent takes the default of the class it
+configures, a key that nothing reads is an error, and every error names
+the offending key by its full dotted path.
 """
 
 from __future__ import annotations
@@ -10,20 +13,18 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .channel import BodyLocation, SyntheticChannelParams
+from .channel import BodyLocation, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
                      SyntheticChannelSource)
+from .metrics import threshold_grid
 from .network import MacConfig, NodeSpec, Role, WbanConfig
 from .relaying import NoiseModel
 
-
-def _require(mapping: dict, key: str, section: str):
-    if key not in mapping:
-        raise ConfigError(f"{section}: missing key '{key}'")
-    return mapping[key]
+# What ``_Section.get`` returns for an absent key; ``build`` drops it, so
+# the target class's own default applies.
+_ABSENT = object()
 
 
 def _as_mapping(value, section: str) -> dict:
@@ -47,6 +48,28 @@ def _as_int(value, key: str) -> int:
     return value
 
 
+def _as_power(value, key: str) -> float:
+    return float("-inf") if value in ("-inf", "mute") else _as_float(value, key)
+
+
+def _as_ints(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
+    return tuple(_as_int(v, key) for v in value)
+
+
+def _as_start_indices(value, key: str) -> tuple[int, ...] | None:
+    if value is not None and not (isinstance(value, list) and value):
+        raise ConfigError(f"{key}: expected a nonempty list of integers")
+    return None if value is None else _as_ints(value, key)
+
+
+def _as_hop_weights(value, key: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{key}: expected a list of two numbers")
+    return tuple(_as_float(w, key) for w in value)
+
+
 def _parse_location(value, key: str) -> BodyLocation:
     try:
         return BodyLocation.parse(value)
@@ -54,109 +77,132 @@ def _parse_location(value, key: str) -> BodyLocation:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _parse_node(raw, role: Role, section: str) -> NodeSpec:
-    raw = _as_mapping(raw, section)
-    location = _parse_location(_require(raw, "location", section), f"{section}.location")
-    power = raw.get("tx_power_dbm", 0.0)
-    power = float("-inf") if power in ("-inf", "mute") else _as_float(power, f"{section}.tx_power_dbm")
+def _parse_link(value, key: str) -> LinkId:
     try:
-        return NodeSpec(role, location, power)
+        return LinkId.parse(str(value))
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _parse_wban(raw, index: int) -> WbanConfig:
-    section = f"wbans[{index}]"
-    raw = _as_mapping(raw, section)
-    subject = _as_int(_require(raw, "subject", section), f"{section}.subject")
-    hub = _parse_node(_require(raw, "hub", section), Role.HUB, f"{section}.hub")
-    relays_raw = _require(raw, "relays", section)
-    if not isinstance(relays_raw, list) or len(relays_raw) != 2:
-        raise ConfigError(f"{section}.relays: expected a list of exactly 2 nodes")
-    relays = tuple(_parse_node(r, Role.RELAY, f"{section}.relays[{k}]")
-                   for k, r in enumerate(relays_raw))
-    sensors_raw = _require(raw, "sensors", section)
-    if not isinstance(sensors_raw, list) or not sensors_raw:
-        raise ConfigError(f"{section}.sensors: expected a nonempty list of nodes")
-    sensors = tuple(_parse_node(s, Role.SENSOR, f"{section}.sensors[{k}]")
-                    for k, s in enumerate(sensors_raw))
-    try:
-        return WbanConfig(subject, hub, relays, sensors)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+def _parse_distances(value, key: str) -> dict[tuple[str, str], float]:
+    """Pair distances like ``{C-LH: 0.4}`` merged over the class defaults."""
+    distances = dict(RadioConfig().link_distances_m)
+    for pair_text, metres in _as_mapping(value, key).items():
+        name = f"{key}.{pair_text}"
+        parts = str(pair_text).split("-")
+        if len(parts) != 2:
+            raise ConfigError(f"{name}: expected keys like 'LH-RH'")
+        a, b = (_parse_location(part, name) for part in parts)
+        distances[tuple(sorted((a.value, b.value)))] = _as_float(metres, name)
+    return distances
 
 
-def _parse_shadow(raw, section: str, base: SyntheticChannelParams | None = None,
-                  ) -> SyntheticChannelParams:
-    raw = _as_mapping(raw, section)
-    try:
-        if base is None:
-            return SyntheticChannelParams(
-                _as_float(_require(raw, "mean_gain_db", section), f"{section}.mean_gain_db"),
-                _as_float(_require(raw, "shadow_sigma_db", section), f"{section}.shadow_sigma_db"),
-                _as_float(_require(raw, "coherence_time_ms", section), f"{section}.coherence_time_ms"))
-        merged = {"mean_gain_db": base.mean_gain_db,
-                  "shadow_sigma_db": base.shadow_sigma_db,
-                  "coherence_time_ms": base.coherence_time_ms}
-        for key in merged:
-            if key in raw:
-                merged[key] = _as_float(raw[key], f"{section}.{key}")
-        return SyntheticChannelParams(**merged)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+class _Section:
+    """One mapping of the config file and its dotted path, read key by key.
 
+    Every key asked for is recorded, so ``build`` can reject the keys that
+    nothing read: a misspelt or misplaced key never loads silently.
+    """
 
-def _parse_channels(raw, config_dir: Path):
-    section = "channels"
-    raw = _as_mapping(raw, section)
-    source = raw.get("source", "synthetic")
-    if source == "csv":
-        csv_dir = Path(_require(raw, "csv_dir", section))
-        if not csv_dir.is_absolute():
-            csv_dir = config_dir / csv_dir
-        return CsvChannelSource(csv_dir)
-    if source != "synthetic":
-        raise ConfigError(f"channels.source: expected 'synthetic' or 'csv', got {source!r}")
-    syn = _as_mapping(raw.get("synthetic"), "channels.synthetic")
-    on_body = _parse_shadow(_require(syn, "on_body", "channels.synthetic"),
-                            "channels.synthetic.on_body")
-    inter_body = _parse_shadow(_require(syn, "inter_body", "channels.synthetic"),
-                               "channels.synthetic.inter_body")
-    sample_period = _as_float(syn.get("sample_period_ms", 120.0),
-                              "channels.synthetic.sample_period_ms")
-    duration = _as_float(_require(syn, "duration_ms", "channels.synthetic"),
-                         "channels.synthetic.duration_ms")
-    overrides = {}
-    for link_text, partial in _as_mapping(syn.get("overrides"),
-                                          "channels.synthetic.overrides").items():
+    def __init__(self, raw, path: str):
+        self.path, self.label = path, path or "top level"
+        self.raw = _as_mapping(raw, self.label)
+        self.read: set = set()
+
+    def name(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def get(self, key: str, parse=None, required: bool = False):
+        """The parsed value of ``key``, or ``_ABSENT`` if an optional key is absent."""
+        self.read.add(key)
+        if key not in self.raw:
+            if required:
+                raise ConfigError(f"{self.label}: missing key '{key}'")
+            return _ABSENT
+        value = self.raw[key]
+        return value if parse is None else parse(value, self.name(key))
+
+    def section(self, key: str, required: bool = False) -> _Section:
+        value = self.get(key, required=required)
+        return _Section(None if value is _ABSENT else value, self.name(key))
+
+    def sections(self, key: str, expected: str, ok=bool) -> list[_Section]:
+        """The mappings in the list under ``key``; ``ok`` judges the list's length."""
+        items = self.get(key, required=True)
+        if not isinstance(items, list) or not ok(len(items)):
+            raise ConfigError(f"{self.name(key)}: expected {expected}")
+        return [_Section(item, f"{self.name(key)}[{k}]") for k, item in enumerate(items)]
+
+    def check(self) -> None:
+        unknown = [self.name(key) for key in self.raw if key not in self.read]
+        if unknown:
+            raise ConfigError(f"{self.label}: unknown key(s) {', '.join(unknown)}")
+
+    def build(self, target, *args, **kwargs):
+        """Call ``target`` with the present values once every key has been read.
+
+        A ``ValueError`` from ``target`` becomes a ``ConfigError`` naming
+        this section.
+        """
+        self.check()
         try:
-            from .channel import LinkId
-            link = LinkId.parse(str(link_text))
+            return target(*args, **{k: v for k, v in kwargs.items() if v is not _ABSENT})
         except ValueError as exc:
-            raise ConfigError(f"channels.synthetic.overrides: {exc}") from None
-        base = on_body if link.is_intra else inter_body
-        overrides[str(link)] = _parse_shadow(
-            partial, f"channels.synthetic.overrides.{link_text}", base)
-    try:
-        return SyntheticChannelSource(sample_period, duration, on_body, inter_body, overrides)
-    except ValueError as exc:
-        raise ConfigError(f"channels.synthetic: {exc}") from None
+            raise ConfigError(f"{self.label}: {exc}") from None
 
 
-def _parse_thresholds(raw) -> np.ndarray:
-    section = "metrics"
-    raw = _as_mapping(raw, section)
-    start = _as_float(raw.get("threshold_start_db", -30.0), f"{section}.threshold_start_db")
-    stop = _as_float(raw.get("threshold_stop_db", 50.0), f"{section}.threshold_stop_db")
-    step = _as_float(raw.get("threshold_step_db", 0.5), f"{section}.threshold_step_db")
-    if step <= 0 or stop <= start:
-        raise ConfigError(f"{section}: need threshold_start_db < threshold_stop_db "
-                          "and a positive threshold_step_db")
-    count = round((stop - start) / step)
-    if abs(start + count * step - stop) > 1e-9:
-        raise ConfigError(f"{section}: threshold_step_db {step} does not divide the "
-                          f"span [{start}, {stop}]")
-    return np.linspace(start, stop, count + 1)
+def _node(section: _Section, role: Role) -> NodeSpec:
+    return section.build(NodeSpec, role,
+                         section.get("location", _parse_location, required=True),
+                         tx_power_dbm=section.get("tx_power_dbm", _as_power))
+
+
+def _wban(section: _Section) -> WbanConfig:
+    return section.build(
+        WbanConfig,
+        section.get("subject", _as_int, required=True),
+        _node(section.section("hub", required=True), Role.HUB),
+        tuple(_node(relay, Role.RELAY) for relay in section.sections(
+            "relays", "a list of exactly 2 nodes", lambda n: n == 2)),
+        tuple(_node(sensor, Role.SENSOR) for sensor in section.sections(
+            "sensors", "a nonempty list of nodes")))
+
+
+def _shadow(section: _Section, base: SyntheticChannelParams | None = None,
+            ) -> SyntheticChannelParams:
+    """Class parameters (every key required), or a partial override of ``base``."""
+    values = {key: section.get(key, _as_float, required=base is None)
+              for key in ("mean_gain_db", "shadow_sigma_db", "coherence_time_ms")}
+    if base is None:
+        return section.build(SyntheticChannelParams, **values)
+    return section.build(replace, base, **values)
+
+
+def _channels(section: _Section, config_dir: Path):
+    source = section.get("source")
+    if source == "csv":
+        csv_dir = section.get("csv_dir", required=True)
+        if not isinstance(csv_dir, str):
+            raise ConfigError(f"channels.csv_dir: expected a path, got {csv_dir!r}")
+        # A relative csv_dir is relative to the config file.
+        return section.build(CsvChannelSource, config_dir / csv_dir)
+    if source not in (_ABSENT, "synthetic"):
+        raise ConfigError(f"channels.source: expected 'synthetic' or 'csv', got {source!r}")
+    synthetic = section.section("synthetic")
+    section.check()
+    on_body = _shadow(synthetic.section("on_body", required=True))
+    inter_body = _shadow(synthetic.section("inter_body", required=True))
+    overrides = synthetic.section("overrides")
+    by_link = {}
+    for link_text in overrides.raw:
+        link = _parse_link(link_text, overrides.name(link_text))
+        by_link[str(link)] = _shadow(overrides.section(link_text),
+                                     on_body if link.is_intra else inter_body)
+    return synthetic.build(
+        SyntheticChannelSource,
+        sample_period_ms=synthetic.get("sample_period_ms", _as_float),
+        duration_ms=synthetic.get("duration_ms", _as_float, required=True),
+        on_body=on_body, inter_body=inter_body, overrides=by_link)
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -168,118 +214,45 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    raw = _as_mapping(raw, str(path))
+    top = _Section(_as_mapping(raw, str(path)), "")
 
-    wbans_raw = _require(raw, "wbans", "top level")
-    if not isinstance(wbans_raw, list) or not wbans_raw:
-        raise ConfigError("wbans: expected a nonempty list of network definitions")
-    wbans = tuple(_parse_wban(w, i) for i, w in enumerate(wbans_raw))
-
-    mac_raw = _as_mapping(raw.get("mac"), "mac")
-    try:
-        mac = MacConfig(
-            _as_int(_require(mac_raw, "n_coexisting", "mac"), "mac.n_coexisting"),
-            _as_float(_require(mac_raw, "slot_len_ms", "mac"), "mac.slot_len_ms"),
-            _as_float(mac_raw.get("beacon_frac", 0.1), "mac.beacon_frac"))
-    except ValueError as exc:
-        raise ConfigError(f"mac: {exc}") from None
-
-    noise_raw = _as_mapping(raw.get("noise"), "noise")
-    try:
-        noise = NoiseModel(_as_float(noise_raw.get("noise_floor_dbm", -100.0),
-                                     "noise.noise_floor_dbm"))
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from None
-
-    radio_raw = _as_mapping(raw.get("radio"), "radio")
-    distances = dict(RadioConfig().link_distances_m)
-    for pair_text, metres in _as_mapping(radio_raw.get("link_distances_m"),
-                                         "radio.link_distances_m").items():
-        parts = str(pair_text).split("-")
-        if len(parts) != 2:
-            raise ConfigError(f"radio.link_distances_m: expected keys like 'LH-RH', "
-                              f"got {pair_text!r}")
-        a = _parse_location(parts[0], "radio.link_distances_m")
-        b = _parse_location(parts[1], "radio.link_distances_m")
-        distances[tuple(sorted((a.value, b.value)))] = _as_float(
-            metres, f"radio.link_distances_m.{pair_text}")
-    radio = RadioConfig(_as_float(radio_raw.get("frequency_hz", 2.36e9),
-                                  "radio.frequency_hz"), distances)
-
-    relaying_raw = _as_mapping(raw.get("relaying"), "relaying")
-    weights_raw = relaying_raw.get("hop_weights", [1.0, 1.0])
-    if not isinstance(weights_raw, list) or len(weights_raw) != 2:
-        raise ConfigError("relaying.hop_weights: expected a list of two numbers")
-    hop_weights = tuple(_as_float(w, "relaying.hop_weights") for w in weights_raw)
-
-    interference_raw = _as_mapping(raw.get("interference"), "interference")
-    source_location = _parse_location(interference_raw.get("source_location", "LH"),
-                                      "interference.source_location")
-
-    sweep_raw = _as_mapping(raw.get("sweep"), "sweep")
-    sweep_victims = tuple(_as_int(v, "sweep.victims") for v in sweep_raw.get("victims", []))
-    sweep_interferers = tuple(_as_int(v, "sweep.interferers")
-                              for v in sweep_raw.get("interferers", []))
-
-    interferers_raw = raw.get("interferers", [])
-    if not isinstance(interferers_raw, list):
-        raise ConfigError("interferers: expected a list of subject ids")
-
-    start_index = raw.get("start_index")
-    if start_index is not None:
-        start_index = _as_int(start_index, "start_index")
-    start_indices = raw.get("start_indices")
-    if start_indices is not None:
-        if not isinstance(start_indices, list) or not start_indices:
-            raise ConfigError("start_indices: expected a nonempty list of integers")
-        start_indices = tuple(_as_int(s, "start_indices") for s in start_indices)
-
-    seed = _as_int(raw.get("seed", 0), "seed")
-    if seed_override is not None:
-        seed = seed_override
-
-    metrics_raw = _as_mapping(raw.get("metrics"), "metrics")
-    config = ExperimentConfig(
+    wbans = tuple(_wban(w) for w in top.sections(
+        "wbans", "a nonempty list of network definitions"))
+    mac, noise, radio = top.section("mac"), top.section("noise"), top.section("radio")
+    relaying, interference = top.section("relaying"), top.section("interference")
+    sweep, metrics = top.section("sweep"), top.section("metrics")
+    channels = _channels(top.section("channels", required=True), path.parent)
+    seed = top.get("seed", _as_int)
+    lcr_ref = metrics.get("lcr_ref_threshold_db", _as_float)
+    return top.build(
+        ExperimentConfig,
         wbans=wbans,
-        victim_subject=_as_int(_require(raw, "victim", "top level"), "victim"),
-        interferer_subjects=tuple(_as_int(s, "interferers") for s in interferers_raw),
-        epochs=_as_int(_require(raw, "epochs", "top level"), "epochs"),
-        mac=mac,
-        noise=noise,
-        radio=radio,
-        channels=_parse_channels(_require(raw, "channels", "top level"), path.parent),
-        master_seed=seed,
-        repetitions=_as_int(raw.get("repetitions", 1), "repetitions"),
-        start_index=start_index,
-        start_indices=start_indices,
-        epoch_period_ms=_as_float(raw.get("epoch_period_ms", 120.0), "epoch_period_ms"),
-        interferer_source_location=source_location,
-        hop_weights=hop_weights,
-        thresholds_db=_parse_thresholds(metrics_raw),
-        lcr_ref_threshold_db=_as_float(metrics_raw.get("lcr_ref_threshold_db", 5.0),
-                                       "metrics.lcr_ref_threshold_db"),
-        sweep_victims=sweep_victims,
-        sweep_interferers=sweep_interferers)
-    return config
-
-
-def with_on_body_coherence(config: ExperimentConfig, coherence_time_ms: float,
-                           ) -> ExperimentConfig:
-    """Copy of a config with the on-body coherence time replaced.
-
-    Only meaningful for a synthetic channel source; per-link overrides of
-    on-body links are adjusted as well.
-    """
-    source = config.channels
-    if not isinstance(source, SyntheticChannelSource):
-        raise ConfigError("channels: coherence variation needs a synthetic source")
-    from .channel import LinkId
-    overrides = {
-        text: (replace(params, coherence_time_ms=coherence_time_ms)
-               if LinkId.parse(text).is_intra else params)
-        for text, params in source.overrides.items()}
-    new_source = replace(source,
-                         on_body=replace(source.on_body,
-                                         coherence_time_ms=coherence_time_ms),
-                         overrides=overrides)
-    return replace(config, channels=new_source)
+        victim_subject=top.get("victim", _as_int, required=True),
+        interferer_subjects=top.get("interferers", _as_ints),
+        epochs=top.get("epochs", _as_int, required=True),
+        mac=mac.build(MacConfig,
+                      mac.get("n_coexisting", _as_int, required=True),
+                      mac.get("slot_len_ms", _as_float, required=True),
+                      beacon_frac=mac.get("beacon_frac", _as_float)),
+        noise=noise.build(NoiseModel,
+                          noise_floor_dbm=noise.get("noise_floor_dbm", _as_float)),
+        radio=radio.build(RadioConfig,
+                          frequency_hz=radio.get("frequency_hz", _as_float),
+                          link_distances_m=radio.get("link_distances_m", _parse_distances)),
+        channels=channels,
+        master_seed=seed if seed_override is None else seed_override,
+        repetitions=top.get("repetitions", _as_int),
+        start_index=top.get("start_index",
+                            lambda value, key: None if value is None else _as_int(value, key)),
+        start_indices=top.get("start_indices", _as_start_indices),
+        epoch_period_ms=top.get("epoch_period_ms", _as_float),
+        thresholds_db=metrics.build(threshold_grid,
+                                    start=metrics.get("threshold_start_db", _as_float),
+                                    stop=metrics.get("threshold_stop_db", _as_float),
+                                    step=metrics.get("threshold_step_db", _as_float)),
+        lcr_ref_threshold_db=lcr_ref,
+        **relaying.build(dict, hop_weights=relaying.get("hop_weights", _as_hop_weights)),
+        **interference.build(dict, interferer_source_location=interference.get(
+            "source_location", _parse_location)),
+        **sweep.build(dict, sweep_victims=sweep.get("victims", _as_ints),
+                      sweep_interferers=sweep.get("interferers", _as_ints)))

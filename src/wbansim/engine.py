@@ -15,7 +15,8 @@ summary quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -26,7 +27,7 @@ from .channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId, MissingLin
                       generate_synthetic, load_trace, overlay)
 from .metrics import (MetricsCurve, MetricsError, SinrSeries, empirical_outage,
                       lcr_curve, level_crossing_rate, threshold_at_outage,
-                      default_thresholds)
+                      threshold_grid)
 from .network import MacConfig, WbanConfig, overlap_lengths, superframe_layout
 from .relaying import NoiseModel, cooperative_sinr
 from .seeding import derive_seed, substream
@@ -72,28 +73,33 @@ class SyntheticChannelSource:
 
 @dataclass(frozen=True)
 class CsvChannelSource:
-    """Serves traces from a directory of trace CSVs, indexed by header link."""
+    """Serves traces from a directory of trace CSVs, indexed by header link.
+
+    The directory is read once, on the first request, and every trace is
+    kept for the lifetime of the source.
+    """
 
     directory: Path
 
-    def _index(self) -> dict[LinkId, Path]:
+    @cached_property
+    def _traces(self) -> dict[LinkId, ChannelTrace]:
         directory = Path(self.directory)
         if not directory.is_dir():
             raise ConfigError(f"channels: csv_dir {directory} is not a directory")
-        index: dict[LinkId, Path] = {}
+        traces: dict[LinkId, ChannelTrace] = {}
+        paths: dict[LinkId, Path] = {}
         for path in sorted(directory.glob("*.csv")):
             trace = load_trace(path)
-            if trace.link in index:
+            if trace.link in traces:
                 raise TraceError(f"duplicate trace for link {trace.link}: "
-                                 f"{index[trace.link]} and {path}")
-            index[trace.link] = path
-        return index
+                                 f"{paths[trace.link]} and {path}")
+            traces[trace.link], paths[trace.link] = trace, path
+        return traces
 
     def trace(self, link: LinkId, seed: int) -> ChannelTrace:
-        index = self._index()
-        if link not in index:
+        if link not in self._traces:
             raise MissingLinkError(f"no channel trace for link {link} in {self.directory}")
-        return load_trace(index[link], link)
+        return self._traces[link]
 
 
 def _distance_key(a: BodyLocation, b: BodyLocation) -> tuple[str, str]:
@@ -136,7 +142,7 @@ class ExperimentConfig:
     epoch_period_ms: float = 120.0
     interferer_source_location: BodyLocation = BodyLocation.LEFT_HIP
     hop_weights: tuple[float, float] = (1.0, 1.0)
-    thresholds_db: np.ndarray = field(default_factory=default_thresholds)
+    thresholds_db: np.ndarray = field(default_factory=threshold_grid)
     lcr_ref_threshold_db: float = 5.0
     sweep_victims: tuple[int, ...] = ()
     sweep_interferers: tuple[int, ...] = ()
@@ -158,6 +164,10 @@ class ExperimentConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not (math.isfinite(self.epoch_period_ms) and self.epoch_period_ms > 0):
             raise ConfigError(f"epoch_period_ms must be positive, got {self.epoch_period_ms}")
+        if abs(self.epoch_period_ms - self.mac.cycle_ms) > 1e-9:
+            raise ConfigError(
+                f"epoch_period_ms {self.epoch_period_ms} must equal the TDMA cycle "
+                f"mac.n_coexisting * mac.slot_len_ms = {self.mac.cycle_ms}")
         if not all(w > 0 and math.isfinite(w) for w in self.hop_weights):
             raise ConfigError(f"relaying: hop_weights must be positive, got {self.hop_weights}")
 
@@ -253,6 +263,11 @@ class SummaryRow:
     thr_at_10pct_db: float
     gain_at_10pct_db: float
     lcr_at_ref_hz: float
+
+
+# The SummaryRow fields that AggregateRow averages over repetitions.
+_SUMMARY_QUANTITIES = ("thr_at_1pct_db", "thr_at_10pct_db", "gain_at_10pct_db",
+                       "lcr_at_ref_hz")
 
 
 @dataclass(frozen=True)
@@ -473,46 +488,31 @@ def sweep(config: ExperimentConfig) -> SweepResult:
         combination, label = _combination_id(victim, (interferer,))
         for scheme in ("single", "coop"):
             scheme_rows = [r for r in pair_rows if r.scheme == scheme]
-            columns = {name: np.array([getattr(r, name) for r in scheme_rows])
-                       for name in ("thr_at_1pct_db", "thr_at_10pct_db",
-                                    "gain_at_10pct_db", "lcr_at_ref_hz")}
-            aggregates.append(AggregateRow(
-                combination, victim, label, scheme,
-                float(np.mean(columns["thr_at_1pct_db"])),
-                float(np.std(columns["thr_at_1pct_db"])),
-                float(np.mean(columns["thr_at_10pct_db"])),
-                float(np.std(columns["thr_at_10pct_db"])),
-                float(np.mean(columns["gain_at_10pct_db"])),
-                float(np.std(columns["gain_at_10pct_db"])),
-                float(np.mean(columns["lcr_at_ref_hz"])),
-                float(np.std(columns["lcr_at_ref_hz"]))))
+            spread = {}
+            for name in _SUMMARY_QUANTITIES:
+                column = np.array([getattr(r, name) for r in scheme_rows])
+                spread[f"mean_{name}"] = float(np.mean(column))
+                spread[f"std_{name}"] = float(np.std(column))
+            aggregates.append(AggregateRow(combination, victim, label, scheme, **spread))
     return SweepResult(rows, aggregates, runs)
-
-
-SUMMARY_COLUMNS = ("combination", "victim", "interferer", "rep", "scheme",
-                   "thr_at_1pct_db", "thr_at_10pct_db", "gain_at_10pct_db",
-                   "lcr_at_ref_hz")
-
-AGGREGATE_COLUMNS = ("combination", "victim", "interferer", "scheme",
-                     "mean_thr_at_1pct_db", "std_thr_at_1pct_db",
-                     "mean_thr_at_10pct_db", "std_thr_at_10pct_db",
-                     "mean_gain_at_10pct_db", "std_gain_at_10pct_db",
-                     "mean_lcr_at_ref_hz", "std_lcr_at_ref_hz")
 
 
 def _format_cell(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
+def _write_rows(row_type, rows, path) -> None:
+    """One CSV line per dataclass row, columns in field order under a header."""
+    columns = [f.name for f in fields(row_type)]
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, c)) for c in SUMMARY_COLUMNS))
+        lines.append(",".join(_format_cell(getattr(row, c)) for c in columns))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_summary_csv(rows: list[SummaryRow], path) -> None:
+    _write_rows(SummaryRow, rows, path)
 
 
 def write_aggregate_csv(rows: list[AggregateRow], path) -> None:
-    lines = [",".join(AGGREGATE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, c)) for c in AGGREGATE_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(AggregateRow, rows, path)

@@ -91,16 +91,27 @@ class MetricsCurve:
             object.__setattr__(self, name, arr)
 
 
-def default_thresholds() -> np.ndarray:
-    """Default SINR threshold grid: -30 dB to +50 dB in 0.5 dB steps."""
-    return np.linspace(-30.0, 50.0, 161)
+def threshold_grid(start: float = -30.0, stop: float = 50.0, step: float = 0.5,
+                   ) -> np.ndarray:
+    """SINR threshold grid from start to stop in dB, both ends included.
+
+    Raises ValueError unless start < stop are finite and step is positive
+    and divides the span.
+    """
+    if not (math.isfinite(stop - start) and stop > start and step > 0):
+        raise ValueError(f"threshold grid needs finite start < stop and a positive step, "
+                         f"got {start}:{stop}:{step}")
+    count = round((stop - start) / step)
+    if abs(start + count * step - stop) > 1e-9:
+        raise ValueError(f"threshold step {step} does not divide the span [{start}, {stop}]")
+    return np.linspace(start, stop, count + 1)
 
 
 def empirical_outage(values_db: np.ndarray, thresholds_db: np.ndarray | None = None,
                      ) -> MetricsCurve:
     """Outage curve from a bag of SINR samples (order does not matter)."""
     if thresholds_db is None:
-        thresholds_db = default_thresholds()
+        thresholds_db = threshold_grid()
     values = np.sort(np.asarray(values_db, dtype=np.float64))
     if values.size == 0:
         raise MetricsError("outage needs at least one sample")
@@ -166,7 +177,7 @@ def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray | None = None,
               ) -> MetricsCurve:
     """Level crossing rate over a threshold grid."""
     if thresholds_db is None:
-        thresholds_db = default_thresholds()
+        thresholds_db = threshold_grid()
     rates = [level_crossing_rate(series, float(t)) for t in thresholds_db]
     return MetricsCurve("lcr", thresholds_db, np.array(rates))
 

@@ -1,8 +1,11 @@
 """Builders shared across the test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId
+from wbansim.engine import ConfigError, ExperimentConfig, SyntheticChannelSource
 from wbansim.network import NodeSpec, Role, WbanConfig
 
 C = BodyLocation.CHEST
@@ -26,3 +29,24 @@ def constant_set(gains, n=4, period_ms=120.0):
     """Channel set of flat traces; gains maps link strings to dB values."""
     return ChannelSet(ChannelTrace(LinkId.parse(text), period_ms, np.full(n, gain))
                       for text, gain in gains.items())
+
+
+def with_on_body_coherence(config: ExperimentConfig, coherence_time_ms: float,
+                           ) -> ExperimentConfig:
+    """Copy of a config with the on-body coherence time replaced.
+
+    Only meaningful for a synthetic channel source; per-link overrides of
+    on-body links are adjusted as well.
+    """
+    source = config.channels
+    if not isinstance(source, SyntheticChannelSource):
+        raise ConfigError("channels: coherence variation needs a synthetic source")
+    overrides = {
+        text: (replace(params, coherence_time_ms=coherence_time_ms)
+               if LinkId.parse(text).is_intra else params)
+        for text, params in source.overrides.items()}
+    new_source = replace(source,
+                         on_body=replace(source.on_body,
+                                         coherence_time_ms=coherence_time_ms),
+                         overrides=overrides)
+    return replace(config, channels=new_source)

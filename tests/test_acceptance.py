@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from helpers import with_on_body_coherence
 from oracle import compute_sinr, select_relay
 from wbansim.channel import (LinkId, SyntheticChannelParams, extract_shadowing,
                              fspl_db, generate_synthetic, overlay)
-from wbansim.config import load_config, with_on_body_coherence
+from wbansim.config import load_config
 from wbansim.engine import assemble_channels, run, sweep
 from wbansim.metrics import SinrSeries, level_crossing_rate
 from wbansim.relaying import NoiseModel

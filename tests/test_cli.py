@@ -245,6 +245,15 @@ def test_metrics_rejects_malformed_input(tmp_path, capsys, content, lineno):
     assert f"series.csv:{lineno}" in capsys.readouterr().err
 
 
+def test_metrics_rejects_a_grid_step_that_does_not_divide(tmp_path, capsys):
+    series_path = tmp_path / "series.csv"
+    series_path.write_text(FIXTURE_SERIES)
+    rc = main(["metrics", "--series", str(series_path), "--out", str(tmp_path / "out"),
+               "--thresholds", "0:10:3", "--quiet"])
+    assert rc == 1
+    assert "does not divide" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_outputs_and_determinism(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from wbansim.channel import BodyLocation, LinkId
-from wbansim.config import load_config, with_on_body_coherence
+from helpers import with_on_body_coherence
+from wbansim.config import load_config
 from wbansim.engine import ConfigError, CsvChannelSource, SyntheticChannelSource
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +197,48 @@ def test_coherence_swap_touches_on_body_only(tmp_path):
     assert config.channels.on_body.coherence_time_ms == 240.0
 
 
+def _mapping_paths(node, path=""):
+    """(dotted path, mapping) for every mapping nested in a loaded YAML tree."""
+    if isinstance(node, dict):
+        yield path, node
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{k}]", v) for k, v in enumerate(node))
+    else:
+        return
+    for child_path, child in items:
+        yield from _mapping_paths(child, child_path)
+
+
+def _default_with_override():
+    raw = yaml.safe_load(DEFAULT_CONFIG.read_text())
+    raw["channels"]["synthetic"]["overrides"] = {"1:HD->1:C": {"shadow_sigma_db": 2.0}}
+    return raw
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p or "top-level")
+                                  for p, _ in _mapping_paths(_default_with_override())])
+def test_unknown_keys_are_named_by_path(tmp_path, path):
+    raw = _default_with_override()
+    dict(_mapping_paths(raw))[path]["bogus"] = 1.0
+    config_path = write_config(tmp_path, yaml.safe_dump(raw))
+    bogus = f"{path}.bogus" if path else "bogus"
+    with pytest.raises(ConfigError, match=re.escape(bogus)):
+        load_config(config_path)
+
+
+def test_source_sections_must_match_the_source(tmp_path):
+    csv = BASE.replace("channels:\n", "channels:\n  source: csv\n  csv_dir: traces\n")
+    with pytest.raises(ConfigError, match=re.escape("channels.synthetic")):
+        load_config(write_config(tmp_path, csv))
+    synthetic = BASE.replace("channels:\n", "channels:\n  csv_dir: traces\n")
+    with pytest.raises(ConfigError, match=re.escape("channels.csv_dir")):
+        load_config(write_config(tmp_path, synthetic))
+    not_a_path = "channels:\n  source: csv\n  csv_dir: 5\n"
+    with pytest.raises(ConfigError, match=re.escape("channels.csv_dir: expected a path")):
+        load_config(write_config(tmp_path, BASE.split("channels:\n")[0] + not_a_path))
+
+
 def _key_paths(mapping, prefix=""):
     paths = set()
     for key, value in mapping.items():
@@ -211,8 +254,8 @@ def test_readme_config_blocks_load(tmp_path):
     default = load_config(DEFAULT_CONFIG)
     default_keys = _key_paths(yaml.safe_load(DEFAULT_CONFIG.read_text()))
     for k, block in enumerate(blocks):
-        # Unknown keys are ignored by the loader, so a misspelt key would
-        # load silently with its default: check key names and values too.
+        # The loader rejects unknown keys, but a key that is valid yet absent
+        # from the default would still load: check key names and values too.
         assert _key_paths(yaml.safe_load(block)) <= default_keys
         config = load_config(write_config(tmp_path, block, f"readme{k}.yaml"))
         assert config.noise == default.noise

@@ -6,12 +6,14 @@ import pytest
 
 from helpers import HD, LW, make_wban
 from oracle import build_schedule, evaluate_superframe
+from wbansim import engine
 from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, SyntheticChannelParams,
-                             fspl_db, save_trace)
+                             fspl_db, load_trace, save_trace)
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
 from wbansim.metrics import lcr_curve, threshold_at_outage
+from wbansim.network import MacConfig
 from wbansim.seeding import derive_seed, substream
 
 
@@ -45,6 +47,7 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     (dict(repetitions=0), "repetitions"),
     (dict(hop_weights=(0.0, 1.0)), "hop_weights"),
     (dict(epoch_period_ms=0.0), "epoch_period_ms"),
+    (dict(mac=MacConfig(4, 60.0)), "epoch_period_ms"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ConfigError, match=match):
@@ -88,6 +91,19 @@ def test_assemble_overlays_interference_channels(tmp_path):
         to_rh.samples, -72.0 + (-52.0 + fspl_db(0.30, 2.36e9)), rtol=1e-12)
     np.testing.assert_array_equal(
         channels.trace(LinkId.parse("1:HD->1:C")).samples, np.full(8, -60.0))
+
+
+def test_csv_source_reads_each_file_once(tmp_path, monkeypatch):
+    links = required_source_links(base_config())
+    for k, link in enumerate(links):
+        save_trace(ChannelTrace(link, 120.0, np.full(8, -60.0 - k)), tmp_path / f"t{k}.csv")
+    calls = []
+    monkeypatch.setattr(engine, "load_trace",
+                        lambda *args: calls.append(args) or load_trace(*args))
+    channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path), epochs=8))
+    assert len(calls) == len(links)
+    for k, link in enumerate(links):
+        np.testing.assert_array_equal(channels.trace(link).samples, np.full(8, -60.0 - k))
 
 
 def test_assemble_downsamples_to_epoch_period(tmp_path):

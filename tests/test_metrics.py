@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries,
-                             default_thresholds, empirical_outage,
-                             lcr_curve, level_crossing_rate, outage_curve,
-                             read_curve_csv, read_series_csv, threshold_at_outage,
-                             write_curve_csv, write_series_csv)
+                             empirical_outage, lcr_curve, level_crossing_rate,
+                             outage_curve, read_curve_csv, read_series_csv,
+                             threshold_at_outage, threshold_grid, write_curve_csv,
+                             write_series_csv)
 
 
 def series(values, period_ms=120.0):
@@ -38,10 +40,21 @@ def test_series_cadence():
 # --------------------------------------------------------------------- outage
 
 def test_default_grid():
-    grid = default_thresholds()
+    grid = threshold_grid()
     assert grid.size == 161
     assert grid[0] == -30.0 and grid[-1] == 50.0
     assert np.all(np.diff(grid) == 0.5)
+
+
+def test_threshold_grid_default_and_errors():
+    np.testing.assert_array_equal(threshold_grid(), np.linspace(-30.0, 50.0, 161))
+    np.testing.assert_array_equal(threshold_grid(0.0, 10.0, 5.0), [0.0, 5.0, 10.0])
+    for start, stop, step in ((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0),
+                              (0.0, math.inf, 1.0)):
+        with pytest.raises(ValueError, match="start < stop"):
+            threshold_grid(start, stop, step)
+    with pytest.raises(ValueError, match="does not divide"):
+        threshold_grid(0.0, 10.0, 3.0)
 
 
 def test_outage_counts_strictly_below():
