@@ -108,6 +108,7 @@ class _Section:
         self.path, self.label = path, path or "top level"
         self.raw = _as_mapping(raw, self.label)
         self.read: set = set()
+        self.children: list[_Section] = []
 
     def name(self, key) -> str:
         return f"{self.path}.{key}" if self.path else str(key)
@@ -124,19 +125,27 @@ class _Section:
 
     def section(self, key: str, required: bool = False) -> _Section:
         value = self.get(key, required=required)
-        return _Section(None if value is _ABSENT else value, self.name(key))
+        return self._child(None if value is _ABSENT else value, self.name(key))
 
     def sections(self, key: str, expected: str, ok=bool) -> list[_Section]:
         """The mappings in the list under ``key``; ``ok`` judges the list's length."""
         items = self.get(key, required=True)
         if not isinstance(items, list) or not ok(len(items)):
             raise ConfigError(f"{self.name(key)}: expected {expected}")
-        return [_Section(item, f"{self.name(key)}[{k}]") for k, item in enumerate(items)]
+        return [self._child(item, f"{self.name(key)}[{k}]") for k, item in enumerate(items)]
+
+    def _child(self, raw, path: str) -> _Section:
+        child = _Section(raw, path)
+        self.children.append(child)
+        return child
 
     def check(self) -> None:
+        """Reject the unread keys of this section and of every section read from it."""
         unknown = [self.name(key) for key in self.raw if key not in self.read]
         if unknown:
             raise ConfigError(f"{self.label}: unknown key(s) {', '.join(unknown)}")
+        for child in self.children:
+            child.check()
 
     def build(self, target, *args, **kwargs):
         """Call ``target`` with the present values once every key has been read.
@@ -189,7 +198,6 @@ def _channels(section: _Section, config_dir: Path):
     if source not in (_ABSENT, "synthetic"):
         raise ConfigError(f"channels.source: expected 'synthetic' or 'csv', got {source!r}")
     synthetic = section.section("synthetic")
-    section.check()
     on_body = _shadow(synthetic.section("on_body", required=True))
     inter_body = _shadow(synthetic.section("inter_body", required=True))
     overrides = synthetic.section("overrides")
@@ -203,6 +211,16 @@ def _channels(section: _Section, config_dir: Path):
         sample_period_ms=synthetic.get("sample_period_ms", _as_float),
         duration_ms=synthetic.get("duration_ms", _as_float, required=True),
         on_body=on_body, inter_body=inter_body, overrides=by_link)
+
+
+def _thresholds(metrics: _Section):
+    """The threshold grid; an error names the three keys that set it."""
+    values = {arg: metrics.get(f"threshold_{arg}_db", _as_float)
+              for arg in ("start", "stop", "step")}
+    try:
+        return threshold_grid(**{k: v for k, v in values.items() if v is not _ABSENT})
+    except ValueError as exc:
+        raise ConfigError(f"{metrics.name('threshold_{start,stop,step}_db')}: {exc}") from None
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -223,7 +241,6 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     sweep, metrics = top.section("sweep"), top.section("metrics")
     channels = _channels(top.section("channels", required=True), path.parent)
     seed = top.get("seed", _as_int)
-    lcr_ref = metrics.get("lcr_ref_threshold_db", _as_float)
     return top.build(
         ExperimentConfig,
         wbans=wbans,
@@ -246,13 +263,9 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                             lambda value, key: None if value is None else _as_int(value, key)),
         start_indices=top.get("start_indices", _as_start_indices),
         epoch_period_ms=top.get("epoch_period_ms", _as_float),
-        thresholds_db=metrics.build(threshold_grid,
-                                    start=metrics.get("threshold_start_db", _as_float),
-                                    stop=metrics.get("threshold_stop_db", _as_float),
-                                    step=metrics.get("threshold_step_db", _as_float)),
-        lcr_ref_threshold_db=lcr_ref,
-        **relaying.build(dict, hop_weights=relaying.get("hop_weights", _as_hop_weights)),
-        **interference.build(dict, interferer_source_location=interference.get(
-            "source_location", _parse_location)),
-        **sweep.build(dict, sweep_victims=sweep.get("victims", _as_ints),
-                      sweep_interferers=sweep.get("interferers", _as_ints)))
+        thresholds_db=_thresholds(metrics),
+        lcr_ref_threshold_db=metrics.get("lcr_ref_threshold_db", _as_float),
+        hop_weights=relaying.get("hop_weights", _as_hop_weights),
+        interferer_source_location=interference.get("source_location", _parse_location),
+        sweep_victims=sweep.get("victims", _as_ints),
+        sweep_interferers=sweep.get("interferers", _as_ints))

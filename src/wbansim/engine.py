@@ -129,8 +129,8 @@ class ExperimentConfig:
 
     wbans: tuple[WbanConfig, ...]
     victim_subject: int
-    interferer_subjects: tuple[int, ...]
     epochs: int
+    interferer_subjects: tuple[int, ...] = ()
     mac: MacConfig = MacConfig()
     noise: NoiseModel = NoiseModel()
     radio: RadioConfig = RadioConfig()
@@ -139,7 +139,8 @@ class ExperimentConfig:
     repetitions: int = 1
     start_index: int | None = None
     start_indices: tuple[int, ...] | None = None
-    epoch_period_ms: float = 120.0
+    # One block-fading epoch spans one TDMA cycle; None takes the cycle.
+    epoch_period_ms: float | None = None
     interferer_source_location: BodyLocation = BodyLocation.LEFT_HIP
     hop_weights: tuple[float, float] = (1.0, 1.0)
     thresholds_db: np.ndarray = field(default_factory=threshold_grid)
@@ -162,9 +163,9 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not (math.isfinite(self.epoch_period_ms) and self.epoch_period_ms > 0):
-            raise ConfigError(f"epoch_period_ms must be positive, got {self.epoch_period_ms}")
-        if abs(self.epoch_period_ms - self.mac.cycle_ms) > 1e-9:
+        if self.epoch_period_ms is None:
+            object.__setattr__(self, "epoch_period_ms", self.mac.cycle_ms)
+        elif not abs(self.epoch_period_ms - self.mac.cycle_ms) <= 1e-9:  # NaN too
             raise ConfigError(
                 f"epoch_period_ms {self.epoch_period_ms} must equal the TDMA cycle "
                 f"mac.n_coexisting * mac.slot_len_ms = {self.mac.cycle_ms}")

@@ -100,10 +100,11 @@ def threshold_grid(start: float = -30.0, stop: float = 50.0, step: float = 0.5,
     """
     if not (math.isfinite(stop - start) and stop > start and step > 0):
         raise ValueError(f"threshold grid needs finite start < stop and a positive step, "
-                         f"got {start}:{stop}:{step}")
+                         f"got start {start}, stop {stop}, step {step}")
     count = round((stop - start) / step)
     if abs(start + count * step - stop) > 1e-9:
-        raise ValueError(f"threshold step {step} does not divide the span [{start}, {stop}]")
+        raise ValueError(f"step {step} does not divide the span from start {start} "
+                         f"to stop {stop}")
     return np.linspace(start, stop, count + 1)
 
 

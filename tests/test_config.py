@@ -239,6 +239,25 @@ def test_source_sections_must_match_the_source(tmp_path):
         load_config(write_config(tmp_path, BASE.split("channels:\n")[0] + not_a_path))
 
 
+def test_interferers_are_optional(tmp_path):
+    config = load_config(write_config(tmp_path, BASE.replace("interferers: [2]\n", "")))
+    assert config.interferer_subjects == ()
+
+
+def test_grid_errors_name_the_grid_keys(tmp_path):
+    bad = BASE + "metrics: {threshold_start_db: 0.0, threshold_stop_db: 10.0, " \
+                 "threshold_step_db: 3.0}\n"
+    with pytest.raises(ConfigError, match=re.escape(
+            "metrics.threshold_{start,stop,step}_db: step 3.0 does not divide")):
+        load_config(write_config(tmp_path, bad))
+
+
+@pytest.mark.parametrize("value", ["240.0", "0.0", ".nan", ".inf"])
+def test_epoch_period_must_equal_the_cycle(tmp_path, value):
+    with pytest.raises(ConfigError, match="epoch_period_ms .* must equal the TDMA cycle"):
+        load_config(write_config(tmp_path, BASE + f"epoch_period_ms: {value}\n"))
+
+
 def _key_paths(mapping, prefix=""):
     paths = set()
     for key, value in mapping.items():

@@ -47,11 +47,16 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     (dict(repetitions=0), "repetitions"),
     (dict(hop_weights=(0.0, 1.0)), "hop_weights"),
     (dict(epoch_period_ms=0.0), "epoch_period_ms"),
-    (dict(mac=MacConfig(4, 60.0)), "epoch_period_ms"),
+    (dict(mac=MacConfig(4, 60.0), epoch_period_ms=120.0), "epoch_period_ms"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ConfigError, match=match):
         base_config(**kwargs)
+
+
+def test_epoch_period_defaults_to_the_cycle():
+    assert base_config().epoch_period_ms == 120.0
+    assert base_config(mac=MacConfig(4, 60.0)).epoch_period_ms == 240.0
 
 
 def test_radio_config_lookup():
