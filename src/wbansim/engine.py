@@ -171,6 +171,9 @@ class ExperimentConfig:
                 f"mac.n_coexisting * mac.slot_len_ms = {self.mac.cycle_ms}")
         if not all(w > 0 and math.isfinite(w) for w in self.hop_weights):
             raise ConfigError(f"relaying: hop_weights must be positive, got {self.hop_weights}")
+        if not math.isfinite(self.lcr_ref_threshold_db):
+            raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
+                              f"got {self.lcr_ref_threshold_db}")
 
     def wban(self, subject: int) -> WbanConfig:
         for wban in self.wbans:

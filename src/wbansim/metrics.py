@@ -69,14 +69,10 @@ class MetricsCurve:
     def __post_init__(self):
         if self.kind not in ("outage", "lcr"):
             raise MetricsError(f"unknown curve kind {self.kind!r}")
-        thresholds = np.asarray(self.thresholds_db, dtype=np.float64)
+        thresholds = _threshold_array(self.thresholds_db)
         values = np.asarray(self.values, dtype=np.float64)
-        if thresholds.ndim != 1 or thresholds.size == 0 or thresholds.size != values.size:
+        if values.shape != thresholds.shape:
             raise MetricsError("thresholds and values must be 1-D arrays of equal length")
-        if thresholds.size > 1 and not np.all(np.diff(thresholds) > 0):
-            raise MetricsError("thresholds must be strictly increasing")
-        if not np.all(np.isfinite(thresholds)):
-            raise MetricsError("thresholds must be finite")
         if self.kind == "outage":
             if not (np.all(values >= 0.0) and np.all(values <= 1.0)):
                 raise MetricsError("outage probabilities must lie in [0, 1]")
@@ -89,6 +85,18 @@ class MetricsCurve:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+
+def _threshold_array(thresholds_db) -> np.ndarray:
+    """Thresholds as float64; raises unless 1-D, non-empty, strictly increasing, finite."""
+    thresholds = np.asarray(thresholds_db, dtype=np.float64)
+    if thresholds.ndim != 1 or thresholds.size == 0:
+        raise MetricsError("thresholds must be a non-empty 1-D array")
+    if thresholds.size > 1 and not np.all(np.diff(thresholds) > 0):
+        raise MetricsError("thresholds must be strictly increasing")
+    if not np.all(np.isfinite(thresholds)):
+        raise MetricsError("thresholds must be finite")
+    return thresholds
 
 
 def threshold_grid(start: float = -30.0, stop: float = 50.0, step: float = 0.5,
@@ -154,33 +162,63 @@ def threshold_at_outage(curve: MetricsCurve, probability: float) -> float:
     return float(t0 + (probability - v0) * (t1 - t0) / (v1 - v0))
 
 
+# Downward steps expanded into grid cells at a time: bounds the temporary arrays.
+_STEP_BLOCK = 2048
+
+
+def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
+    """Downward crossing rate at every threshold of a grid, from one pass over the series.
+
+    A downward step from v[k] to v[k+1] crosses, at sample k+1, every
+    threshold t with v[k] >= t > v[k+1]. On a strictly increasing grid
+    those are the cells from searchsorted(v[k+1], "right") up to, not
+    including, searchsorted(v[k], "right"). The steps are expanded into
+    cells, counted, and the first and last crossing sample kept per cell.
+    """
+    thresholds = _threshold_array(thresholds_db)
+    rates = np.zeros(thresholds.size)
+    if series.n_samples < 2:
+        return rates
+    series.cadence_ms()
+    values = series.values_db
+    at = np.flatnonzero(values[1:] < values[:-1]) + 1
+    low = np.searchsorted(thresholds, values[at], side="right")
+    width = np.searchsorted(thresholds, values[at - 1], side="right") - low
+    count = np.zeros(thresholds.size, dtype=np.int64)
+    first = np.full(thresholds.size, series.n_samples)
+    last = np.full(thresholds.size, -1)
+    for b in range(0, at.size, _STEP_BLOCK):
+        w = width[b:b + _STEP_BLOCK]
+        ends = np.cumsum(w)
+        cells = np.arange(ends[-1]) + np.repeat(low[b:b + _STEP_BLOCK] - (ends - w), w)
+        samples = np.repeat(at[b:b + _STEP_BLOCK], w)
+        count += np.bincount(cells, minlength=thresholds.size)
+        np.minimum.at(first, cells, samples)
+        np.maximum.at(last, cells, samples)
+    crossed = count >= 2
+    span_s = (series.times_ms[last[crossed]] - series.times_ms[first[crossed]]) / 1000.0
+    rates[crossed] = count[crossed] / span_s
+    return rates
+
+
 def level_crossing_rate(series: SinrSeries, threshold_db: float) -> float:
     """Downward crossing rate of a threshold, in crossings per second.
 
     A crossing happens at sample i when the series was at or above the
     threshold at i-1 and below it at i. The rate is the crossing count
     divided by the total time between the first and the last crossing;
-    fewer than two crossings give 0 Hz. Requires a uniform cadence.
+    fewer than two crossings give 0 Hz. Requires a uniform cadence and a
+    finite threshold.
     """
-    if series.n_samples >= 2:
-        series.cadence_ms()
-    values = series.values_db
-    down = (values[:-1] >= threshold_db) & (values[1:] < threshold_db)
-    crossing_idx = np.nonzero(down)[0] + 1
-    n = int(crossing_idx.size)
-    if n <= 1:
-        return 0.0
-    crossing_times = series.times_ms[crossing_idx]
-    return n / (float(crossing_times[-1] - crossing_times[0]) / 1000.0)
+    return float(_crossing_rates(series, [threshold_db])[0])
 
 
 def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray | None = None,
               ) -> MetricsCurve:
-    """Level crossing rate over a threshold grid."""
+    """Level crossing rate over a threshold grid, by the rule of level_crossing_rate."""
     if thresholds_db is None:
         thresholds_db = threshold_grid()
-    rates = [level_crossing_rate(series, float(t)) for t in thresholds_db]
-    return MetricsCurve("lcr", thresholds_db, np.array(rates))
+    return MetricsCurve("lcr", thresholds_db, _crossing_rates(series, thresholds_db))
 
 
 def _read_float_pairs(path, lines, error, row_format: str):

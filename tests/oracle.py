@@ -5,6 +5,9 @@ transmissions overlapping each victim receive interval on the circular
 cycle, and scores one sensor packet at a time with scalar SINR and max-min
 relay selection. It shares with the engine only the superframe layout and
 the circular overlap length.
+
+It also keeps the per-threshold definition of the level crossing rate that
+the one-pass kernel in ``wbansim.metrics`` is checked against.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from wbansim.channel import BodyLocation, ChannelSet, LinkId
 from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
                              superframe_layout)
+from wbansim.metrics import SinrSeries
 from wbansim.relaying import NoiseModel
 
 
@@ -246,3 +252,24 @@ def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
             epoch, i, sensor.location, (nu_sr[0], nu_sr[1]), (nu_rh[0], nu_rh[1]),
             mins, chosen, nu_direct, single, cooperative))
     return decisions
+
+
+# ------------------------------------------------------------ level crossings
+
+def level_crossing_rate_reference(series: SinrSeries, threshold_db: float) -> float:
+    """Downward crossing rate of one threshold, by a boolean scan of the series.
+
+    Sample i crosses when v[i-1] >= threshold > v[i]; the rate is the count
+    over the time from the first to the last crossing, 0 Hz for fewer than
+    two. A series of two or more samples must have a uniform cadence.
+    """
+    if series.n_samples >= 2:
+        series.cadence_ms()
+    values = series.values_db
+    down = (values[:-1] >= threshold_db) & (values[1:] < threshold_db)
+    crossing_idx = np.nonzero(down)[0] + 1
+    n = int(crossing_idx.size)
+    if n <= 1:
+        return 0.0
+    crossing_times = series.times_ms[crossing_idx]
+    return n / (float(crossing_times[-1] - crossing_times[0]) / 1000.0)

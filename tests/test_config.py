@@ -96,6 +96,10 @@ def test_bad_values_are_named(tmp_path):
         with pytest.raises(ConfigError, match="channels.synthetic.on_body"):
             load_config(write_config(tmp_path, BASE.replace(
                 "shadow_sigma_db: 6.0, coherence_time_ms: 240.0", bad)))
+    for bad in (".nan", ".inf", "-.inf"):
+        with pytest.raises(ConfigError, match=r"metrics\.lcr_ref_threshold_db"):
+            load_config(write_config(
+                tmp_path, BASE + f"metrics:\n  lcr_ref_threshold_db: {bad}\n"))
 
 
 def test_mute_power_spelling(tmp_path):

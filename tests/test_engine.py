@@ -6,7 +6,7 @@ import pytest
 
 from helpers import HD, LW, make_wban
 from oracle import build_schedule, evaluate_superframe
-from wbansim import engine
+from wbansim import engine, metrics
 from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, SyntheticChannelParams,
                              fspl_db, load_trace, save_trace)
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
@@ -197,6 +197,22 @@ def test_cooperation_never_hurts():
                   >= result.series[0]["single"].values_db)
     outage = result.curves
     assert np.all(outage["coop"]["outage"].values <= outage["single"]["outage"].values)
+
+
+def test_run_checks_each_series_cadence_at_most_twice(monkeypatch):
+    checks = {}
+    cadence_ms = metrics.SinrSeries.cadence_ms
+
+    def counted(series):
+        checks[id(series)] = checks.get(id(series), 0) + 1
+        return cadence_ms(series)
+
+    monkeypatch.setattr(metrics.SinrSeries, "cadence_ms", counted)
+    result = run(base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2))))
+    # At most one check for the whole threshold grid, one for the reference threshold.
+    assert set(checks) == {id(result.series[i][scheme])
+                           for i in (0, 1) for scheme in ("single", "coop")}
+    assert max(checks.values()) <= 2
 
 
 # ------------------------------------------------------------ run-level output

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracle import level_crossing_rate_reference
 from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries,
                              empirical_outage, lcr_curve, level_crossing_rate,
                              outage_curve, read_curve_csv, read_series_csv,
@@ -130,18 +133,89 @@ def test_lcr_degenerate_cases():
     assert level_crossing_rate(series([7.0, 7.0, 7.0]), 5.0) == 0.0
     assert level_crossing_rate(series([1.0, 1.0, 1.0]), 5.0) == 0.0
     assert level_crossing_rate(series([10.0]), 5.0) == 0.0
+    np.testing.assert_array_equal(lcr_curve(series([10.0])).values, np.zeros(161))
 
 
 def test_lcr_needs_uniform_cadence():
     ragged = SinrSeries(np.array([0.0, 120.0, 250.0]), np.array([10.0, 2.0, 10.0]))
     with pytest.raises(MetricsError, match="not uniform"):
         level_crossing_rate(ragged, 5.0)
+    with pytest.raises(MetricsError, match="not uniform"):
+        lcr_curve(ragged)
+
+
+def test_lcr_needs_finite_thresholds():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MetricsError, match="thresholds must be finite"):
+            level_crossing_rate(series([10.0, 2.0, 10.0]), bad)
+    with pytest.raises(MetricsError, match="strictly increasing"):
+        lcr_curve(series([10.0, 2.0, 10.0]), np.array([5.0, 0.0]))
 
 
 def test_lcr_curve_over_grid():
     curve = lcr_curve(series([10.0, 2.0, 10.0, 2.0, 10.0]), np.array([0.0, 5.0, 20.0]))
     assert curve.kind == "lcr"
     np.testing.assert_allclose(curve.values, [0.0, 2.0 / 0.24, 0.0])
+
+
+grids = st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=30, unique=True).map(
+    lambda values: np.array(sorted(values)))
+
+
+@st.composite
+def series_on_grid(draw):
+    """A series whose values hit grid points and stay flat in runs, and its grid.
+
+    Its times are uniform at one of several cadences, or ragged where the
+    cadence changes part way through.
+    """
+    grid = draw(st.one_of(st.just(threshold_grid()), grids))
+    level = st.one_of(st.sampled_from(grid.tolist()), st.floats(-45.0, 45.0))
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 4)), min_size=1, max_size=60))
+    values = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    cadences = st.sampled_from([0.5, 1.0, 7.5, 15.0, 120.0])
+    first, second = draw(cadences), draw(cadences)
+    split = draw(st.integers(0, values.size))
+    steps = np.where(np.arange(values.size - 1) < split, first, second)
+    start = draw(st.floats(0.0, 1e4))
+    times = start + np.concatenate([[0.0], np.cumsum(steps)])
+    return SinrSeries(times, values), grid
+
+
+def test_lcr_curve_equals_the_definition_on_a_long_series():
+    # Thousands of downward steps, so the kernel expands them in several blocks.
+    values = np.round(np.random.default_rng(8).normal(10.0, 12.0, 12_000) * 2.0) / 2.0
+    sinr, grid = series(values), threshold_grid()
+    want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
+    assert lcr_curve(sinr, grid).values.tobytes() == want.tobytes()
+
+
+@given(series_on_grid())
+def test_lcr_curve_equals_the_per_threshold_definition(case):
+    sinr, grid = case
+    try:
+        want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
+    except MetricsError:
+        with pytest.raises(MetricsError, match="not uniform"):
+            lcr_curve(sinr, grid)
+        return
+    got = lcr_curve(sinr, grid).values
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got >= 0.0)
+
+
+@given(series_on_grid(), st.floats(-45.0, 45.0))
+def test_lcr_at_one_threshold_equals_the_definition(case, threshold):
+    sinr, grid = case
+    for t in (threshold, float(grid[0])):
+        try:
+            want = level_crossing_rate_reference(sinr, t)
+        except MetricsError:
+            with pytest.raises(MetricsError, match="not uniform"):
+                level_crossing_rate(sinr, t)
+            continue
+        got = level_crossing_rate(sinr, t)
+        assert got == want and got >= 0.0
 
 
 # ------------------------------------------------------------------------ csv
