@@ -19,9 +19,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from wbansim.channel import BodyLocation, ChannelSet, LinkId
+from wbansim.metrics import SinrSeries
 from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
                              superframe_layout)
-from wbansim.metrics import SinrSeries
 from wbansim.relaying import NoiseModel
 
 

@@ -25,7 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-HERE_ROOT = Path(__file__).resolve().parent.parent
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _git(root: Path, *args: str) -> str:
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     result = {"label": args.label, **record(args.root.resolve(), args.runs)}
-    out = HERE_ROOT / f"BENCH_{args.label}.json"
+    out = REPO_ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out.name}")
     return 0 if all(w["correct"] and not w["failed"]
