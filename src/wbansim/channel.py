@@ -153,13 +153,12 @@ class SyntheticChannelParams:
 _HEADER_RE = re.compile(r"^link=(?P<link>[^,]+),period_ms=(?P<period>[^,\s]+)$")
 
 
-def load_trace(path, link: LinkId | None = None) -> ChannelTrace:
+def load_trace(path) -> ChannelTrace:
     """Load a trace CSV, validating the header and the timestamp grid.
 
     The first line must read ``link=<tx>:<loc>-><rx>:<loc>,period_ms=<p>``
     and data rows must be ``<t_ms>,<gain_db>`` with timestamps running
-    0, p, 2p, ... strictly. Passing ``link`` relabels the trace, which is
-    how a measured file is assigned to a differently labelled link.
+    0, p, 2p, ... strictly.
     """
     path = Path(path)
     try:
@@ -172,7 +171,7 @@ def load_trace(path, link: LinkId | None = None) -> ChannelTrace:
     if header is None:
         raise TraceError(f"{path}:1: malformed header {lines[0]!r}")
     try:
-        file_link = LinkId.parse(header.group("link"))
+        link = LinkId.parse(header.group("link"))
         period = float(header.group("period"))
     except ValueError as exc:
         raise TraceError(f"{path}:1: {exc}") from exc
@@ -190,7 +189,7 @@ def load_trace(path, link: LinkId | None = None) -> ChannelTrace:
             text = lines[lineno - 1].strip().split(",")[1]
             raise TraceError(f"{path}:{lineno}: non-finite gain {text!r}")
         gains.append(gain)
-    return ChannelTrace(link if link is not None else file_link, period, np.array(gains))
+    return ChannelTrace(link, period, np.array(gains))
 
 
 def save_trace(trace: ChannelTrace, path) -> None:
@@ -287,13 +286,7 @@ def generate_synthetic(params: SyntheticChannelParams, link: LinkId, duration_ms
 
 
 class ChannelSet:
-    """Immutable collection of equal-period traces indexed by link.
-
-    Besides exact link lookup, the set resolves interference lookups by
-    (transmitting subject, receiving subject, receiving location): all
-    transmitters of a foreign network are collapsed onto that network's
-    single assembled interference channel per receiver location.
-    """
+    """Immutable collection of equal-period traces indexed by link."""
 
     def __init__(self, traces: Iterable[ChannelTrace]):
         self._traces: dict[LinkId, ChannelTrace] = {}
@@ -307,37 +300,13 @@ class ChannelSet:
         if len(periods) != 1:
             raise TraceError(f"channel set mixes sample periods: {sorted(periods)}")
         self._period = periods.pop()
-        self._cross: dict[tuple[int, int, BodyLocation], list[LinkId]] = {}
-        for link in self._traces:
-            if not link.is_intra:
-                key = (link.tx_subject, link.rx_subject, link.rx_location)
-                self._cross.setdefault(key, []).append(link)
 
     @property
     def sample_period_ms(self) -> float:
         return self._period
-
-    def links(self) -> list[LinkId]:
-        return sorted(self._traces, key=str)
-
-    def min_samples(self) -> int:
-        return min(t.n_samples for t in self._traces.values())
 
     def trace(self, link: LinkId) -> ChannelTrace:
         try:
             return self._traces[link]
         except KeyError:
             raise MissingLinkError(f"no channel trace for link {link}") from None
-
-    def cross_trace(self, tx_subject: int, rx_subject: int,
-                    rx_location: BodyLocation) -> ChannelTrace:
-        key = (tx_subject, rx_subject, rx_location)
-        candidates = self._cross.get(key, [])
-        if not candidates:
-            raise MissingLinkError(f"no interference trace from subject {tx_subject} "
-                                   f"to {rx_subject}:{rx_location}")
-        if len(candidates) > 1:
-            raise TraceError(f"ambiguous interference traces from subject {tx_subject} "
-                             f"to {rx_subject}:{rx_location}: "
-                             + ", ".join(str(c) for c in candidates))
-        return self._traces[candidates[0]]

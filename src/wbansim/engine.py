@@ -137,6 +137,8 @@ class ExperimentConfig:
     channels: SyntheticChannelSource | CsvChannelSource = SyntheticChannelSource()
     master_seed: int = 0
     repetitions: int = 1
+    # A run's first epoch: start_indices[rep] (simulate takes [0]), else
+    # start_index, else 0 for simulate and a drawn index per sweep repetition.
     start_index: int | None = None
     start_indices: tuple[int, ...] | None = None
     # One block-fading epoch spans one TDMA cycle; None takes the cycle.
@@ -163,6 +165,11 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.start_index is not None and self.start_indices is not None:
+            raise ConfigError("start_index and start_indices are exclusive; set one")
+        if self.start_indices is not None and len(self.start_indices) < self.repetitions:
+            raise ConfigError(f"start_indices lists {len(self.start_indices)} entries "
+                              f"but repetitions is {self.repetitions}")
         if self.epoch_period_ms is None:
             object.__setattr__(self, "epoch_period_ms", self.mac.cycle_ms)
         elif not abs(self.epoch_period_ms - self.mac.cycle_ms) <= 1e-9:  # NaN too
@@ -190,6 +197,10 @@ class ExperimentConfig:
         return tuple(self.wban(s) for s in self.interferer_subjects)
 
 
+def _device_locations(victim: WbanConfig) -> tuple[BodyLocation, ...]:
+    return (victim.hub.location, victim.relays[0].location, victim.relays[1].location)
+
+
 def required_source_links(config: ExperimentConfig) -> list[LinkId]:
     """Links whose raw traces the channel source must provide.
 
@@ -203,12 +214,11 @@ def required_source_links(config: ExperimentConfig) -> list[LinkId]:
     anchor = config.interferer_source_location
     links: dict[LinkId, None] = {}
     for sensor in victim.sensors:
-        for target in (hub_loc, victim.relays[0].location, victim.relays[1].location):
+        for target in _device_locations(victim):
             links.setdefault(LinkId(subject, sensor.location, subject, target))
     for relay in victim.relays:
         links.setdefault(LinkId(subject, relay.location, subject, hub_loc))
-    device_locs = (hub_loc, victim.relays[0].location, victim.relays[1].location)
-    for loc in device_locs:
+    for loc in _device_locations(victim):
         if loc != anchor:
             links.setdefault(LinkId(subject, anchor, subject, loc))
     for interferer in config.interferers:
@@ -224,34 +234,49 @@ def assemble_channels(config: ExperimentConfig) -> ChannelSet:
     base trace (interferer to the victim's anchor location) passes
     through unchanged for the anchor location itself, and is overlaid
     with the shadowing extracted from the victim's on-body anchor-to-
-    location trace for the other device locations.
+    location trace for the other device locations. Every link the source
+    lacks is named in one MissingLinkError.
     """
-    victim = config.victim
-    subject = victim.subject
+    subject = config.victim_subject
     anchor = config.interferer_source_location
     seed = derive_seed(config.master_seed, "channels")
 
-    def fetch(link: LinkId) -> ChannelTrace:
-        return downsample(config.channels.trace(link, seed), config.epoch_period_ms)
-
     traces: dict[LinkId, ChannelTrace] = {}
+    missing: list[str] = []
     for link in required_source_links(config):
-        traces[link] = fetch(link)
+        try:
+            traces[link] = downsample(config.channels.trace(link, seed),
+                                      config.epoch_period_ms)
+        except MissingLinkError as exc:
+            missing.append(str(exc))
+    if missing:
+        raise MissingLinkError("; ".join(missing))
 
-    device_locs = (victim.hub.location, victim.relays[0].location,
-                   victim.relays[1].location)
-    for interferer in config.interferers:
-        base = traces[LinkId(interferer.subject, anchor, subject, anchor)]
-        for loc in device_locs:
+    for interferer in config.interferer_subjects:
+        base = traces[LinkId(interferer, anchor, subject, anchor)]
+        for loc in _device_locations(config.victim):
             if loc == anchor:
                 continue
             shadow_source = traces[LinkId(subject, anchor, subject, loc)]
             shadowing = extract_shadowing(shadow_source,
                                           config.radio.distance_m(anchor, loc),
                                           config.radio.frequency_hz)
-            out_link = LinkId(interferer.subject, anchor, subject, loc)
+            out_link = LinkId(interferer, anchor, subject, loc)
             traces[out_link] = overlay(base, shadowing, out_link)
     return ChannelSet(traces.values())
+
+
+def _available_epochs(config: ExperimentConfig, channels: ChannelSet) -> int:
+    """Epochs covered by every trace that assembling and running ``config`` reads.
+
+    Only the configured victim's and interferers' links count, so the other
+    interferers a shared channel set also covers never move the window.
+    """
+    subject, anchor = config.victim_subject, config.interferer_source_location
+    links = required_source_links(config) + [
+        LinkId(u, anchor, subject, loc) for u in config.interferer_subjects
+        for loc in _device_locations(config.victim)]
+    return min(channels.trace(link).n_samples for link in links)
 
 
 @dataclass(frozen=True)
@@ -317,31 +342,19 @@ def _quantile_or_nan(curve: MetricsCurve, probability: float) -> float:
         return math.nan
 
 
-def _execute_run(config: ExperimentConfig, channels: ChannelSet,
-                 start_index: int, rep: int) -> RunResult:
-    victim = config.victim
-    epochs, period = config.epochs, config.epoch_period_ms
-    if abs(channels.sample_period_ms - period) > 1e-9:
-        raise ConfigError(f"assembled channels are sampled at "
-                          f"{channels.sample_period_ms} ms, expected {period} ms")
-    available = channels.min_samples()
-    if start_index < 0 or start_index + epochs > available:
-        raise ConfigError(f"channel traces cover {available} epochs but the run needs "
-                          f"[{start_index}, {start_index + epochs})")
-    for sensor in victim.sensors:
-        if not math.isfinite(sensor.tx_power_dbm):
-            raise ConfigError(f"victim sensor at {sensor.location} must have finite "
-                              "tx power")
-    mac, cycle = config.mac, config.mac.cycle_ms
-    window = slice(start_index, start_index + epochs)
-    subject, hub_loc = victim.subject, victim.hub.location
+def _interference_weights(config: ExperimentConfig) -> dict[tuple[int, int, str], np.ndarray]:
+    """Power-weighted overlap of foreign transmissions with each victim
+    receive sub-interval, per epoch, keyed by (interferer, sensor, kind).
 
+    The superframe offsets come from each subject's "offsets" stream, which
+    carries no repetition label, so one set of weights serves every
+    repetition of a run.
+    """
+    victim, mac, epochs = config.victim, config.mac, config.epochs
+    cycle = mac.cycle_ms
     offsets = {w.subject: substream(config.master_seed, "offsets", w.subject)
                .uniform(0.0, cycle, epochs)
                for w in (victim, *config.interferers)}
-
-    # Power-weighted overlap of foreign transmissions with each victim
-    # receive sub-interval, per epoch.
     v_layout = superframe_layout(victim, mac)
     v_intervals = {}
     for i in range(len(victim.sensors)):
@@ -350,7 +363,7 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
     weights: dict[tuple[int, int, str], np.ndarray] = {}
     for interferer in config.interferers:
         i_layout = superframe_layout(interferer, mac)
-        delta_base = offsets[interferer.subject] - offsets[subject]
+        delta_base = offsets[interferer.subject] - offsets[victim.subject]
         for (i, kind), (rel_a, dur_a) in v_intervals.items():
             weighted = np.zeros(epochs)
             for rel_b, dur_b, node in i_layout.transmissions:
@@ -358,17 +371,40 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
                 delta = (delta_base + rel_b - rel_a) % cycle
                 weighted += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
             weights[(interferer.subject, i, kind)] = weighted
+    return weights
+
+
+def _execute_run(config: ExperimentConfig, channels: ChannelSet,
+                 weights: dict[tuple[int, int, str], np.ndarray],
+                 start_index: int, rep: int) -> RunResult:
+    victim = config.victim
+    epochs, period = config.epochs, config.epoch_period_ms
+    if abs(channels.sample_period_ms - period) > 1e-9:
+        raise ConfigError(f"assembled channels are sampled at "
+                          f"{channels.sample_period_ms} ms, expected {period} ms")
+    available = _available_epochs(config, channels)
+    if start_index < 0 or start_index + epochs > available:
+        raise ConfigError(f"channel traces cover {available} epochs but the run needs "
+                          f"[{start_index}, {start_index + epochs})")
+    for sensor in victim.sensors:
+        if not math.isfinite(sensor.tx_power_dbm):
+            raise ConfigError(f"victim sensor at {sensor.location} must have finite "
+                              "tx power")
+    window = slice(start_index, start_index + epochs)
+    subject, hub_loc = victim.subject, victim.hub.location
+    anchor = config.interferer_source_location
+
+    def linear_gain(link: LinkId) -> np.ndarray:
+        return 10.0 ** (channels.trace(link).samples[window] / 10.0)
 
     def link_gain(tx_loc: BodyLocation, rx_loc: BodyLocation) -> np.ndarray:
-        trace = channels.trace(LinkId(subject, tx_loc, subject, rx_loc))
-        return 10.0 ** (trace.samples[window] / 10.0)
+        return linear_gain(LinkId(subject, tx_loc, subject, rx_loc))
 
     def interference_mw(rx_loc: BodyLocation, i: int, kind: str) -> np.ndarray:
         total = np.zeros(epochs)
-        for interferer in config.interferers:
-            cross = channels.cross_trace(interferer.subject, subject, rx_loc)
-            total += (10.0 ** (cross.samples[window] / 10.0)
-                      * weights[(interferer.subject, i, kind)])
+        for u in config.interferer_subjects:
+            total += (linear_gain(LinkId(u, anchor, subject, rx_loc))
+                      * weights[(u, i, kind)])
         return total
 
     noise_mw = config.noise.noise_mw
@@ -418,10 +454,17 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
 
 
 def run(config: ExperimentConfig) -> RunResult:
-    """Execute one deterministic run with the configured start index."""
+    """Execute one deterministic run.
+
+    It starts at ``start_indices[0]`` if that is set, else at
+    ``start_index``, else at 0.
+    """
     channels = assemble_channels(config)
-    start = config.start_index if config.start_index is not None else 0
-    return _execute_run(config, channels, start, rep=0)
+    if config.start_indices is not None:
+        start = config.start_indices[0]
+    else:
+        start = config.start_index or 0
+    return _execute_run(config, channels, _interference_weights(config), start, rep=0)
 
 
 @dataclass
@@ -433,21 +476,9 @@ class SweepResult:
     runs: list[RunResult]
 
 
-def _sweep_pairs(config: ExperimentConfig) -> list[tuple[int, int]]:
-    victims = config.sweep_victims or (config.victim_subject,)
-    interferers = config.sweep_interferers or config.interferer_subjects
-    pairs = [(v, u) for v in victims for u in interferers if v != u]
-    if not pairs:
-        raise ConfigError("sweep: empty combination matrix")
-    return pairs
-
-
 def _start_index_for(config: ExperimentConfig, victim: int, interferer: int,
                      rep: int, usable: int) -> int:
     if config.start_indices is not None:
-        if rep >= len(config.start_indices):
-            raise ConfigError(f"start_indices lists {len(config.start_indices)} entries "
-                              f"but repetition {rep} is requested")
         return int(config.start_indices[rep])
     if config.start_index is not None:
         return int(config.start_index)
@@ -455,20 +486,18 @@ def _start_index_for(config: ExperimentConfig, victim: int, interferer: int,
     return int(rng.integers(0, usable + 1))
 
 
-def _run_combination(config: ExperimentConfig, victim: int,
-                     interferer: int) -> list[RunResult]:
-    comb_config = replace(config, victim_subject=victim,
-                          interferer_subjects=(interferer,))
-    channels = assemble_channels(comb_config)
-    usable = channels.min_samples() - comb_config.epochs
+def _run_pair(config: ExperimentConfig, channels: ChannelSet) -> list[RunResult]:
+    """Every repetition of one (victim, interferer) pair on a shared channel set."""
+    victim, (interferer,) = config.victim_subject, config.interferer_subjects
+    available = _available_epochs(config, channels)
+    usable = available - config.epochs
     if usable < 0:
-        raise ConfigError(f"channel traces cover {channels.min_samples()} epochs "
-                          f"but each run needs {comb_config.epochs}")
-    results = []
-    for rep in range(comb_config.repetitions):
-        start = _start_index_for(comb_config, victim, interferer, rep, usable)
-        results.append(_execute_run(comb_config, channels, start, rep))
-    return results
+        raise ConfigError(f"channel traces cover {available} epochs "
+                          f"but each run needs {config.epochs}")
+    weights = _interference_weights(config)
+    return [_execute_run(config, channels, weights,
+                         _start_index_for(config, victim, interferer, rep, usable), rep)
+            for rep in range(config.repetitions)]
 
 
 def sweep(config: ExperimentConfig) -> SweepResult:
@@ -476,28 +505,39 @@ def sweep(config: ExperimentConfig) -> SweepResult:
 
     The combination matrix comes from sweep_victims x sweep_interferers
     (minus self-pairs), falling back to the configured victim and
-    interferers. Results are deterministic in the master seed; standard
-    deviations are population deviations over the repetitions.
+    interferers. Channels are assembled once per victim, for all of its
+    interferers, and interference weights once per pair. Results are
+    deterministic in the master seed; standard deviations are population
+    deviations over the repetitions.
     """
-    pairs = _sweep_pairs(config)
-    per_pair = [_run_combination(config, v, u) for v, u in pairs]
-
+    victims = config.sweep_victims or (config.victim_subject,)
+    interferers = config.sweep_interferers or config.interferer_subjects
     rows: list[SummaryRow] = []
     aggregates: list[AggregateRow] = []
     runs: list[RunResult] = []
-    for (victim, interferer), results in zip(pairs, per_pair):
-        runs.extend(results)
-        pair_rows = [row for result in results for row in result.summary]
-        rows.extend(pair_rows)
-        combination, label = _combination_id(victim, (interferer,))
-        for scheme in ("single", "coop"):
-            scheme_rows = [r for r in pair_rows if r.scheme == scheme]
-            spread = {}
-            for name in _SUMMARY_QUANTITIES:
-                column = np.array([getattr(r, name) for r in scheme_rows])
-                spread[f"mean_{name}"] = float(np.mean(column))
-                spread[f"std_{name}"] = float(np.std(column))
-            aggregates.append(AggregateRow(combination, victim, label, scheme, **spread))
+    for victim in victims:
+        foes = tuple(u for u in interferers if u != victim)
+        if not foes:
+            continue
+        channels = assemble_channels(replace(config, victim_subject=victim,
+                                             interferer_subjects=foes))
+        for interferer in foes:
+            results = _run_pair(replace(config, victim_subject=victim,
+                                        interferer_subjects=(interferer,)), channels)
+            runs.extend(results)
+            pair_rows = [row for result in results for row in result.summary]
+            rows.extend(pair_rows)
+            combination, label = _combination_id(victim, (interferer,))
+            for scheme in ("single", "coop"):
+                scheme_rows = [r for r in pair_rows if r.scheme == scheme]
+                spread = {}
+                for name in _SUMMARY_QUANTITIES:
+                    column = np.array([getattr(r, name) for r in scheme_rows])
+                    spread[f"mean_{name}"] = float(np.mean(column))
+                    spread[f"std_{name}"] = float(np.std(column))
+                aggregates.append(AggregateRow(combination, victim, label, scheme, **spread))
+    if not runs:
+        raise ConfigError("sweep: empty combination matrix")
     return SweepResult(rows, aggregates, runs)
 
 

@@ -10,7 +10,6 @@ comparison between transmission schemes.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -248,31 +247,12 @@ def _read_float_pairs(path, lines, error, row_format: str):
         raise error(f"{path}:2: no data rows")
 
 
-_CURVE_HEADER_RE = re.compile(
-    r"^kind,(?P<kind>outage|lcr),scheme,(?P<scheme>[^,]+),subject,(?P<subject>[^,]+)$")
-
-
 def write_curve_csv(curve: MetricsCurve, path, scheme: str, subject) -> None:
     """Write a curve with its identifying header line."""
     lines = [f"kind,{curve.kind},scheme,{scheme},subject,{subject}"]
     for threshold, value in zip(curve.thresholds_db, curve.values):
         lines.append(f"{float(threshold)!r},{float(value)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_curve_csv(path) -> tuple[MetricsCurve, str, str]:
-    """Read a curve CSV back into (curve, scheme, subject)."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise MetricsError(f"{path}:1: empty file, expected a curve header")
-    header = _CURVE_HEADER_RE.match(lines[0].strip())
-    if header is None:
-        raise MetricsError(f"{path}:1: malformed curve header {lines[0]!r}")
-    _, thresholds, values = zip(*_read_float_pairs(path, lines, MetricsError,
-                                                   "<threshold_db>,<value>"))
-    return (MetricsCurve(header.group("kind"), np.array(thresholds), np.array(values)),
-            header.group("scheme"), header.group("subject"))
 
 
 def write_series_csv(series: SinrSeries, path) -> None:

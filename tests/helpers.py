@@ -1,11 +1,14 @@
-"""Builders shared across the test modules."""
+"""Builders and readers shared across the test modules."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId
 from wbansim.engine import ConfigError, ExperimentConfig, SyntheticChannelSource
+from wbansim.metrics import MetricsCurve, MetricsError, _read_float_pairs
 from wbansim.network import NodeSpec, Role, WbanConfig
 
 C = BodyLocation.CHEST
@@ -50,3 +53,22 @@ def with_on_body_coherence(config: ExperimentConfig, coherence_time_ms: float,
                                          coherence_time_ms=coherence_time_ms),
                          overrides=overrides)
     return replace(config, channels=new_source)
+
+
+_CURVE_HEADER_RE = re.compile(
+    r"^kind,(?P<kind>outage|lcr),scheme,(?P<scheme>[^,]+),subject,(?P<subject>[^,]+)$")
+
+
+def read_curve_csv(path) -> tuple[MetricsCurve, str, str]:
+    """Read a curve CSV written by ``write_curve_csv`` back into (curve, scheme, subject)."""
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise MetricsError(f"{path}:1: empty file, expected a curve header")
+    header = _CURVE_HEADER_RE.match(lines[0].strip())
+    if header is None:
+        raise MetricsError(f"{path}:1: malformed curve header {lines[0]!r}")
+    _, thresholds, values = zip(*_read_float_pairs(path, lines, MetricsError,
+                                                   "<threshold_db>,<value>"))
+    return (MetricsCurve(header.group("kind"), np.array(thresholds), np.array(values)),
+            header.group("scheme"), header.group("subject"))

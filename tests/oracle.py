@@ -198,17 +198,19 @@ class RelayDecision:
 def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
                         channels: ChannelSet, noise: NoiseModel, epoch: int,
                         hop_weights: tuple[float, float] = (1.0, 1.0),
+                        anchor: BodyLocation = BodyLocation.LEFT_HIP,
                         ) -> list[RelayDecision]:
     """Evaluate every sensor packet of one network in one superframe.
 
     Uses the epoch's block gains throughout: the sensor broadcast is heard
     at the hub and at both relays (interference taken at each receiver's
-    own location over the broadcast sub-interval), the forward hop is
-    heard at the hub over the forward sub-interval, and relay selection
-    works on the same block gains, as it happens just before the sensor
-    transmission. Relays muted to -inf power yield zero-quality branches
-    instead of an error, which reduces the cooperative scheme to the
-    single-link one.
+    own location over the broadcast sub-interval, on the channel from the
+    foreign network's ``anchor`` location to that receiver), the forward
+    hop is heard at the hub over the forward sub-interval, and relay
+    selection works on the same block gains, as it happens just before the
+    sensor transmission. Relays muted to -inf power yield zero-quality
+    branches instead of an error, which reduces the cooperative scheme to
+    the single-link one.
     """
     victim = next((s for s in schedules if s.subject == wban.subject), None)
     if victim is None:
@@ -217,12 +219,15 @@ def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
     cycle = victim.cycle_ms
     subject, hub_loc = wban.subject, wban.hub.location
 
+    def gain_db(link):
+        return float(channels.trace(link).samples[epoch])
+
     def gain(tx_loc, rx_loc):
-        return float(channels.trace(LinkId(subject, tx_loc, subject, rx_loc)).samples[epoch])
+        return gain_db(LinkId(subject, tx_loc, subject, rx_loc))
 
     def interference(interval, rx_location):
         return [(hit.node.tx_power_dbm,
-                 float(channels.cross_trace(hit.subject, subject, rx_location).samples[epoch]),
+                 gain_db(LinkId(hit.subject, anchor, subject, rx_location)),
                  hit.fraction)
                 for hit in active_interferers(interval, others, cycle)]
 

@@ -65,13 +65,6 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.samples, trace.samples)
 
 
-def test_load_relabels_when_link_given(tmp_path):
-    path = tmp_path / "t.csv"
-    save_trace(make_trace([-50.0]), path)
-    other = LinkId.parse("2:LH->1:C")
-    assert load_trace(path, other).link == other
-
-
 @pytest.mark.parametrize("content,lineno,message", [
     ("", 1, "empty file"),
     ("period_ms=15\n0,1\n", 1, "malformed header"),
@@ -223,8 +216,6 @@ def test_channel_set_lookup_and_errors():
               make_trace([3.0, 4.0], link=LinkId.parse("1:HD->1:LH"))]
     channels = ChannelSet(traces)
     assert channels.sample_period_ms == 120.0
-    assert channels.min_samples() == 2
-    assert [str(l) for l in channels.links()] == ["1:HD->1:C", "1:HD->1:LH"]
     assert channels.trace(LINK).samples[1] == 2.0
     with pytest.raises(MissingLinkError, match="1:HD->1:RH"):
         channels.trace(LinkId.parse("1:HD->1:RH"))
@@ -235,25 +226,3 @@ def test_channel_set_lookup_and_errors():
                                           link=LinkId.parse("1:HD->1:LH"))])
     with pytest.raises(TraceError, match="at least one"):
         ChannelSet([])
-
-
-def test_channel_set_cross_lookup():
-    channels = ChannelSet([
-        make_trace([1.0], link=LinkId.parse("2:LH->1:C")),
-        make_trace([2.0], link=LinkId.parse("2:LH->1:LH")),
-        make_trace([3.0], link=LINK),
-    ])
-    chest = channels.cross_trace(2, 1, BodyLocation.CHEST)
-    assert str(chest.link) == "2:LH->1:C"
-    assert channels.cross_trace(2, 1, BodyLocation.LEFT_HIP).samples[0] == 2.0
-    with pytest.raises(MissingLinkError, match="no interference trace"):
-        channels.cross_trace(3, 1, BodyLocation.CHEST)
-
-
-def test_channel_set_rejects_ambiguous_cross_links():
-    channels = ChannelSet([
-        make_trace([1.0], link=LinkId.parse("2:LH->1:C")),
-        make_trace([2.0], link=LinkId.parse("2:RH->1:C")),
-    ])
-    with pytest.raises(TraceError, match="ambiguous"):
-        channels.cross_trace(2, 1, BodyLocation.CHEST)

@@ -3,9 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import read_curve_csv
 from wbansim.channel import LinkId, fspl_db, load_trace
 from wbansim.cli import main, trace_filename
-from wbansim.metrics import read_curve_csv
 
 CONFIG = """
 wbans:

@@ -7,8 +7,8 @@ import pytest
 from helpers import HD, LW, make_wban
 from oracle import build_schedule, evaluate_superframe
 from wbansim import engine, metrics
-from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, SyntheticChannelParams,
-                             fspl_db, load_trace, save_trace)
+from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkError,
+                             SyntheticChannelParams, fspl_db, load_trace, save_trace)
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
@@ -48,6 +48,9 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     (dict(hop_weights=(0.0, 1.0)), "hop_weights"),
     (dict(epoch_period_ms=0.0), "epoch_period_ms"),
     (dict(mac=MacConfig(4, 60.0), epoch_period_ms=120.0), "epoch_period_ms"),
+    (dict(start_index=0, start_indices=(0,)), "start_index and start_indices"),
+    (dict(repetitions=3, start_indices=(0, 1)),
+     "start_indices lists 2 entries but repetitions is 3"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ConfigError, match=match):
@@ -135,6 +138,14 @@ def test_missing_trace_is_reported(tmp_path):
     config = base_config(channels=CsvChannelSource(tmp_path))
     with pytest.raises(Exception, match="no channel trace"):
         assemble_channels(config)
+    # Every missing link is named in one error.
+    present, *missing = required_source_links(config)
+    save_trace(ChannelTrace(present, 120.0, np.full(8, -60.0)), tmp_path / "t.csv")
+    with pytest.raises(MissingLinkError) as error:
+        assemble_channels(replace(config, channels=CsvChannelSource(tmp_path)))
+    named = str(error.value)
+    assert all(f"link {link} in" in named for link in missing)
+    assert f"link {present} in" not in named
 
 
 # ----------------------------------------------------- vectorized vs reference
@@ -153,7 +164,8 @@ def test_run_matches_per_epoch_reference():
                      for s in (1, 2)]
         decisions = evaluate_superframe(config.victim, schedules, channels,
                                         config.noise, epoch=5 + e,
-                                        hop_weights=config.hop_weights)
+                                        hop_weights=config.hop_weights,
+                                        anchor=config.interferer_source_location)
         for d in decisions:
             got = result.series[d.sensor_index]
             assert got["single"].times_ms[e] == (5 + e) * 120.0
@@ -273,6 +285,12 @@ def test_summary_nan_when_grid_misses_the_distribution():
         assert math.isnan(row.gain_at_10pct_db)
 
 
+def test_run_takes_the_first_of_start_indices():
+    assert run(base_config(start_indices=(50,))).start_index == 50
+    assert run(base_config(start_index=50)).start_index == 50
+    assert run(base_config()).start_index == 0
+
+
 def test_run_window_bounds_are_checked():
     with pytest.raises(ConfigError, match="cover"):
         run(base_config(epochs=300))
@@ -338,3 +356,62 @@ def test_sweep_random_starts_stay_in_bounds_and_vary():
 def test_sweep_rejects_an_empty_matrix():
     with pytest.raises(ConfigError, match="empty combination"):
         sweep(base_config(interferer_subjects=()))
+
+
+def test_sweep_does_each_job_once_at_the_level_where_it_varies(monkeypatch):
+    calls = {"assemble": 0, "overlap": 0}
+    fetched = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    trace = SyntheticChannelSource.trace
+    monkeypatch.setattr(SyntheticChannelSource, "trace",
+                        lambda source, link, seed: fetched.append(link)
+                        or trace(source, link, seed))
+    monkeypatch.setattr(engine, "assemble_channels",
+                        counted("assemble", engine.assemble_channels))
+    monkeypatch.setattr(engine, "overlap_lengths",
+                        counted("overlap", engine.overlap_lengths))
+    subjects = (1, 2, 3)
+    config = base_config(wbans=tuple(make_wban(s) for s in subjects), epochs=20,
+                         sweep_victims=subjects, sweep_interferers=subjects)
+
+    overlaps = []
+    for repetitions in (1, 3):
+        calls.update(assemble=0, overlap=0)
+        fetched.clear()
+        sweep(replace(config, repetitions=repetitions))
+        assert calls["assemble"] == len(subjects)
+        assert len(fetched) == len(set(fetched))
+        assert set(fetched) == {
+            link for v in subjects for link in required_source_links(
+                replace(config, victim_subject=v,
+                        interferer_subjects=tuple(u for u in subjects if u != v)))}
+        overlaps.append(calls["overlap"])
+    assert overlaps[0] == overlaps[1] > 0
+
+
+def test_a_pair_window_ignores_other_interferers_traces(tmp_path):
+    config = base_config(wbans=(make_wban(1), make_wban(2), make_wban(3)),
+                         interferer_subjects=(2, 3), repetitions=4)
+    seed = derive_seed(config.master_seed, "channels")
+    for k, link in enumerate(required_source_links(config)):
+        trace = config.channels.trace(link, seed)
+        if link.tx_subject == 3:  # interferer 3's traces are shorter
+            trace = ChannelTrace(link, trace.sample_period_ms, trace.samples[:60])
+        save_trace(trace, tmp_path / f"t{k}.csv")
+    csv_config = replace(config, channels=CsvChannelSource(tmp_path))
+
+    both = sweep(replace(csv_config, sweep_interferers=(2, 3)))
+    alone = sweep(replace(csv_config, sweep_interferers=(2,)))
+    pair = [r for r in both.runs if r.interferer_subjects == (2,)]
+    starts = [r.start_index for r in alone.runs]
+    assert [r.start_index for r in pair] == starts
+    assert max(starts) > 60 - config.epochs  # beyond what interferer 3 allows
+    assert repr([r for r in both.rows if r.combination == "1x2"]) == repr(alone.rows)
+    assert all(r.start_index <= 60 - config.epochs
+               for r in both.runs if r.interferer_subjects == (3,))

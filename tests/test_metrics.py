@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import read_curve_csv
 from oracle import level_crossing_rate_reference
 from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries,
                              empirical_outage, lcr_curve, level_crossing_rate,
-                             outage_curve, read_curve_csv, read_series_csv,
+                             outage_curve, read_series_csv,
                              threshold_at_outage, threshold_grid, write_curve_csv,
                              write_series_csv)
 
