@@ -343,12 +343,12 @@ def _quantile_or_nan(curve: MetricsCurve, probability: float) -> float:
 
 
 def _interference_weights(config: ExperimentConfig) -> dict[tuple[int, int, str], np.ndarray]:
-    """Power-weighted overlap of foreign transmissions with each victim
-    receive sub-interval, per epoch, keyed by (interferer, sensor, kind).
+    """Per-epoch interference weights, keyed by (interferer, sensor index, kind).
 
-    The superframe offsets come from each subject's "offsets" stream, which
-    carries no repetition label, so one set of weights serves every
-    repetition of a run.
+    Each is the power-weighted overlap of foreign transmissions with one
+    victim receive sub-interval. The superframe offsets come from each
+    subject's "offsets" stream, which carries no repetition label, so one
+    set of weights serves every repetition of a run.
     """
     victim, mac, epochs = config.victim, config.mac, config.epochs
     cycle = mac.cycle_ms

@@ -1,4 +1,4 @@
-"""Builders and readers shared across the test modules."""
+"""Builders shared across the test modules."""
 
 import re
 from dataclasses import replace
