@@ -154,6 +154,12 @@ class ExperimentConfig:
         subjects = [w.subject for w in self.wbans]
         if len(set(subjects)) != len(subjects):
             raise ConfigError(f"wbans: duplicate subject ids in {subjects}")
+        # A repeated interferer would count twice, a repeated sweep entry rerun its pairs.
+        for key, listed in (("interferers", self.interferer_subjects),
+                            ("sweep.victims", self.sweep_victims),
+                            ("sweep.interferers", self.sweep_interferers)):
+            if len(set(listed)) != len(listed):
+                raise ConfigError(f"{key}: duplicate subject ids in {list(listed)}")
         for subject in (self.victim_subject, *self.interferer_subjects,
                         *self.sweep_victims, *self.sweep_interferers):
             if subject not in subjects:
@@ -342,35 +348,58 @@ def _quantile_or_nan(curve: MetricsCurve, probability: float) -> float:
         return math.nan
 
 
-def _interference_weights(config: ExperimentConfig) -> dict[tuple[int, int, str], np.ndarray]:
+def _draw_offsets(config: ExperimentConfig, subjects) -> dict[int, np.ndarray]:
+    """Per-epoch superframe offsets in [0, cycle) of each subject's "offsets" stream.
+
+    The stream carries no repetition label or partner, so one draw per
+    subject serves every run and pair it takes part in.
+    """
+    return {s: substream(config.master_seed, "offsets", s)
+            .uniform(0.0, config.mac.cycle_ms, config.epochs) for s in subjects}
+
+
+def _wrap(a: np.ndarray, cycle: float) -> np.ndarray:
+    """``np.remainder(a, cycle)``, bit for bit, for every ``a`` in (-2 cycle, 2 cycle).
+
+    Each step is one exact subtraction or the same rounded addition that
+    ``np.remainder`` makes, and adding 0.0 turns -0.0 into +0.0 as it does;
+    ``np.remainder`` itself costs tens of times more per element.
+    """
+    a = a - cycle * (a >= cycle)
+    a = a + cycle * (a < 0)
+    return a + cycle * (a < 0)
+
+
+def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.ndarray],
+                          ) -> dict[tuple[int, int, str], np.ndarray]:
     """Per-epoch interference weights, keyed by (interferer, sensor index, kind).
 
     Each is the power-weighted overlap of foreign transmissions with one
-    victim receive sub-interval. The superframe offsets come from each
-    subject's "offsets" stream, which carries no repetition label, so one
-    set of weights serves every repetition of a run.
+    victim receive sub-interval, for the superframe ``offsets`` of each
+    subject (see ``_draw_offsets``). One pass per foreign transmission
+    covers every victim sub-interval, accumulating in transmission order.
     """
-    victim, mac, epochs = config.victim, config.mac, config.epochs
+    victim, mac = config.victim, config.mac
     cycle = mac.cycle_ms
-    offsets = {w.subject: substream(config.master_seed, "offsets", w.subject)
-               .uniform(0.0, cycle, epochs)
-               for w in (victim, *config.interferers)}
     v_layout = superframe_layout(victim, mac)
-    v_intervals = {}
-    for i in range(len(victim.sensors)):
-        v_intervals[(i, "broadcast")] = v_layout.broadcast[i]
-        v_intervals[(i, "forward")] = v_layout.forward[i]
+    keys = [(i, kind) for kind in ("broadcast", "forward")
+            for i in range(len(victim.sensors))]
+    # One row per victim receive sub-interval, in the order of keys.
+    sub_intervals = np.array(v_layout.broadcast + v_layout.forward)
+    rel_a, dur_a = sub_intervals[:, :1], sub_intervals[:, 1:]
     weights: dict[tuple[int, int, str], np.ndarray] = {}
     for interferer in config.interferers:
         i_layout = superframe_layout(interferer, mac)
+        # Both offsets lie in [0, cycle) and both relative starts in [0, slot),
+        # so every delta lies in (-2 cycle, 2 cycle), where _wrap is exact.
         delta_base = offsets[interferer.subject] - offsets[victim.subject]
-        for (i, kind), (rel_a, dur_a) in v_intervals.items():
-            weighted = np.zeros(epochs)
-            for rel_b, dur_b, node in i_layout.transmissions:
-                power_mw = 10.0 ** (node.tx_power_dbm / 10.0)
-                delta = (delta_base + rel_b - rel_a) % cycle
-                weighted += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
-            weights[(interferer.subject, i, kind)] = weighted
+        weighted = np.zeros((len(keys), config.epochs))
+        for rel_b, dur_b, node in i_layout.transmissions:
+            power_mw = 10.0 ** (node.tx_power_dbm / 10.0)
+            delta = _wrap((delta_base + rel_b) - rel_a, cycle)
+            weighted += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
+        for (i, kind), row in zip(keys, weighted):
+            weights[(interferer.subject, i, kind)] = row
     return weights
 
 
@@ -394,8 +423,14 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
     subject, hub_loc = victim.subject, victim.hub.location
     anchor = config.interferer_source_location
 
+    # Each link's window is converted to linear power once per run; a sensor's
+    # sub-intervals and the other sensors look it up again.
+    gains: dict[LinkId, np.ndarray] = {}
+
     def linear_gain(link: LinkId) -> np.ndarray:
-        return 10.0 ** (channels.trace(link).samples[window] / 10.0)
+        if link not in gains:
+            gains[link] = 10.0 ** (channels.trace(link).samples[window] / 10.0)
+        return gains[link]
 
     def link_gain(tx_loc: BodyLocation, rx_loc: BodyLocation) -> np.ndarray:
         return linear_gain(LinkId(subject, tx_loc, subject, rx_loc))
@@ -464,7 +499,9 @@ def run(config: ExperimentConfig) -> RunResult:
         start = config.start_indices[0]
     else:
         start = config.start_index or 0
-    return _execute_run(config, channels, _interference_weights(config), start, rep=0)
+    offsets = _draw_offsets(config, (config.victim_subject, *config.interferer_subjects))
+    return _execute_run(config, channels, _interference_weights(config, offsets),
+                        start, rep=0)
 
 
 @dataclass
@@ -486,15 +523,16 @@ def _start_index_for(config: ExperimentConfig, victim: int, interferer: int,
     return int(rng.integers(0, usable + 1))
 
 
-def _run_pair(config: ExperimentConfig, channels: ChannelSet) -> list[RunResult]:
-    """Every repetition of one (victim, interferer) pair on a shared channel set."""
+def _run_pair(config: ExperimentConfig, channels: ChannelSet,
+              offsets: Mapping[int, np.ndarray]) -> list[RunResult]:
+    """Every repetition of one (victim, interferer) pair on shared channels and offsets."""
     victim, (interferer,) = config.victim_subject, config.interferer_subjects
     available = _available_epochs(config, channels)
     usable = available - config.epochs
     if usable < 0:
         raise ConfigError(f"channel traces cover {available} epochs "
                           f"but each run needs {config.epochs}")
-    weights = _interference_weights(config)
+    weights = _interference_weights(config, offsets)
     return [_execute_run(config, channels, weights,
                          _start_index_for(config, victim, interferer, rep, usable), rep)
             for rep in range(config.repetitions)]
@@ -505,8 +543,9 @@ def sweep(config: ExperimentConfig) -> SweepResult:
 
     The combination matrix comes from sweep_victims x sweep_interferers
     (minus self-pairs), falling back to the configured victim and
-    interferers. Channels are assembled once per victim, for all of its
-    interferers, and interference weights once per pair. Results are
+    interferers. Superframe offsets are drawn once per subject, channels
+    assembled once per victim, for all of its interferers, and interference
+    weights computed once per pair. Results are
     deterministic in the master seed; standard deviations are population
     deviations over the repetitions.
     """
@@ -515,6 +554,7 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     rows: list[SummaryRow] = []
     aggregates: list[AggregateRow] = []
     runs: list[RunResult] = []
+    offsets = _draw_offsets(config, dict.fromkeys((*victims, *interferers)))
     for victim in victims:
         foes = tuple(u for u in interferers if u != victim)
         if not foes:
@@ -523,7 +563,8 @@ def sweep(config: ExperimentConfig) -> SweepResult:
                                              interferer_subjects=foes))
         for interferer in foes:
             results = _run_pair(replace(config, victim_subject=victim,
-                                        interferer_subjects=(interferer,)), channels)
+                                        interferer_subjects=(interferer,)),
+                                channels, offsets)
             runs.extend(results)
             pair_rows = [row for result in results for row in result.summary]
             rows.extend(pair_rows)

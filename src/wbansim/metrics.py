@@ -52,7 +52,9 @@ class SinrSeries:
         if self.n_samples < 2:
             raise MetricsError("cadence undefined for a single-sample series")
         diffs = np.diff(self.times_ms)
-        if not np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
+        # np.allclose(diffs, diffs[0], rtol=1e-9, atol=0) on finite input, without
+        # its broadcasting and non-finite handling.
+        if not np.all(np.abs(diffs - diffs[0]) <= 1e-9 * abs(diffs[0])):
             raise MetricsError("series cadence is not uniform")
         return float(diffs[0])
 
@@ -250,8 +252,9 @@ def _read_float_pairs(path, lines, error, row_format: str):
 def write_curve_csv(curve: MetricsCurve, path, scheme: str, subject) -> None:
     """Write a curve with its identifying header line."""
     lines = [f"kind,{curve.kind},scheme,{scheme},subject,{subject}"]
-    for threshold, value in zip(curve.thresholds_db, curve.values):
-        lines.append(f"{float(threshold)!r},{float(value)!r}")
+    # tolist() gives Python floats, whose repr is that of float(np.float64).
+    for threshold, value in zip(curve.thresholds_db.tolist(), curve.values.tolist()):
+        lines.append(f"{threshold!r},{value!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -7,7 +7,9 @@ relay selection. It shares with the engine only the superframe layout and
 the circular overlap length.
 
 It also keeps the per-threshold definition of the level crossing rate that
-the one-pass kernel in ``wbansim.metrics`` is checked against.
+the one-pass kernel in ``wbansim.metrics`` is checked against, and the
+per-(sub-interval, transmission) interference weights that the engine's
+one pass per transmission is checked against.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from wbansim.metrics import SinrSeries
 from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
                              superframe_layout)
 from wbansim.relaying import NoiseModel
+from wbansim.seeding import substream
 
 
 # ------------------------------------------------------------------ schedule
@@ -278,3 +281,37 @@ def level_crossing_rate_reference(series: SinrSeries, threshold_db: float) -> fl
         return 0.0
     crossing_times = series.times_ms[crossing_idx]
     return n / (float(crossing_times[-1] - crossing_times[0]) / 1000.0)
+
+
+# -------------------------------------------------------- interference weights
+
+def interference_weights_reference(config) -> dict[tuple[int, int, str], np.ndarray]:
+    """Per-epoch interference weights, keyed by (interferer, sensor index, kind).
+
+    For each interferer and each victim receive sub-interval, the foreign
+    transmissions are added in layout order: each one's circular overlap,
+    reduced with ``%``, as a fraction of the sub-interval, times its power.
+    Offsets come from each subject's "offsets" stream, as in the engine.
+    """
+    victim, mac, epochs = config.victim, config.mac, config.epochs
+    cycle = mac.cycle_ms
+    offsets = {w.subject: substream(config.master_seed, "offsets", w.subject)
+               .uniform(0.0, cycle, epochs)
+               for w in (victim, *config.interferers)}
+    v_layout = superframe_layout(victim, mac)
+    v_intervals = {}
+    for i in range(len(victim.sensors)):
+        v_intervals[(i, "broadcast")] = v_layout.broadcast[i]
+        v_intervals[(i, "forward")] = v_layout.forward[i]
+    weights: dict[tuple[int, int, str], np.ndarray] = {}
+    for interferer in config.interferers:
+        i_layout = superframe_layout(interferer, mac)
+        delta_base = offsets[interferer.subject] - offsets[victim.subject]
+        for (i, kind), (rel_a, dur_a) in v_intervals.items():
+            weighted = np.zeros(epochs)
+            for rel_b, dur_b, node in i_layout.transmissions:
+                power_mw = 10.0 ** (node.tx_power_dbm / 10.0)
+                delta = (delta_base + rel_b - rel_a) % cycle
+                weighted += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
+            weights[(interferer.subject, i, kind)] = weighted
+    return weights

@@ -179,6 +179,16 @@ start_indices: [0, 5, 9]
         load_config(write_config(tmp_path, BASE + "repetitions: 3\nstart_indices: [0, 5]\n"))
 
 
+@pytest.mark.parametrize("text,key", [
+    (BASE.replace("interferers: [2]", "interferers: [2, 2]"), "interferers"),
+    (BASE + "sweep:\n  victims: [1, 1]\n", "sweep.victims"),
+    (BASE + "sweep:\n  interferers: [1, 2, 2]\n", "sweep.interferers"),
+])
+def test_duplicate_subjects_are_named(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: duplicate subject ids"):
+        load_config(write_config(tmp_path, text))
+
+
 def test_victim_must_have_a_wban(tmp_path):
     with pytest.raises(ConfigError, match="no wban defined for subject 9"):
         load_config(write_config(tmp_path, BASE.replace("victim: 1", "victim: 9")))

@@ -1,14 +1,18 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import HD, LW, make_wban
-from oracle import build_schedule, evaluate_superframe
+from oracle import build_schedule, evaluate_superframe, interference_weights_reference
 from wbansim import engine, metrics
-from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkError,
-                             SyntheticChannelParams, fspl_db, load_trace, save_trace)
+from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
+                             MissingLinkError, SyntheticChannelParams, fspl_db,
+                             load_trace, save_trace)
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
@@ -51,6 +55,10 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     (dict(start_index=0, start_indices=(0,)), "start_index and start_indices"),
     (dict(repetitions=3, start_indices=(0, 1)),
      "start_indices lists 2 entries but repetitions is 3"),
+    (dict(wbans=(make_wban(1), make_wban(2), make_wban(3)), interferer_subjects=(2, 3, 2)),
+     "^interferers: duplicate subject ids"),
+    (dict(sweep_victims=(1, 1)), "^sweep.victims: duplicate subject ids"),
+    (dict(sweep_interferers=(2, 2)), "^sweep.interferers: duplicate subject ids"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ConfigError, match=match):
@@ -175,6 +183,43 @@ def test_run_matches_per_epoch_reference():
                 10.0 ** (got["coop"].values_db[e] / 10.0), d.cooperative, rtol=1e-9)
 
 
+_POWER = st.one_of(st.just(-math.inf), st.floats(-30.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sensors=st.integers(1, 3), n_coexisting=st.integers(2, 8),
+       n_interferers=st.integers(1, 2), epochs=st.integers(1, 40),
+       seed=st.integers(0, 2**32), powers=st.lists(_POWER, min_size=9, max_size=9))
+def test_interference_weights_equal_the_per_interval_reference(
+        n_sensors, n_coexisting, n_interferers, epochs, seed, powers):
+    locations = (HD, LW, BodyLocation.RIGHT_WRIST)[:n_sensors]
+    wbans = tuple(make_wban(s, sensor_locs=locations, sensor_power=powers[3 * s - 3],
+                            relay_power=powers[3 * s - 2], hub_power=powers[3 * s - 1])
+                  for s in (1, 2, 3))
+    config = base_config(wbans=wbans, mac=MacConfig(n_coexisting, 60.0), epochs=epochs,
+                         interferer_subjects=(2, 3)[:n_interferers], master_seed=seed)
+    offsets = engine._draw_offsets(config, (1, 2, 3))
+    got = engine._interference_weights(config, offsets)
+    want = interference_weights_reference(config)
+    assert set(got) == set(want)
+    for key, weights in want.items():
+        assert got[key].tobytes() == weights.tobytes(), key
+
+
+def _wrap_cases(cycle):
+    edges = [cycle, -cycle, 0.0, -0.0]
+    for point in (0.0, cycle, -cycle):
+        edges += [np.nextafter(point, math.inf), np.nextafter(point, -math.inf)]
+    return edges + [np.nextafter(2 * cycle, 0.0), np.nextafter(-2 * cycle, 0.0)]
+
+
+@given(data=st.data(), cycle=st.floats(1e-3, 1e6))
+def test_wrap_equals_remainder_on_two_cycles_each_side(data, cycle):
+    inside = st.floats(-2 * cycle, 2 * cycle, exclude_min=True, exclude_max=True)
+    values = np.array(_wrap_cases(cycle) + data.draw(st.lists(inside, max_size=50)))
+    assert engine._wrap(values, cycle).tobytes() == np.remainder(values, cycle).tobytes()
+
+
 def test_run_is_deterministic():
     config = base_config()
     a, b = run(config), run(config)
@@ -225,6 +270,22 @@ def test_run_checks_each_series_cadence_at_most_twice(monkeypatch):
     assert set(checks) == {id(result.series[i][scheme])
                            for i in (0, 1) for scheme in ("single", "coop")}
     assert max(checks.values()) <= 2
+
+
+def test_a_run_converts_each_link_window_once(monkeypatch):
+    config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)),
+                                make_wban(2)))
+    available = engine._available_epochs(config, assemble_channels(config))
+    monkeypatch.setattr(engine, "_available_epochs", lambda config, channels: available)
+    looked_up = Counter()
+    trace = ChannelSet.trace
+    monkeypatch.setattr(ChannelSet, "trace",
+                        lambda channels, link: looked_up.update([link])
+                        or trace(channels, link))
+    run(config)
+    # 9 sensor hops, 2 relay-to-hub hops, interference at the hub and both relays.
+    assert len(looked_up) == 14
+    assert set(looked_up.values()) == {1}
 
 
 # ------------------------------------------------------------ run-level output
@@ -393,6 +454,18 @@ def test_sweep_does_each_job_once_at_the_level_where_it_varies(monkeypatch):
                         interferer_subjects=tuple(u for u in subjects if u != v)))}
         overlaps.append(calls["overlap"])
     assert overlaps[0] == overlaps[1] > 0
+
+
+def test_a_sweep_draws_each_subjects_offsets_once(monkeypatch):
+    drawn = Counter()
+    draw = engine.substream
+    monkeypatch.setattr(engine, "substream",
+                        lambda seed, *labels: drawn.update([labels]) or draw(seed, *labels))
+    subjects = (1, 2, 3, 4, 5)
+    sweep(base_config(wbans=tuple(make_wban(s) for s in subjects), epochs=20,
+                      repetitions=2, sweep_victims=(1, 2, 3), sweep_interferers=(4, 5)))
+    offsets = {labels: n for labels, n in drawn.items() if labels[0] == "offsets"}
+    assert offsets == {("offsets", s): 1 for s in subjects}
 
 
 def test_a_pair_window_ignores_other_interferers_traces(tmp_path):

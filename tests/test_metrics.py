@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import read_curve_csv
@@ -39,6 +39,33 @@ def test_series_cadence():
         ragged.cadence_ms()
     with pytest.raises(MetricsError, match="single-sample"):
         series([1.0]).cadence_ms()
+
+
+@st.composite
+def sample_times(draw):
+    """Uniform grids, and grids whose steps are jittered by up to about 1e-9 or far more."""
+    start = draw(st.floats(-1e6, 1e6))
+    step = draw(st.floats(1e-3, 1e4))
+    n = draw(st.integers(2, 60))
+    scale = draw(st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 2e-9, 1e-6, 0.5]))
+    jitter = draw(st.lists(st.floats(-scale, scale), min_size=n - 1, max_size=n - 1))
+    if scale == 0.0:
+        times = start + step * np.arange(n)
+    else:
+        times = start + np.concatenate([[0.0], np.cumsum(step * (1.0 + np.array(jitter)))])
+    assume(np.all(np.diff(times) > 0))
+    return times
+
+
+@given(sample_times())
+def test_cadence_check_agrees_with_allclose(times):
+    diffs = np.diff(times)
+    uniform = np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0)
+    try:
+        assert SinrSeries(times, np.zeros(times.size)).cadence_ms() == diffs[0]
+        assert uniform
+    except MetricsError:
+        assert not uniform
 
 
 # --------------------------------------------------------------------- outage

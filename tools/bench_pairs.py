@@ -1,0 +1,115 @@
+"""Paired benchmark runs of two checkouts on one workload, and the gain rule.
+
+    python3 tools/bench_pairs.py --base <checkout> --change <checkout> --workload W --seeds A..B
+
+For each seed from A to B, runs ``perfbench/run.py --workload W --seed S
+--trace 0`` of both checkouts, each as its own process with the
+``run_seconds`` their ``BENCHMARK.json`` declares, and alternates which side
+runs first. It prints every pair's end-to-end values, then each side's median
+and quartiles per metric, the number of pairs the change wins (ties count for
+neither side), and whether the gain rule holds for that metric: the change
+wins at least nine tenths of the pairs, its median is better than the base's
+by more than the distance between the base's quartiles, and no more of its
+operations fail.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_record import run_perfbench  # noqa: E402
+
+SIDES = ("base", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    first, sep, last = text.partition("..")
+    try:
+        seeds = list(range(int(first), int(last) + 1)) if sep else [int(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected seeds like 101..110, got {text!r}")
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def verdict(base: list[float], change: list[float], better: str,
+            failed: dict[str, int]) -> tuple[int, bool]:
+    """The change's win count and whether the gain rule holds."""
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    q1, base_median, q3 = quartiles(base)
+    margin = sign * (quartiles(change)[1] - base_median)
+    holds = (wins >= 0.9 * len(base) and margin > q3 - q1
+             and failed["change"] <= failed["base"])
+    return wins, holds
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help="inclusive seed range A..B, one pair per seed")
+    args = parser.parse_args(argv)
+    roots = {"base": args.base.resolve(), "change": args.change.resolve()}
+    specs = {side: json.loads((root / "BENCHMARK.json").read_text())
+             for side, root in roots.items()}
+    if specs["base"]["end_to_end"] != specs["change"]["end_to_end"]:
+        parser.error("the checkouts declare different end-to-end metrics")
+    if specs["base"]["run_seconds"] != specs["change"]["run_seconds"]:
+        parser.error("the checkouts declare different run_seconds")
+    metrics = specs["change"]["end_to_end"]
+    seconds = float(specs["change"]["run_seconds"])
+
+    values = {side: {m["name"]: [] for m in metrics} for side in SIDES}
+    failed = {side: 0 for side in SIDES}
+    correct = {side: True for side in SIDES}
+    print("pair seed first " + " ".join(f"{m['name']}(base,change)" for m in metrics))
+    for k, seed in enumerate(args.seeds):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_perfbench(roots[side], args.workload, seed, seconds, trace=0)
+            failed[side] += result["failed"]
+            correct[side] = correct[side] and result["correct"]
+            for m in metrics:
+                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+        print(f"{k + 1:4d} {seed:4d} {order[0]:6s}" + "".join(
+            f" {values['base'][m['name']][-1]:.4g},{values['change'][m['name']][-1]:.4g}"
+            for m in metrics), flush=True)
+
+    seeds = f"{args.seeds[0]}..{args.seeds[-1]}"
+    print(f"\n{args.workload}: {len(args.seeds)} pairs, seeds {seeds}, "
+          f"{seconds:g} s per run; failed operations base {failed['base']}, change "
+          f"{failed['change']}; every run correct: base {correct['base']}, "
+          f"change {correct['change']}")
+    print(f"{'metric':14s} {'unit':5s} {'base median [q1, q3]':28s} "
+          f"{'change median [q1, q3]':28s} {'wins':>6s}  gain rule")
+    for m in metrics:
+        base, change = values["base"][m["name"]], values["change"][m["name"]]
+        wins, holds = verdict(base, change, m["better"], failed)
+        cells = []
+        for side_values in (base, change):
+            q1, median, q3 = quartiles(side_values)
+            cells.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
+        print(f"{m['name']:14s} {m['unit']:5s} {cells[0]:28s} {cells[1]:28s} "
+              f"{wins:3d}/{len(base):<2d}  {'holds' if holds else 'does not hold'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

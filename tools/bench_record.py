@@ -44,7 +44,8 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` process of the checkout at ``root``; its JSON result."""
     command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
@@ -66,7 +67,7 @@ def record(root: Path, runs: int) -> dict:
     for seed in range(1, runs + 1):
         for name in names:
             for trace in (0, 1):
-                results[name][trace].append(_run(root, name, seed, seconds, trace))
+                results[name][trace].append(run_perfbench(root, name, seed, seconds, trace))
 
     workloads = {}
     for name, by_trace in results.items():
