@@ -24,7 +24,6 @@ from typing import Iterable
 import numpy as np
 from scipy.signal import lfilter
 
-from .metrics import _read_float_pairs
 from .seeding import substream
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -148,6 +147,33 @@ class SyntheticChannelParams:
         if not (math.isfinite(self.coherence_time_ms) and self.coherence_time_ms > 0):
             raise ValueError("coherence_time_ms must be finite and positive, got "
                              f"{self.coherence_time_ms}")
+
+
+def _read_float_pairs(path, lines, error, row_format: str):
+    """Yield (line number, first, second) for each data row of a two-column CSV.
+
+    ``lines`` is the whole file and its header is skipped; blank lines are
+    ignored. A row that is not two numbers, or a file without data rows,
+    raises ``error`` with a ``path:line:`` prefix. Rows are yielded as they
+    are read, so a caller's own check of one row fires before a parse
+    error in a later row.
+    """
+    count = 0
+    for lineno, raw in enumerate(lines[1:], start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise error(f"{path}:{lineno}: expected '{row_format}', got {raw!r}")
+        try:
+            first, second = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
+        count += 1
+        yield lineno, first, second
+    if not count:
+        raise error(f"{path}:2: no data rows")
 
 
 _HEADER_RE = re.compile(r"^link=(?P<link>[^,]+),period_ms=(?P<period>[^,\s]+)$")

@@ -5,7 +5,6 @@ Subcommands:
     sweep           combination matrix with repetitions, write summaries
     gen-traces      write the synthetic source traces a config implies
     overlay-traces  build an interference trace from a base and a donor
-    metrics         outage and LCR curves from a stored SINR series
 
 Exit codes: 0 on success, 1 for configuration or input errors, 2 for
 runtime failures. Outputs are pure functions of the inputs.
@@ -16,8 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import engine, metrics
 from .channel import LinkId, TraceError, extract_shadowing, load_trace, overlay, save_trace
@@ -105,34 +102,6 @@ def _cmd_overlay_traces(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"thresholds: expected 'start:stop:step', got {text!r}")
-    try:
-        return metrics.threshold_grid(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise ConfigError(f"thresholds: {exc}") from None
-
-
-def _cmd_metrics(args) -> int:
-    try:
-        series = metrics.read_series_csv(args.series)
-    except MetricsError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    grid = _parse_grid(args.thresholds) if args.thresholds else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outage = metrics.outage_curve(series, grid)
-    lcr = metrics.lcr_curve(series, grid)
-    metrics.write_curve_csv(outage, out_dir / "outage.csv", "series", "-")
-    metrics.write_curve_csv(lcr, out_dir / "lcr.csv", "series", "-")
-    if not args.quiet:
-        print(f"wrote {out_dir / 'outage.csv'} and {out_dir / 'lcr.csv'}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wbansim",
@@ -176,13 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-file", required=True, help="output trace CSV")
     p.set_defaults(func=_cmd_overlay_traces)
 
-    p = sub.add_parser("metrics", help="curves from a stored SINR series")
-    common(p, config=False)
-    p.add_argument("--series", required=True, help="series CSV (time_ms,sinr_db)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--thresholds", default=None,
-                   help="threshold grid as start:stop:step in dB")
-    p.set_defaults(func=_cmd_metrics)
     return parser
 
 

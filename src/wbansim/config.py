@@ -1,7 +1,7 @@
 """YAML experiment configuration: loading and validation.
 
 The file is a nested mapping with one section per concern (mac, noise,
-radio, channels, metrics, relaying, interference, sweep) plus the network
+radio, channels, metrics, interference, sweep) plus the network
 definitions and the run settings. Each section is read by one
 ``_Section``: a key that is absent takes the default of the class it
 configures, a key that nothing reads is an error, and every error names
@@ -62,12 +62,6 @@ def _as_start_indices(value, key: str) -> tuple[int, ...] | None:
     if value is not None and not (isinstance(value, list) and value):
         raise ConfigError(f"{key}: expected a nonempty list of integers")
     return None if value is None else _as_ints(value, key)
-
-
-def _as_hop_weights(value, key: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{key}: expected a list of two numbers")
-    return tuple(_as_float(w, key) for w in value)
 
 
 def _parse_location(value, key: str) -> BodyLocation:
@@ -237,8 +231,8 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     wbans = tuple(_wban(w) for w in top.sections(
         "wbans", "a nonempty list of network definitions"))
     mac, noise, radio = top.section("mac"), top.section("noise"), top.section("radio")
-    relaying, interference = top.section("relaying"), top.section("interference")
-    sweep, metrics = top.section("sweep"), top.section("metrics")
+    interference, sweep = top.section("interference"), top.section("sweep")
+    metrics = top.section("metrics")
     channels = _channels(top.section("channels", required=True), path.parent)
     seed = top.get("seed", _as_int)
     return top.build(
@@ -265,7 +259,6 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         epoch_period_ms=top.get("epoch_period_ms", _as_float),
         thresholds_db=_thresholds(metrics),
         lcr_ref_threshold_db=metrics.get("lcr_ref_threshold_db", _as_float),
-        hop_weights=relaying.get("hop_weights", _as_hop_weights),
         interferer_source_location=interference.get("source_location", _parse_location),
         sweep_victims=sweep.get("victims", _as_ints),
         sweep_interferers=sweep.get("interferers", _as_ints))

@@ -28,7 +28,8 @@ from .channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId, MissingLin
 from .metrics import (MetricsCurve, MetricsError, SinrSeries, empirical_outage,
                       lcr_curve, level_crossing_rate, threshold_at_outage,
                       threshold_grid)
-from .network import MacConfig, WbanConfig, overlap_lengths, superframe_layout
+from .network import (COORDINATOR_LOCATIONS, MacConfig, WbanConfig, overlap_lengths,
+                      superframe_layout)
 from .relaying import NoiseModel, cooperative_sinr
 from .seeding import derive_seed, substream
 
@@ -144,7 +145,6 @@ class ExperimentConfig:
     # One block-fading epoch spans one TDMA cycle; None takes the cycle.
     epoch_period_ms: float | None = None
     interferer_source_location: BodyLocation = BodyLocation.LEFT_HIP
-    hop_weights: tuple[float, float] = (1.0, 1.0)
     thresholds_db: np.ndarray = field(default_factory=threshold_grid)
     lcr_ref_threshold_db: float = 5.0
     sweep_victims: tuple[int, ...] = ()
@@ -167,6 +167,26 @@ class ExperimentConfig:
         if self.victim_subject in self.interferer_subjects:
             raise ConfigError(f"victim subject {self.victim_subject} cannot interfere "
                               "with itself")
+        victims = self.sweep_victims or (self.victim_subject,)
+        for subject in dict.fromkeys((self.victim_subject, *victims)):
+            k = subjects.index(subject)
+            for j, sensor in enumerate(self.wbans[k].sensors):
+                if not math.isfinite(sensor.tx_power_dbm):
+                    raise ConfigError(
+                        f"wbans[{k}].sensors[{j}].tx_power_dbm: the sensors of victim "
+                        f"subject {subject} must transmit, got {sensor.tx_power_dbm}")
+        # Interference reaches the hub and relays, which always occupy the
+        # coordinator locations, by overlay onto the anchor's on-body traces.
+        foes = self.sweep_interferers or self.interferer_subjects
+        if self.interferer_subjects or any(u != v for v in victims for u in foes):
+            anchor = self.interferer_source_location
+            missing = sorted("-".join(_distance_key(anchor, loc))
+                             for loc in COORDINATOR_LOCATIONS - {anchor}
+                             if _distance_key(anchor, loc) not in self.radio.link_distances_m)
+            if missing:
+                raise ConfigError(
+                    f"radio.link_distances_m: no distance for the pair(s) {', '.join(missing)} "
+                    f"that interference from source_location {anchor} needs")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.repetitions < 1:
@@ -182,8 +202,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"epoch_period_ms {self.epoch_period_ms} must equal the TDMA cycle "
                 f"mac.n_coexisting * mac.slot_len_ms = {self.mac.cycle_ms}")
-        if not all(w > 0 and math.isfinite(w) for w in self.hop_weights):
-            raise ConfigError(f"relaying: hop_weights must be positive, got {self.hop_weights}")
         if not math.isfinite(self.lcr_ref_threshold_db):
             raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
                               f"got {self.lcr_ref_threshold_db}")
@@ -273,16 +291,14 @@ def assemble_channels(config: ExperimentConfig) -> ChannelSet:
 
 
 def _available_epochs(config: ExperimentConfig, channels: ChannelSet) -> int:
-    """Epochs covered by every trace that assembling and running ``config`` reads.
+    """Epochs covered by every source trace that running ``config`` reads.
 
     Only the configured victim's and interferers' links count, so the other
-    interferers a shared channel set also covers never move the window.
+    interferers a shared channel set also covers never move the window. An
+    overlaid channel is as long as the shorter of its base and its donor,
+    both source links, so it never lowers the bound.
     """
-    subject, anchor = config.victim_subject, config.interferer_source_location
-    links = required_source_links(config) + [
-        LinkId(u, anchor, subject, loc) for u in config.interferer_subjects
-        for loc in _device_locations(config.victim)]
-    return min(channels.trace(link).n_samples for link in links)
+    return min(channels.trace(link).n_samples for link in required_source_links(config))
 
 
 @dataclass(frozen=True)
@@ -415,10 +431,6 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
     if start_index < 0 or start_index + epochs > available:
         raise ConfigError(f"channel traces cover {available} epochs but the run needs "
                           f"[{start_index}, {start_index + epochs})")
-    for sensor in victim.sensors:
-        if not math.isfinite(sensor.tx_power_dbm):
-            raise ConfigError(f"victim sensor at {sensor.location} must have finite "
-                              "tx power")
     window = slice(start_index, start_index + epochs)
     subject, hub_loc = victim.subject, victim.hub.location
     anchor = config.interferer_source_location
@@ -456,7 +468,7 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
             nu_sr.append(p_sensor * link_gain(sensor.location, relay.location) / den_relay_b)
             p_relay = 10.0 ** (relay.tx_power_dbm / 10.0)
             nu_rh.append(p_relay * link_gain(relay.location, hub_loc) / den_hub_f)
-        coop = cooperative_sinr(nu_direct, nu_sr, nu_rh, config.hop_weights)
+        coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
         series[i] = {"single": SinrSeries(times, 10.0 * np.log10(nu_direct)),
                      "coop": SinrSeries(times, 10.0 * np.log10(coop))}
 

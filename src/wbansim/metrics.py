@@ -130,16 +130,6 @@ def empirical_outage(values_db: np.ndarray, thresholds_db: np.ndarray | None = N
     return MetricsCurve("outage", thresholds_db, counts / values.size)
 
 
-def outage_curve(series: SinrSeries, thresholds_db: np.ndarray | None = None,
-                 ) -> MetricsCurve:
-    """Empirical outage probability Pr(SINR < threshold) over a grid.
-
-    The comparison is strict, so samples exactly at a threshold do not
-    count as outage.
-    """
-    return empirical_outage(series.values_db, thresholds_db)
-
-
 def threshold_at_outage(curve: MetricsCurve, probability: float) -> float:
     """Invert an outage curve: the threshold where it reaches a probability.
 
@@ -222,33 +212,6 @@ def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray | None = None,
     return MetricsCurve("lcr", thresholds_db, _crossing_rates(series, thresholds_db))
 
 
-def _read_float_pairs(path, lines, error, row_format: str):
-    """Yield (line number, first, second) for each data row of a two-column CSV.
-
-    ``lines`` is the whole file and its header is skipped; blank lines are
-    ignored. A row that is not two numbers, or a file without data rows,
-    raises ``error`` with a ``path:line:`` prefix. Rows are yielded as they
-    are read, so a caller's own check of one row fires before a parse
-    error in a later row.
-    """
-    count = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise error(f"{path}:{lineno}: expected '{row_format}', got {raw!r}")
-        try:
-            first, second = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise error(f"{path}:{lineno}: {exc}") from exc
-        count += 1
-        yield lineno, first, second
-    if not count:
-        raise error(f"{path}:2: no data rows")
-
-
 def write_curve_csv(curve: MetricsCurve, path, scheme: str, subject) -> None:
     """Write a curve with its identifying header line."""
     lines = [f"kind,{curve.kind},scheme,{scheme},subject,{subject}"]
@@ -256,25 +219,3 @@ def write_curve_csv(curve: MetricsCurve, path, scheme: str, subject) -> None:
     for threshold, value in zip(curve.thresholds_db.tolist(), curve.values.tolist()):
         lines.append(f"{threshold!r},{value!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_series_csv(series: SinrSeries, path) -> None:
-    """Write a SINR series as 'time_ms,sinr_db' rows."""
-    lines = ["time_ms,sinr_db"]
-    for t, v in zip(series.times_ms, series.values_db):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_series_csv(path) -> SinrSeries:
-    """Read a 'time_ms,sinr_db' series file, reporting bad lines by number."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "time_ms,sinr_db":
-        raise MetricsError(f"{path}:1: expected header 'time_ms,sinr_db'")
-    _, times, values = zip(*_read_float_pairs(path, lines, MetricsError,
-                                              "<time_ms>,<sinr_db>"))
-    try:
-        return SinrSeries(np.array(times), np.array(values))
-    except MetricsError as exc:
-        raise MetricsError(f"{path}: {exc}") from exc

@@ -30,23 +30,19 @@ class NoiseModel:
         return 10.0 ** (self.noise_floor_dbm / 10.0)
 
 
-def cooperative_sinr(nu_direct, nu_sr, nu_rh, hop_weights: tuple[float, float]):
+def cooperative_sinr(nu_direct, nu_sr, nu_rh):
     """Cooperative SINR: the better of the direct copy and the selected relay branch.
 
     Args:
         nu_direct: Linear SINR of the direct sensor-to-hub copy per packet.
         nu_sr: (relay 1, relay 2) linear SINRs of the sensor-to-relay hop.
         nu_rh: (relay 1, relay 2) linear SINRs of the relay-to-hub hop.
-        hop_weights: (incoming, outgoing) weights applied to the hop
-            strengths in the selection metric only.
 
-    Per packet, the relay whose weaker weighted hop is strongest is
-    selected, ties going to relay 1; its branch carries the unweighted
-    weaker hop. A muted relay has zero hop SINRs, so its branch never
-    beats the direct copy. Works element-wise on scalars or numpy arrays.
+    Per packet, the relay whose weaker hop is strongest is selected, and
+    its branch carries that weaker hop; the result does not depend on the
+    order of the relays. A muted relay has zero hop SINRs, so its branch
+    never beats the direct copy. Works element-wise on scalars or numpy
+    arrays.
     """
-    w_in, w_out = hop_weights
-    mins = (np.minimum(nu_sr[0], nu_rh[0]), np.minimum(nu_sr[1], nu_rh[1]))
-    metric1 = np.minimum(w_in * nu_sr[0], w_out * nu_rh[0])
-    metric2 = np.minimum(w_in * nu_sr[1], w_out * nu_rh[1])
-    return np.maximum(nu_direct, np.where(metric1 >= metric2, mins[0], mins[1]))
+    relay = np.maximum(np.minimum(nu_sr[0], nu_rh[0]), np.minimum(nu_sr[1], nu_rh[1]))
+    return np.maximum(nu_direct, relay)

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId
+from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId, _read_float_pairs
 from wbansim.engine import ConfigError, ExperimentConfig, SyntheticChannelSource
-from wbansim.metrics import MetricsCurve, MetricsError, _read_float_pairs
+from wbansim.metrics import MetricsCurve, MetricsError
 from wbansim.network import NodeSpec, Role, WbanConfig
 
 C = BodyLocation.CHEST

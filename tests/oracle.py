@@ -155,31 +155,22 @@ def compute_sinr(tx_power_dbm: float, gain_db: float, noise: NoiseModel,
 
 
 def select_relay(nu_sr1: float, nu_r1h: float, nu_sr2: float, nu_r2h: float,
-                 hop_weights: tuple[float, float] = (1.0, 1.0)) -> tuple[int, float]:
-    """Pick the relay whose weaker (weighted) hop is strongest.
+                 ) -> tuple[int, float]:
+    """Pick the relay whose weaker hop is strongest.
 
     Args:
         nu_sr1, nu_r1h: Linear SINR of relay 1's incoming and outgoing hop.
         nu_sr2, nu_r2h: Same for relay 2.
-        hop_weights: Optional (incoming, outgoing) weights applied to the
-            hop strengths in the selection metric only; there is no
-            established default other than equal weights.
 
     Returns:
-        (chosen relay 1 or 2, unweighted bottleneck SINR of that relay).
-        Ties go to relay 1.
+        (chosen relay 1 or 2, bottleneck SINR of that relay). Ties go to
+        relay 1.
     """
     values = (nu_sr1, nu_r1h, nu_sr2, nu_r2h)
     if any(math.isnan(v) or v <= 0 or v == math.inf for v in values):
         raise ValueError(f"hop SINRs must be positive and finite, got {values}")
-    w_in, w_out = hop_weights
-    if not (w_in > 0 and w_out > 0):
-        raise ValueError(f"hop weights must be positive, got {hop_weights}")
-    metric1 = min(w_in * nu_sr1, w_out * nu_r1h)
-    metric2 = min(w_in * nu_sr2, w_out * nu_r2h)
-    if metric1 >= metric2:
-        return 1, min(nu_sr1, nu_r1h)
-    return 2, min(nu_sr2, nu_r2h)
+    min1, min2 = min(nu_sr1, nu_r1h), min(nu_sr2, nu_r2h)
+    return (1, min1) if min1 >= min2 else (2, min2)
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,6 @@ class RelayDecision:
 
 def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
                         channels: ChannelSet, noise: NoiseModel, epoch: int,
-                        hop_weights: tuple[float, float] = (1.0, 1.0),
                         anchor: BodyLocation = BodyLocation.LEFT_HIP,
                         ) -> list[RelayDecision]:
     """Evaluate every sensor packet of one network in one superframe.
@@ -251,10 +241,7 @@ def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
                 relay.tx_power_dbm, gain(relay.location, hub_loc), noise, hub_f))
         # Same max-min rule as select_relay, but tolerating muted relays.
         mins = (min(nu_sr[0], nu_rh[0]), min(nu_sr[1], nu_rh[1]))
-        w_in, w_out = hop_weights
-        metrics = (min(w_in * nu_sr[0], w_out * nu_rh[0]),
-                   min(w_in * nu_sr[1], w_out * nu_rh[1]))
-        chosen = 1 if metrics[0] >= metrics[1] else 2
+        chosen = 1 if mins[0] >= mins[1] else 2
         single, cooperative = nu_direct, max(nu_direct, mins[chosen - 1])
         decisions.append(RelayDecision(
             epoch, i, sensor.location, (nu_sr[0], nu_sr[1]), (nu_rh[0], nu_rh[1]),

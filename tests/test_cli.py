@@ -202,58 +202,6 @@ def test_overlay_traces_rejects_period_mismatch(tmp_path, capsys):
     assert "sample periods" in capsys.readouterr().err
 
 
-# -------------------------------------------------------------------- metrics
-
-FIXTURE_SERIES = "time_ms,sinr_db\n0.0,10.0\n120.0,2.0\n240.0,10.0\n360.0,2.0\n480.0,10.0\n"
-
-
-def test_metrics_fixture_series(tmp_path):
-    series_path = tmp_path / "series.csv"
-    series_path.write_text(FIXTURE_SERIES)
-    out = tmp_path / "out"
-    rc = main(["metrics", "--series", str(series_path), "--out", str(out),
-               "--thresholds", "0:10:5", "--quiet"])
-    assert rc == 0
-    lcr, scheme, subject = read_curve_csv(out / "lcr.csv")
-    assert (scheme, subject) == ("series", "-")
-    np.testing.assert_allclose(lcr.thresholds_db, [0.0, 5.0, 10.0])
-    np.testing.assert_allclose(lcr.values, [0.0, 2.0 / 0.24, 2.0 / 0.24], rtol=1e-12)
-    outage, _, _ = read_curve_csv(out / "outage.csv")
-    np.testing.assert_allclose(outage.values, [0.0, 0.4, 0.4])
-
-
-def test_metrics_constant_series_has_zero_lcr(tmp_path):
-    series_path = tmp_path / "series.csv"
-    series_path.write_text("time_ms,sinr_db\n0.0,7.0\n120.0,7.0\n240.0,7.0\n")
-    rc = main(["metrics", "--series", str(series_path), "--out",
-               str(tmp_path / "out"), "--quiet"])
-    assert rc == 0
-    lcr, _, _ = read_curve_csv(tmp_path / "out" / "lcr.csv")
-    np.testing.assert_array_equal(lcr.values, 0.0)
-
-
-@pytest.mark.parametrize("content,lineno", [
-    ("", 1),
-    ("time_ms,sinr_db\n0.0,10.0\n120.0,???\n", 3),
-])
-def test_metrics_rejects_malformed_input(tmp_path, capsys, content, lineno):
-    series_path = tmp_path / "series.csv"
-    series_path.write_text(content)
-    rc = main(["metrics", "--series", str(series_path), "--out",
-               str(tmp_path / "out"), "--quiet"])
-    assert rc == 1
-    assert f"series.csv:{lineno}" in capsys.readouterr().err
-
-
-def test_metrics_rejects_a_grid_step_that_does_not_divide(tmp_path, capsys):
-    series_path = tmp_path / "series.csv"
-    series_path.write_text(FIXTURE_SERIES)
-    rc = main(["metrics", "--series", str(series_path), "--out", str(tmp_path / "out"),
-               "--thresholds", "0:10:3", "--quiet"])
-    assert rc == 1
-    assert "does not divide" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_outputs_and_determinism(tmp_path):

@@ -63,7 +63,6 @@ def test_loads_defaults(tmp_path):
     assert config.master_seed == 0
     assert config.epoch_period_ms == 120.0
     assert config.interferer_source_location is BodyLocation.LEFT_HIP
-    assert config.hop_weights == (1.0, 1.0)
     assert config.lcr_ref_threshold_db == 5.0
     assert isinstance(config.channels, SyntheticChannelSource)
     assert config.channels.on_body.coherence_time_ms == 240.0
@@ -107,6 +106,38 @@ def test_mute_power_spelling(tmp_path):
                         "      - {location: LH, tx_power_dbm: -inf}\n", 1)
     config = load_config(write_config(tmp_path, text))
     assert config.wban(1).relays[0].tx_power_dbm == -math.inf
+
+
+def test_a_muted_sweep_victim_sensor_fails_at_load(tmp_path):
+    # Subject 2's muted sensor is fine while it only interferes, not as a sweep victim.
+    head, tail = BASE.rsplit("      - {location: HD}\n", 1)
+    text = head + "      - {location: HD, tx_power_dbm: mute}\n" + tail
+    assert load_config(write_config(tmp_path, text)).victim_subject == 1
+    with pytest.raises(ConfigError, match=re.escape("wbans[1].sensors[0].tx_power_dbm")):
+        load_config(write_config(tmp_path, text + "sweep:\n  victims: [1, 2]\n"))
+
+
+@pytest.mark.parametrize("anchor,pairs", [("C", "C-RH"), ("RH", "C-RH"),
+                                          ("HD", "C-HD, HD-LH, HD-RH")])
+def test_an_anchor_without_distances_fails_at_load(tmp_path, anchor, pairs):
+    text = BASE + f"interference: {{source_location: {anchor}}}\n"
+    with pytest.raises(ConfigError, match=re.escape(f"radio.link_distances_m: no distance "
+                                                    f"for the pair(s) {pairs}")):
+        load_config(write_config(tmp_path, text))
+    distances = "".join(f"    {pair}: 0.5\n" for pair in pairs.split(", "))
+    config = load_config(write_config(tmp_path, text + f"radio:\n  link_distances_m:\n"
+                                                       f"{distances}"))
+    assert config.interferer_source_location is BodyLocation.parse(anchor)
+    # Without an interferer in any combination, no distance is needed.
+    load_config(write_config(tmp_path, text.replace("interferers: [2]\n", "")))
+    with pytest.raises(ConfigError, match=re.escape("radio.link_distances_m")):
+        load_config(write_config(tmp_path, text.replace("interferers: [2]\n", "")
+                                 + "sweep:\n  interferers: [2]\n"))
+
+
+def test_relaying_is_not_a_section(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape("unknown key(s) relaying")):
+        load_config(write_config(tmp_path, BASE + "relaying:\n  hop_weights: [1.0, 1.0]\n"))
 
 
 def test_csv_source_resolves_relative_dir(tmp_path):

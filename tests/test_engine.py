@@ -49,7 +49,8 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     (dict(sweep_victims=(7,)), "no wban defined"),
     (dict(epochs=0), "epochs"),
     (dict(repetitions=0), "repetitions"),
-    (dict(hop_weights=(0.0, 1.0)), "hop_weights"),
+    (dict(wbans=(make_wban(1, sensor_power=-math.inf), make_wban(2))),
+     r"^wbans\[0\]\.sensors\[0\]\.tx_power_dbm: the sensors of victim subject 1 must"),
     (dict(epoch_period_ms=0.0), "epoch_period_ms"),
     (dict(mac=MacConfig(4, 60.0), epoch_period_ms=120.0), "epoch_period_ms"),
     (dict(start_index=0, start_indices=(0,)), "start_index and start_indices"),
@@ -136,10 +137,13 @@ def test_assemble_downsamples_to_epoch_period(tmp_path):
 
 
 def test_assemble_needs_a_distance_for_the_anchor_pairs():
-    config = base_config(
-        interferer_source_location=BodyLocation.RIGHT_HIP)
-    with pytest.raises(ConfigError, match="no link distance"):
-        assemble_channels(config)
+    # The config that would need the missing C-RH distance does not load.
+    with pytest.raises(ConfigError, match=r"radio\.link_distances_m: .* C-RH"):
+        base_config(interferer_source_location=BodyLocation.RIGHT_HIP)
+    radio = RadioConfig(link_distances_m={("C", "RH"): 0.3, ("LH", "RH"): 0.3})
+    channels = assemble_channels(
+        base_config(interferer_source_location=BodyLocation.RIGHT_HIP, radio=radio))
+    assert channels.trace(LinkId.parse("2:RH->1:C")).n_samples == 200
 
 
 def test_missing_trace_is_reported(tmp_path):
@@ -160,8 +164,7 @@ def test_missing_trace_is_reported(tmp_path):
 
 def test_run_matches_per_epoch_reference():
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2)),
-                         epochs=30, start_index=5, master_seed=11,
-                         hop_weights=(1.0, 1.5))
+                         epochs=30, start_index=5, master_seed=11)
     result = run(config)
     channels = assemble_channels(config)
     cycle = config.mac.cycle_ms
@@ -172,7 +175,6 @@ def test_run_matches_per_epoch_reference():
                      for s in (1, 2)]
         decisions = evaluate_superframe(config.victim, schedules, channels,
                                         config.noise, epoch=5 + e,
-                                        hop_weights=config.hop_weights,
                                         anchor=config.interferer_source_location)
         for d in decisions:
             got = result.series[d.sensor_index]
@@ -183,15 +185,19 @@ def test_run_matches_per_epoch_reference():
                 10.0 ** (got["coop"].values_db[e] / 10.0), d.cooperative, rtol=1e-9)
 
 
-_POWER = st.one_of(st.just(-math.inf), st.floats(-30.0, 10.0))
+_FINITE_POWER = st.floats(-30.0, 10.0)
+_POWER = st.one_of(st.just(-math.inf), _FINITE_POWER)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n_sensors=st.integers(1, 3), n_coexisting=st.integers(2, 8),
        n_interferers=st.integers(1, 2), epochs=st.integers(1, 40),
-       seed=st.integers(0, 2**32), powers=st.lists(_POWER, min_size=9, max_size=9))
+       seed=st.integers(0, 2**32), victim_sensor_power=_FINITE_POWER,
+       powers=st.lists(_POWER, min_size=8, max_size=8))
 def test_interference_weights_equal_the_per_interval_reference(
-        n_sensors, n_coexisting, n_interferers, epochs, seed, powers):
+        n_sensors, n_coexisting, n_interferers, epochs, seed, victim_sensor_power, powers):
+    # A victim's sensors must transmit; their power never enters the weights.
+    powers = [victim_sensor_power, *powers]
     locations = (HD, LW, BodyLocation.RIGHT_WRIST)[:n_sensors]
     wbans = tuple(make_wban(s, sensor_locs=locations, sensor_power=powers[3 * s - 3],
                             relay_power=powers[3 * s - 2], hub_power=powers[3 * s - 1])
@@ -204,6 +210,39 @@ def test_interference_weights_equal_the_per_interval_reference(
     assert set(got) == set(want)
     for key, weights in want.items():
         assert got[key].tobytes() == weights.tobytes(), key
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_sensors=st.integers(1, 3), n_interferers=st.integers(1, 2),
+       seed=st.integers(0, 2**32), victim_sensor_power=_FINITE_POWER,
+       powers=st.lists(_POWER, min_size=8, max_size=8))
+def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_power, powers):
+    """Cooperation never loses a packet, the outage curves are monotone with coop's
+    below single's, crossing rates are nonnegative, and the victim's relay order
+    does not matter; with relays and interferers that may be muted."""
+    locations = (HD, LW, BodyLocation.RIGHT_WRIST)[:n_sensors]
+    victim = make_wban(1, sensor_locs=locations, sensor_power=victim_sensor_power)
+    victim = replace(victim, relays=tuple(replace(relay, tx_power_dbm=p)
+                                          for relay, p in zip(victim.relays, powers)))
+    foes = tuple(make_wban(s, sensor_locs=locations, sensor_power=powers[3 * s - 4],
+                           relay_power=powers[3 * s - 3], hub_power=powers[3 * s - 2])
+                 for s in (2, 3))
+    config = base_config(wbans=(victim, *foes), interferer_subjects=(2, 3)[:n_interferers],
+                         epochs=50, channels=SyntheticChannelSource(duration_ms=120.0 * 60),
+                         master_seed=seed)
+    result = run(config)
+    for per_sensor in result.series.values():
+        assert np.all(per_sensor["coop"].values_db >= per_sensor["single"].values_db)
+    outage = {s: result.curves[s]["outage"].values for s in ("single", "coop")}
+    assert all(np.all(np.diff(values) >= 0.0) for values in outage.values())
+    assert np.all(outage["coop"] <= outage["single"])
+    assert all(np.all(result.curves[s]["lcr"].values >= 0.0) for s in ("single", "coop"))
+    assert all(row.lcr_at_ref_hz >= 0.0 for row in result.summary)
+    mirrored = run(replace(config, wbans=(replace(victim, relays=victim.relays[::-1]),
+                                          *foes)))
+    for i, per_sensor in result.series.items():
+        for scheme, series in per_sensor.items():
+            assert series.values_db.tobytes() == mirrored.series[i][scheme].values_db.tobytes()
 
 
 def _wrap_cases(cycle):
@@ -357,8 +396,6 @@ def test_run_window_bounds_are_checked():
         run(base_config(epochs=300))
     with pytest.raises(ConfigError, match="cover"):
         run(base_config(start_index=190))
-    with pytest.raises(ConfigError, match="finite"):
-        run(base_config(wbans=(make_wban(1, sensor_power=-math.inf), make_wban(2))))
 
 
 # ------------------------------------------------------------------ csv parity

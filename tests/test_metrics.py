@@ -9,9 +9,7 @@ from helpers import read_curve_csv
 from oracle import level_crossing_rate_reference
 from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries,
                              empirical_outage, lcr_curve, level_crossing_rate,
-                             outage_curve, read_series_csv,
-                             threshold_at_outage, threshold_grid, write_curve_csv,
-                             write_series_csv)
+                             threshold_at_outage, threshold_grid, write_curve_csv)
 
 
 def series(values, period_ms=120.0):
@@ -96,7 +94,7 @@ def test_outage_counts_strictly_below():
 
 def test_outage_curve_is_monotone():
     rng = np.random.default_rng(2)
-    curve = outage_curve(series(rng.normal(10.0, 5.0, 500)))
+    curve = empirical_outage(rng.normal(10.0, 5.0, 500))
     assert curve.kind == "outage"
     assert np.all(np.diff(curve.values) >= 0.0)
     assert curve.values[0] == 0.0 and curve.values[-1] == 1.0
@@ -162,6 +160,7 @@ def test_lcr_degenerate_cases():
     assert level_crossing_rate(series([1.0, 1.0, 1.0]), 5.0) == 0.0
     assert level_crossing_rate(series([10.0]), 5.0) == 0.0
     np.testing.assert_array_equal(lcr_curve(series([10.0])).values, np.zeros(161))
+    np.testing.assert_array_equal(lcr_curve(series([7.0, 7.0, 7.0])).values, np.zeros(161))
 
 
 def test_lcr_needs_uniform_cadence():
@@ -249,7 +248,7 @@ def test_lcr_at_one_threshold_equals_the_definition(case, threshold):
 # ------------------------------------------------------------------------ csv
 
 def test_curve_csv_round_trip(tmp_path):
-    curve = outage_curve(series(np.random.default_rng(4).normal(5.0, 3.0, 64)))
+    curve = empirical_outage(np.random.default_rng(4).normal(5.0, 3.0, 64))
     path = tmp_path / "outage.csv"
     write_curve_csv(curve, path, scheme="coop", subject=1)
     loaded, scheme, subject = read_curve_csv(path)
@@ -267,25 +266,3 @@ def test_curve_csv_errors(tmp_path):
     path.write_text("kind,outage,scheme,coop,subject,1\n0.0,0.0\n1.0,zero\n")
     with pytest.raises(MetricsError, match="bad.csv:3"):
         read_curve_csv(path)
-
-
-def test_series_csv_round_trip(tmp_path):
-    original = series(np.random.default_rng(6).normal(0.0, 10.0, 32), period_ms=60.0)
-    path = tmp_path / "series.csv"
-    write_series_csv(original, path)
-    loaded = read_series_csv(path)
-    np.testing.assert_array_equal(loaded.times_ms, original.times_ms)
-    np.testing.assert_array_equal(loaded.values_db, original.values_db)
-
-
-def test_series_csv_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("")
-    with pytest.raises(MetricsError, match="bad.csv:1"):
-        read_series_csv(path)
-    path.write_text("time_ms,sinr_db\n0.0,1.0\n120.0,x\n")
-    with pytest.raises(MetricsError, match="bad.csv:3"):
-        read_series_csv(path)
-    path.write_text("time_ms,sinr_db\n")
-    with pytest.raises(MetricsError, match="no data rows"):
-        read_series_csv(path)

@@ -80,25 +80,15 @@ def test_select_relay_against_brute_force():
         assert nu == mins[expected - 1]
 
 
-def test_select_relay_hop_weights_steer_choice_only():
-    # Unweighted this is a tie (both bottlenecks 3); weighting the
-    # outgoing hop favours relay 2, but the returned quality stays
-    # unweighted.
-    assert select_relay(3.0, 4.0, 4.0, 3.0) == (1, 3.0)
-    assert select_relay(3.0, 4.0, 4.0, 3.0, hop_weights=(1.0, 2.0)) == (2, 3.0)
-
-
 def test_select_relay_rejects_degenerate_hops():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             select_relay(bad, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        select_relay(1.0, 1.0, 1.0, 1.0, hop_weights=(0.0, 1.0))
 
 
-def coop(direct, hops, hop_weights=(1.0, 1.0)):
+def coop(direct, hops):
     """Kernel on one packet; hops is (sr1, r1h, sr2, r2h) as in select_relay."""
-    return cooperative_sinr(direct, (hops[0], hops[2]), (hops[1], hops[3]), hop_weights)
+    return cooperative_sinr(direct, (hops[0], hops[2]), (hops[1], hops[3]))
 
 
 def test_end_to_end_keeps_better_copy():
@@ -113,8 +103,6 @@ def test_end_to_end_keeps_better_copy():
 # ----------------------------------------------------------------- properties
 
 sinrs = st.floats(min_value=1e-6, max_value=1e6)
-weights = st.tuples(st.floats(min_value=0.1, max_value=10.0),
-                    st.floats(min_value=0.1, max_value=10.0))
 
 
 @st.composite
@@ -126,35 +114,33 @@ def packets(draw):
     return direct, (sr1, r1h, sr2, r2h)
 
 
-@given(packets(), weights)
-def test_kernel_matches_scalar_selection(packet, hop_weights):
+@given(packets())
+def test_kernel_matches_scalar_selection(packet):
     direct, hops = packet
-    _, relay_min = select_relay(*hops, hop_weights=hop_weights)
-    assert coop(direct, hops, hop_weights) == max(direct, relay_min)
+    _, relay_min = select_relay(*hops)
+    assert coop(direct, hops) == max(direct, relay_min)
 
 
-@given(st.lists(packets(), min_size=1, max_size=20), weights)
-def test_kernel_never_loses_to_the_direct_link(batch, hop_weights):
+@given(st.lists(packets(), min_size=1, max_size=20))
+def test_kernel_never_loses_to_the_direct_link(batch):
     direct = np.array([d for d, _ in batch])
     hops = np.array([h for _, h in batch]).T
-    assert np.all(coop(direct, hops, hop_weights) >= direct)
+    assert np.all(coop(direct, hops) >= direct)
 
 
-@given(packets(), weights)
-def test_swapping_relays_matters_only_on_ties(packet, hop_weights):
+@given(packets())
+def test_swapping_relays_matters_only_on_ties(packet):
+    # Ties included, the order of the relays never changes the result: a tie
+    # picks between equal bottlenecks.
     direct, (sr1, r1h, sr2, r2h) = packet
-    w_in, w_out = hop_weights
-    tie = min(w_in * sr1, w_out * r1h) == min(w_in * sr2, w_out * r2h)
-    same = (coop(direct, (sr1, r1h, sr2, r2h), hop_weights)
-            == coop(direct, (sr2, r2h, sr1, r1h), hop_weights))
-    assert same or tie
+    assert coop(direct, (sr1, r1h, sr2, r2h)) == coop(direct, (sr2, r2h, sr1, r1h))
 
 
-@given(sinrs, sinrs, sinrs, weights)
-def test_zero_hops_give_the_direct_sinr(direct, sr1, sr2, hop_weights):
+@given(sinrs, sinrs, sinrs)
+def test_zero_hops_give_the_direct_sinr(direct, sr1, sr2):
     # A muted relay forwards at zero SINR, whatever it heard from the sensor.
-    assert coop(direct, (sr1, 0.0, sr2, 0.0), hop_weights) == direct
-    assert coop(direct, (0.0, 0.0, 0.0, 0.0), hop_weights) == direct
+    assert coop(direct, (sr1, 0.0, sr2, 0.0)) == direct
+    assert coop(direct, (0.0, 0.0, 0.0, 0.0)) == direct
 
 
 # ----------------------------------------------------------------- superframe
