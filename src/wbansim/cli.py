@@ -80,8 +80,7 @@ def _cmd_gen_traces(args) -> int:
         raise ConfigError("channels: gen-traces needs a synthetic channel source")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .seeding import derive_seed
-    seed = derive_seed(config.master_seed, "channels")
+    seed = engine.channel_seed(config)
     links = engine.required_source_links(config)
     for link in links:
         save_trace(config.channels.trace(link, seed), out_dir / trace_filename(link))
@@ -109,9 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "opportunistic relaying")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="experiment YAML file")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment YAML file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
         p.add_argument("--quiet", action="store_true", help="suppress console output")
@@ -133,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlay-traces",
                        help="overlay extracted shadowing onto a base trace")
-    common(p, config=False)
+    p.add_argument("--quiet", action="store_true", help="suppress console output")
     p.add_argument("--part1", required=True, help="base trace CSV")
     p.add_argument("--shadowing-from", required=True,
                    help="trace CSV donating the shadowing")

@@ -230,7 +230,17 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
     wbans = tuple(_wban(w) for w in top.sections(
         "wbans", "a nonempty list of network definitions"))
-    mac, noise, radio = top.section("mac"), top.section("noise"), top.section("radio")
+    section = top.section("mac")
+    mac = section.build(MacConfig,
+                        section.get("n_coexisting", _as_int, required=True),
+                        section.get("slot_len_ms", _as_float, required=True),
+                        beacon_frac=section.get("beacon_frac", _as_float))
+    # A restatement of the TDMA cycle, which is what sets the epoch.
+    period = top.get("epoch_period_ms", _as_float)
+    if period is not _ABSENT and not abs(period - mac.cycle_ms) <= 1e-9:  # NaN too
+        raise ConfigError(f"epoch_period_ms {period} must equal the TDMA cycle "
+                          f"mac.n_coexisting * mac.slot_len_ms = {mac.cycle_ms}")
+    noise, radio = top.section("noise"), top.section("radio")
     interference, sweep = top.section("interference"), top.section("sweep")
     metrics = top.section("metrics")
     channels = _channels(top.section("channels", required=True), path.parent)
@@ -241,10 +251,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         victim_subject=top.get("victim", _as_int, required=True),
         interferer_subjects=top.get("interferers", _as_ints),
         epochs=top.get("epochs", _as_int, required=True),
-        mac=mac.build(MacConfig,
-                      mac.get("n_coexisting", _as_int, required=True),
-                      mac.get("slot_len_ms", _as_float, required=True),
-                      beacon_frac=mac.get("beacon_frac", _as_float)),
+        mac=mac,
         noise=noise.build(NoiseModel,
                           noise_floor_dbm=noise.get("noise_floor_dbm", _as_float)),
         radio=radio.build(RadioConfig,
@@ -253,10 +260,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         channels=channels,
         master_seed=seed if seed_override is None else seed_override,
         repetitions=top.get("repetitions", _as_int),
-        start_index=top.get("start_index",
-                            lambda value, key: None if value is None else _as_int(value, key)),
         start_indices=top.get("start_indices", _as_start_indices),
-        epoch_period_ms=top.get("epoch_period_ms", _as_float),
         thresholds_db=_thresholds(metrics),
         lcr_ref_threshold_db=metrics.get("lcr_ref_threshold_db", _as_float),
         interferer_source_location=interference.get("source_location", _parse_location),

@@ -138,12 +138,9 @@ class ExperimentConfig:
     channels: SyntheticChannelSource | CsvChannelSource = SyntheticChannelSource()
     master_seed: int = 0
     repetitions: int = 1
-    # A run's first epoch: start_indices[rep] (simulate takes [0]), else
-    # start_index, else 0 for simulate and a drawn index per sweep repetition.
-    start_index: int | None = None
+    # A run's first epoch: start_indices[rep] (simulate takes [0]), else 0
+    # for simulate and a drawn index per sweep repetition.
     start_indices: tuple[int, ...] | None = None
-    # One block-fading epoch spans one TDMA cycle; None takes the cycle.
-    epoch_period_ms: float | None = None
     interferer_source_location: BodyLocation = BodyLocation.LEFT_HIP
     thresholds_db: np.ndarray = field(default_factory=threshold_grid)
     lcr_ref_threshold_db: float = 5.0
@@ -191,17 +188,9 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.start_index is not None and self.start_indices is not None:
-            raise ConfigError("start_index and start_indices are exclusive; set one")
         if self.start_indices is not None and len(self.start_indices) < self.repetitions:
             raise ConfigError(f"start_indices lists {len(self.start_indices)} entries "
                               f"but repetitions is {self.repetitions}")
-        if self.epoch_period_ms is None:
-            object.__setattr__(self, "epoch_period_ms", self.mac.cycle_ms)
-        elif not abs(self.epoch_period_ms - self.mac.cycle_ms) <= 1e-9:  # NaN too
-            raise ConfigError(
-                f"epoch_period_ms {self.epoch_period_ms} must equal the TDMA cycle "
-                f"mac.n_coexisting * mac.slot_len_ms = {self.mac.cycle_ms}")
         if not math.isfinite(self.lcr_ref_threshold_db):
             raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
                               f"got {self.lcr_ref_threshold_db}")
@@ -211,6 +200,11 @@ class ExperimentConfig:
             if wban.subject == subject:
                 return wban
         raise ConfigError(f"no wban defined for subject {subject}")
+
+    @property
+    def epoch_period_ms(self) -> float:
+        """One block-fading epoch spans one TDMA cycle."""
+        return self.mac.cycle_ms
 
     @property
     def victim(self) -> WbanConfig:
@@ -250,6 +244,11 @@ def required_source_links(config: ExperimentConfig) -> list[LinkId]:
     return list(links)
 
 
+def channel_seed(config: ExperimentConfig) -> int:
+    """The seed every source trace of ``config`` is fetched with."""
+    return derive_seed(config.master_seed, "channels")
+
+
 def assemble_channels(config: ExperimentConfig) -> ChannelSet:
     """Fetch, decimate and overlay every trace the simulation needs.
 
@@ -263,7 +262,7 @@ def assemble_channels(config: ExperimentConfig) -> ChannelSet:
     """
     subject = config.victim_subject
     anchor = config.interferer_source_location
-    seed = derive_seed(config.master_seed, "channels")
+    seed = channel_seed(config)
 
     traces: dict[LinkId, ChannelTrace] = {}
     missing: list[str] = []
@@ -422,11 +421,7 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
 def _execute_run(config: ExperimentConfig, channels: ChannelSet,
                  weights: dict[tuple[int, int, str], np.ndarray],
                  start_index: int, rep: int) -> RunResult:
-    victim = config.victim
-    epochs, period = config.epochs, config.epoch_period_ms
-    if abs(channels.sample_period_ms - period) > 1e-9:
-        raise ConfigError(f"assembled channels are sampled at "
-                          f"{channels.sample_period_ms} ms, expected {period} ms")
+    victim, epochs = config.victim, config.epochs
     available = _available_epochs(config, channels)
     if start_index < 0 or start_index + epochs > available:
         raise ConfigError(f"channel traces cover {available} epochs but the run needs "
@@ -455,7 +450,6 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
         return total
 
     noise_mw = config.noise.noise_mw
-    times = (start_index + np.arange(epochs)) * period
     series: dict[int, dict[str, SinrSeries]] = {}
     for i, sensor in enumerate(victim.sensors):
         p_sensor = 10.0 ** (sensor.tx_power_dbm / 10.0)
@@ -469,8 +463,9 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
             p_relay = 10.0 ** (relay.tx_power_dbm / 10.0)
             nu_rh.append(p_relay * link_gain(relay.location, hub_loc) / den_hub_f)
         coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
-        series[i] = {"single": SinrSeries(times, 10.0 * np.log10(nu_direct)),
-                     "coop": SinrSeries(times, 10.0 * np.log10(coop))}
+        series[i] = {scheme: SinrSeries(10.0 * np.log10(nu), config.epoch_period_ms,
+                                        start_index)
+                     for scheme, nu in (("single", nu_direct), ("coop", coop))}
 
     thresholds = config.thresholds_db
     curves: dict[str, dict[str, MetricsCurve]] = {}
@@ -501,16 +496,9 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
 
 
 def run(config: ExperimentConfig) -> RunResult:
-    """Execute one deterministic run.
-
-    It starts at ``start_indices[0]`` if that is set, else at
-    ``start_index``, else at 0.
-    """
+    """Execute one deterministic run, from ``start_indices[0]`` if that is set, else 0."""
     channels = assemble_channels(config)
-    if config.start_indices is not None:
-        start = config.start_indices[0]
-    else:
-        start = config.start_index or 0
+    start = config.start_indices[0] if config.start_indices is not None else 0
     offsets = _draw_offsets(config, (config.victim_subject, *config.interferer_subjects))
     return _execute_run(config, channels, _interference_weights(config, offsets),
                         start, rep=0)
@@ -529,8 +517,6 @@ def _start_index_for(config: ExperimentConfig, victim: int, interferer: int,
                      rep: int, usable: int) -> int:
     if config.start_indices is not None:
         return int(config.start_indices[rep])
-    if config.start_index is not None:
-        return int(config.start_index)
     rng = substream(config.master_seed, "start", victim, interferer, rep)
     return int(rng.integers(0, usable + 1))
 

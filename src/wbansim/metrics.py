@@ -22,41 +22,36 @@ class MetricsError(Exception):
 
 @dataclass(frozen=True)
 class SinrSeries:
-    """Per-packet SINR samples in dB at strictly increasing times."""
+    """Per-packet SINR samples in dB, one per ``period_ms`` from grid index ``start_index``."""
 
-    times_ms: np.ndarray
     values_db: np.ndarray
+    period_ms: float
+    start_index: int
 
     def __post_init__(self):
-        times = np.asarray(self.times_ms, dtype=np.float64)
         values = np.asarray(self.values_db, dtype=np.float64)
-        if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
-            raise MetricsError("times and values must be 1-D arrays of equal length")
-        if times.size == 0:
-            raise MetricsError("series must contain at least one sample")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise MetricsError("series times and values must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise MetricsError("series times must be strictly increasing")
-        for name, arr in (("times_ms", times), ("values_db", values)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if values.ndim != 1 or values.size == 0:
+            raise MetricsError("series values must be a 1-D array of at least one sample")
+        if not np.all(np.isfinite(values)):
+            raise MetricsError("series values must be finite")
+        if not (math.isfinite(self.period_ms) and self.period_ms > 0):
+            raise MetricsError(f"series period must be positive, got {self.period_ms} ms")
+        values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values_db", values)
 
     @property
     def n_samples(self) -> int:
         return int(self.values_db.size)
 
+    @property
+    def times_ms(self) -> np.ndarray:
+        """Sample times: sample k lies at (start_index + k) * period_ms."""
+        return (self.start_index + np.arange(self.n_samples)) * self.period_ms
+
     def cadence_ms(self) -> float:
-        """Uniform sample spacing; raises if the cadence varies."""
-        if self.n_samples < 2:
-            raise MetricsError("cadence undefined for a single-sample series")
-        diffs = np.diff(self.times_ms)
-        # np.allclose(diffs, diffs[0], rtol=1e-9, atol=0) on finite input, without
-        # its broadcasting and non-finite handling.
-        if not np.all(np.abs(diffs - diffs[0]) <= 1e-9 * abs(diffs[0])):
-            raise MetricsError("series cadence is not uniform")
-        return float(diffs[0])
+        """Uniform sample spacing."""
+        return self.period_ms
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,6 @@ def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
     rates = np.zeros(thresholds.size)
     if series.n_samples < 2:
         return rates
-    series.cadence_ms()
     values = series.values_db
     at = np.flatnonzero(values[1:] < values[:-1]) + 1
     low = np.searchsorted(thresholds, values[at], side="right")
@@ -187,7 +181,9 @@ def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
         np.minimum.at(first, cells, samples)
         np.maximum.at(last, cells, samples)
     crossed = count >= 2
-    span_s = (series.times_ms[last[crossed]] - series.times_ms[first[crossed]]) / 1000.0
+    # Grid times of the first and last crossing, computed as times_ms computes them.
+    start, period = series.start_index, series.period_ms
+    span_s = ((start + last[crossed]) * period - (start + first[crossed]) * period) / 1000.0
     rates[crossed] = count[crossed] / span_s
     return rates
 
@@ -198,8 +194,7 @@ def level_crossing_rate(series: SinrSeries, threshold_db: float) -> float:
     A crossing happens at sample i when the series was at or above the
     threshold at i-1 and below it at i. The rate is the crossing count
     divided by the total time between the first and the last crossing;
-    fewer than two crossings give 0 Hz. Requires a uniform cadence and a
-    finite threshold.
+    fewer than two crossings give 0 Hz. Requires a finite threshold.
     """
     return float(_crossing_rates(series, [threshold_db])[0])
 

@@ -256,10 +256,8 @@ def level_crossing_rate_reference(series: SinrSeries, threshold_db: float) -> fl
 
     Sample i crosses when v[i-1] >= threshold > v[i]; the rate is the count
     over the time from the first to the last crossing, 0 Hz for fewer than
-    two. A series of two or more samples must have a uniform cadence.
+    two.
     """
-    if series.n_samples >= 2:
-        series.cadence_ms()
     values = series.values_db
     down = (values[:-1] >= threshold_db) & (values[1:] < threshold_db)
     crossing_idx = np.nonzero(down)[0] + 1

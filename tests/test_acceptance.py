@@ -19,10 +19,10 @@ from oracle import compute_sinr, select_relay
 from wbansim.channel import (LinkId, SyntheticChannelParams, extract_shadowing,
                              fspl_db, generate_synthetic, overlay)
 from wbansim.config import load_config
-from wbansim.engine import assemble_channels, run, sweep
+from wbansim.engine import assemble_channels, channel_seed, run, sweep
 from wbansim.metrics import SinrSeries, level_crossing_rate
 from wbansim.relaying import NoiseModel
-from wbansim.seeding import derive_seed, substream
+from wbansim.seeding import substream
 from wbansim.cli import main
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -55,7 +55,7 @@ def test_relay_selection_matches_bruteforce_oracle():
 
 def test_cooperation_dominates_single_link_everywhere():
     config = load_config(DEFAULT_CONFIG)
-    result = run(replace(config, start_index=0))
+    result = run(config)
     packet_ok = all(np.all(result.series[i]["coop"].values_db
                            >= result.series[i]["single"].values_db)
                     for i in result.series)
@@ -77,12 +77,11 @@ def test_sinr_arithmetic_fixture():
 
 
 def test_lcr_fixture_and_degenerate_series():
-    times = np.arange(5) * 120.0
-    fixture = SinrSeries(times, np.array([10.0, 2.0, 10.0, 2.0, 10.0]))
+    fixture = SinrSeries(np.array([10.0, 2.0, 10.0, 2.0, 10.0]), 120.0, 0)
     rate = level_crossing_rate(fixture, 5.0)
     expected = 2.0 / 0.24
     error = abs(rate - expected) / expected
-    flat = level_crossing_rate(SinrSeries(times, np.full(5, 7.0)), 5.0)
+    flat = level_crossing_rate(SinrSeries(np.full(5, 7.0), 120.0, 0), 5.0)
     ok = error < 1e-9 and flat == 0.0
     report(ok, "lcr fixture", f"rate {rate:.6f} Hz (error {error:.2e}), flat {flat}")
     assert error < 1e-9
@@ -105,7 +104,7 @@ def test_channel_composition_identities():
     config = load_config(DEFAULT_CONFIG)
     channels = assemble_channels(config)
     base_link = LinkId.parse("2:LH->1:LH")
-    source = config.channels.trace(base_link, derive_seed(config.master_seed, "channels"))
+    source = config.channels.trace(base_link, channel_seed(config))
     passthrough = np.array_equal(channels.trace(base_link).samples, source.samples)
 
     ok = max_err <= 1e-12 and identity_exact and passthrough

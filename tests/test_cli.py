@@ -202,6 +202,17 @@ def test_overlay_traces_rejects_period_mismatch(tmp_path, capsys):
     assert "sample periods" in capsys.readouterr().err
 
 
+def test_overlay_traces_takes_no_seed(tmp_path, capsys):
+    # overlay-traces draws nothing at random, so a seed would be ignored.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["overlay-traces", "--seed", "5", "--part1", str(tmp_path / "base.csv"),
+              "--shadowing-from", str(tmp_path / "donor.csv"), "--distance-m", "0.4",
+              "--out-file", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_outputs_and_determinism(tmp_path):

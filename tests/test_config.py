@@ -204,8 +204,9 @@ start_indices: [0, 5, 9]
     assert config.start_indices == (0, 5, 9)
     with pytest.raises(ConfigError, match="start_indices"):
         load_config(write_config(tmp_path, BASE + "\nstart_indices: []\n"))
-    with pytest.raises(ConfigError, match="start_index and start_indices"):
-        load_config(write_config(tmp_path, BASE + "start_index: 0\nstart_indices: [0]\n"))
+    # start_indices is the one start pin; a single start_index is no key.
+    with pytest.raises(ConfigError, match=re.escape("top level: unknown key(s) start_index")):
+        load_config(write_config(tmp_path, BASE + "start_index: 0\n"))
     with pytest.raises(ConfigError, match="start_indices lists 2 entries but repetitions is 3"):
         load_config(write_config(tmp_path, BASE + "repetitions: 3\nstart_indices: [0, 5]\n"))
 

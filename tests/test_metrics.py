@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import read_curve_csv
@@ -14,56 +14,29 @@ from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries,
 
 def series(values, period_ms=120.0):
     values = np.asarray(values, dtype=float)
-    return SinrSeries(np.arange(values.size) * period_ms, values)
+    return SinrSeries(values, period_ms, 0)
 
 
 # --------------------------------------------------------------------- series
 
 def test_series_validation():
-    with pytest.raises(MetricsError, match="equal length"):
-        SinrSeries(np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(MetricsError, match="1-D"):
+        SinrSeries(np.ones((2, 2)), 120.0, 0)
     with pytest.raises(MetricsError, match="at least one"):
-        SinrSeries(np.array([]), np.array([]))
+        SinrSeries(np.array([]), 120.0, 0)
     with pytest.raises(MetricsError, match="finite"):
         series([1.0, np.nan])
-    with pytest.raises(MetricsError, match="strictly increasing"):
-        SinrSeries(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+    for period in (0.0, -120.0, math.nan, math.inf):
+        with pytest.raises(MetricsError, match="period must be positive"):
+            series([1.0, 2.0], period)
 
 
 def test_series_cadence():
     assert series([1.0, 2.0, 3.0]).cadence_ms() == 120.0
-    ragged = SinrSeries(np.array([0.0, 120.0, 250.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(MetricsError, match="not uniform"):
-        ragged.cadence_ms()
-    with pytest.raises(MetricsError, match="single-sample"):
-        series([1.0]).cadence_ms()
-
-
-@st.composite
-def sample_times(draw):
-    """Uniform grids, and grids whose steps are jittered by up to about 1e-9 or far more."""
-    start = draw(st.floats(-1e6, 1e6))
-    step = draw(st.floats(1e-3, 1e4))
-    n = draw(st.integers(2, 60))
-    scale = draw(st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 2e-9, 1e-6, 0.5]))
-    jitter = draw(st.lists(st.floats(-scale, scale), min_size=n - 1, max_size=n - 1))
-    if scale == 0.0:
-        times = start + step * np.arange(n)
-    else:
-        times = start + np.concatenate([[0.0], np.cumsum(step * (1.0 + np.array(jitter)))])
-    assume(np.all(np.diff(times) > 0))
-    return times
-
-
-@given(sample_times())
-def test_cadence_check_agrees_with_allclose(times):
-    diffs = np.diff(times)
-    uniform = np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0)
-    try:
-        assert SinrSeries(times, np.zeros(times.size)).cadence_ms() == diffs[0]
-        assert uniform
-    except MetricsError:
-        assert not uniform
+    assert series([1.0]).cadence_ms() == 120.0
+    # Sample k of a series lies at (start_index + k) * period_ms, as the engine's grid.
+    late = SinrSeries(np.zeros(4), 120.0, 5)
+    assert late.times_ms.tobytes() == ((5 + np.arange(4)) * 120.0).tobytes()
 
 
 # --------------------------------------------------------------------- outage
@@ -163,14 +136,6 @@ def test_lcr_degenerate_cases():
     np.testing.assert_array_equal(lcr_curve(series([7.0, 7.0, 7.0])).values, np.zeros(161))
 
 
-def test_lcr_needs_uniform_cadence():
-    ragged = SinrSeries(np.array([0.0, 120.0, 250.0]), np.array([10.0, 2.0, 10.0]))
-    with pytest.raises(MetricsError, match="not uniform"):
-        level_crossing_rate(ragged, 5.0)
-    with pytest.raises(MetricsError, match="not uniform"):
-        lcr_curve(ragged)
-
-
 def test_lcr_needs_finite_thresholds():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(MetricsError, match="thresholds must be finite"):
@@ -193,20 +158,14 @@ grids = st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=30, unique=True).m
 def series_on_grid(draw):
     """A series whose values hit grid points and stay flat in runs, and its grid.
 
-    Its times are uniform at one of several cadences, or ragged where the
-    cadence changes part way through.
+    It is sampled at one of several periods, from a drawn grid index.
     """
     grid = draw(st.one_of(st.just(threshold_grid()), grids))
     level = st.one_of(st.sampled_from(grid.tolist()), st.floats(-45.0, 45.0))
     runs = draw(st.lists(st.tuples(level, st.integers(1, 4)), min_size=1, max_size=60))
     values = np.repeat([v for v, _ in runs], [k for _, k in runs])
-    cadences = st.sampled_from([0.5, 1.0, 7.5, 15.0, 120.0])
-    first, second = draw(cadences), draw(cadences)
-    split = draw(st.integers(0, values.size))
-    steps = np.where(np.arange(values.size - 1) < split, first, second)
-    start = draw(st.floats(0.0, 1e4))
-    times = start + np.concatenate([[0.0], np.cumsum(steps)])
-    return SinrSeries(times, values), grid
+    period = draw(st.sampled_from([0.5, 1.0, 7.5, 15.0, 120.0]))
+    return SinrSeries(values, period, draw(st.integers(0, 40_000))), grid
 
 
 def test_lcr_curve_equals_the_definition_on_a_long_series():
@@ -220,12 +179,7 @@ def test_lcr_curve_equals_the_definition_on_a_long_series():
 @given(series_on_grid())
 def test_lcr_curve_equals_the_per_threshold_definition(case):
     sinr, grid = case
-    try:
-        want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
-    except MetricsError:
-        with pytest.raises(MetricsError, match="not uniform"):
-            lcr_curve(sinr, grid)
-        return
+    want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
     got = lcr_curve(sinr, grid).values
     assert got.tobytes() == want.tobytes()
     assert np.all(got >= 0.0)
@@ -235,12 +189,7 @@ def test_lcr_curve_equals_the_per_threshold_definition(case):
 def test_lcr_at_one_threshold_equals_the_definition(case, threshold):
     sinr, grid = case
     for t in (threshold, float(grid[0])):
-        try:
-            want = level_crossing_rate_reference(sinr, t)
-        except MetricsError:
-            with pytest.raises(MetricsError, match="not uniform"):
-                level_crossing_rate(sinr, t)
-            continue
+        want = level_crossing_rate_reference(sinr, t)
         got = level_crossing_rate(sinr, t)
         assert got == want and got >= 0.0
 

@@ -1,4 +1,4 @@
-"""The gain rule and seed ranges of tools/bench_pairs.py."""
+"""The gain rule, the no-regression verdict and seed ranges of tools/bench_pairs.py."""
 
 import argparse
 import sys
@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_pairs import parse_seeds, verdict  # noqa: E402
+from bench_pairs import parse_seeds, regression, verdict  # noqa: E402
 
 # Ten base runs whose quartiles are 1.0225 and 1.0675: a spread of 0.045.
 BASE = [1.00 + 0.01 * k for k in range(10)]
@@ -44,6 +44,28 @@ def test_more_failed_operations_on_the_change_side_do_not_hold():
     faster = [b - 0.5 for b in BASE]
     assert verdict(BASE, faster, "lower", {"base": 0, "change": 1}) == (10, False)
     assert verdict(BASE, faster, "lower", {"base": 2, "change": 2}) == (10, True)
+
+
+def test_a_change_within_the_bound_is_no_worse():
+    # 10 % slower, inside a 25 % bound, on a base whose spread (4.3 %) is inside it too.
+    assert regression(BASE, [b * 1.10 for b in BASE], "lower", 0.25) == "no worse"
+    assert regression(BASE, [b * 0.90 for b in BASE], "higher", 0.25) == "no worse"
+
+
+def test_a_median_past_the_bound_is_worse():
+    assert regression(BASE, [b * 1.30 for b in BASE], "lower", 0.25) == "worse"
+    assert regression(BASE, [b * 0.70 for b in BASE], "higher", 0.25) == "worse"
+    # Worse past the bound is reported as worse even when the base spreads wider.
+    assert regression(BASE, [b * 1.30 for b in BASE], "lower", 0.01) == "worse"
+
+
+def test_a_base_spread_past_the_bound_is_unresolved():
+    # The base's quartiles lie 4.3 % of its median apart, past a 2 % bound.
+    assert regression(BASE, [b * 1.01 for b in BASE], "lower", 0.02) == "unresolved"
+    # Unless every change run beats every base run.
+    faster = [BASE[0] - 0.01 * (k + 1) for k in range(10)]
+    assert regression(BASE, faster, "lower", 0.02) == "no worse"
+    assert regression(BASE, faster[:9] + [BASE[0]], "lower", 0.02) == "unresolved"
 
 
 def test_seed_ranges():

@@ -10,7 +10,11 @@ and quartiles per metric, the number of pairs the change wins (ties count for
 neither side), and whether the gain rule holds for that metric: the change
 wins at least nine tenths of the pairs, its median is better than the base's
 by more than the distance between the base's quartiles, and no more of its
-operations fail.
+operations fail. Beside it stands the no-regression verdict under the metric's
+``bound``: "worse" when the change's median is worse than the base's by more
+than that fraction of the base median, else "unresolved" when the base's
+quartile spread exceeds that much and not every change run beats every base
+run, else "no worse".
 """
 
 from __future__ import annotations
@@ -58,6 +62,18 @@ def verdict(base: list[float], change: list[float], better: str,
     return wins, holds
 
 
+def regression(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict: "no worse", "worse" or "unresolved"."""
+    sign = -1.0 if better == "lower" else 1.0
+    q1, base_median, q3 = quartiles(base)
+    allowed = bound * abs(base_median)
+    if sign * (quartiles(change)[1] - base_median) < -allowed:
+        return "worse"
+    if q3 - q1 > allowed and not all(sign * (c - b) > 0 for b in base for c in change):
+        return "unresolved"
+    return "no worse"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="parent checkout")
@@ -98,7 +114,7 @@ def main(argv=None) -> int:
           f"{failed['change']}; every run correct: base {correct['base']}, "
           f"change {correct['change']}")
     print(f"{'metric':14s} {'unit':5s} {'base median [q1, q3]':28s} "
-          f"{'change median [q1, q3]':28s} {'wins':>6s}  gain rule")
+          f"{'change median [q1, q3]':28s} {'wins':>6s}  {'gain rule':13s}  no-regression")
     for m in metrics:
         base, change = values["base"][m["name"]], values["change"][m["name"]]
         wins, holds = verdict(base, change, m["better"], failed)
@@ -107,7 +123,9 @@ def main(argv=None) -> int:
             q1, median, q3 = quartiles(side_values)
             cells.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
         print(f"{m['name']:14s} {m['unit']:5s} {cells[0]:28s} {cells[1]:28s} "
-              f"{wins:3d}/{len(base):<2d}  {'holds' if holds else 'does not hold'}")
+              f"{wins:3d}/{len(base):<2d}  {'holds' if holds else 'does not hold':13s}  "
+              f"{regression(base, change, m['better'], m['bound'])} "
+              f"(bound {m['bound']:g})")
     return 0
 
 
