@@ -125,10 +125,6 @@ class ChannelTrace:
     def n_samples(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration_ms(self) -> float:
-        return self.n_samples * self.sample_period_ms
-
 
 @dataclass(frozen=True)
 class SyntheticChannelParams:
@@ -325,11 +321,6 @@ class ChannelSet:
         periods = {t.sample_period_ms for t in self._traces.values()}
         if len(periods) != 1:
             raise TraceError(f"channel set mixes sample periods: {sorted(periods)}")
-        self._period = periods.pop()
-
-    @property
-    def sample_period_ms(self) -> float:
-        return self._period
 
     def trace(self, link: LinkId) -> ChannelTrace:
         try:

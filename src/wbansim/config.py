@@ -19,7 +19,7 @@ from .channel import BodyLocation, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
                      SyntheticChannelSource)
 from .metrics import threshold_grid
-from .network import MacConfig, NodeSpec, Role, WbanConfig
+from .network import MacConfig, NodeSpec, WbanConfig
 from .relaying import NoiseModel
 
 # What ``_Section.get`` returns for an absent key; ``build`` drops it, so
@@ -154,8 +154,8 @@ class _Section:
             raise ConfigError(f"{self.label}: {exc}") from None
 
 
-def _node(section: _Section, role: Role) -> NodeSpec:
-    return section.build(NodeSpec, role,
+def _node(section: _Section) -> NodeSpec:
+    return section.build(NodeSpec,
                          section.get("location", _parse_location, required=True),
                          tx_power_dbm=section.get("tx_power_dbm", _as_power))
 
@@ -164,10 +164,10 @@ def _wban(section: _Section) -> WbanConfig:
     return section.build(
         WbanConfig,
         section.get("subject", _as_int, required=True),
-        _node(section.section("hub", required=True), Role.HUB),
-        tuple(_node(relay, Role.RELAY) for relay in section.sections(
+        _node(section.section("hub", required=True)),
+        tuple(_node(relay) for relay in section.sections(
             "relays", "a list of exactly 2 nodes", lambda n: n == 2)),
-        tuple(_node(sensor, Role.SENSOR) for sensor in section.sections(
+        tuple(_node(sensor) for sensor in section.sections(
             "sensors", "a nonempty list of nodes")))
 
 

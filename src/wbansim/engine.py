@@ -191,6 +191,9 @@ class ExperimentConfig:
         if self.start_indices is not None and len(self.start_indices) < self.repetitions:
             raise ConfigError(f"start_indices lists {len(self.start_indices)} entries "
                               f"but repetitions is {self.repetitions}")
+        for k, start in enumerate(self.start_indices or ()):
+            if start < 0:
+                raise ConfigError(f"start_indices[{k}] must be >= 0, got {start}")
         if not math.isfinite(self.lcr_ref_threshold_db):
             raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
                               f"got {self.lcr_ref_threshold_db}")
@@ -422,10 +425,6 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
                  weights: dict[tuple[int, int, str], np.ndarray],
                  start_index: int, rep: int) -> RunResult:
     victim, epochs = config.victim, config.epochs
-    available = _available_epochs(config, channels)
-    if start_index < 0 or start_index + epochs > available:
-        raise ConfigError(f"channel traces cover {available} epochs but the run needs "
-                          f"[{start_index}, {start_index + epochs})")
     window = slice(start_index, start_index + epochs)
     subject, hub_loc = victim.subject, victim.hub.location
     anchor = config.interferer_source_location
@@ -495,13 +494,48 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
                      series, curves, summary)
 
 
+def _run_combination(config: ExperimentConfig, channels: ChannelSet,
+                     offsets: Mapping[int, np.ndarray], repetitions: int,
+                     draw_starts: bool) -> list[RunResult]:
+    """The first ``repetitions`` runs of the configured victim against its interferers.
+
+    Run ``rep`` starts at ``start_indices[rep]`` if that is set, else at a
+    start drawn from the "start", victim, interferer, rep stream if
+    ``draw_starts`` (one interferer only), else at 0. Every window is
+    checked against the traces before any run, and the interference
+    weights are computed once for all of them.
+    """
+    epochs = config.epochs
+    available = _available_epochs(config, channels)
+    usable = available - epochs
+    if usable < 0:
+        raise ConfigError(f"epochs: each run needs {epochs} epochs but the channel "
+                          f"traces cover {available}")
+    if config.start_indices is not None:
+        starts = config.start_indices[:repetitions]
+        for k, start in enumerate(starts):
+            if start > usable:
+                raise ConfigError(f"start_indices[{k}]: a run from epoch {start} needs "
+                                  f"[{start}, {start + epochs}) but the channel traces "
+                                  f"cover {available} epochs")
+    elif draw_starts:
+        (interferer,) = config.interferer_subjects
+        starts = [int(substream(config.master_seed, "start", config.victim_subject,
+                                interferer, rep).integers(0, usable + 1))
+                  for rep in range(repetitions)]
+    else:
+        starts = [0] * repetitions
+    weights = _interference_weights(config, offsets)
+    return [_execute_run(config, channels, weights, start, rep)
+            for rep, start in enumerate(starts)]
+
+
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one deterministic run, from ``start_indices[0]`` if that is set, else 0."""
     channels = assemble_channels(config)
-    start = config.start_indices[0] if config.start_indices is not None else 0
     offsets = _draw_offsets(config, (config.victim_subject, *config.interferer_subjects))
-    return _execute_run(config, channels, _interference_weights(config, offsets),
-                        start, rep=0)
+    (result,) = _run_combination(config, channels, offsets, 1, draw_starts=False)
+    return result
 
 
 @dataclass
@@ -511,29 +545,6 @@ class SweepResult:
     rows: list[SummaryRow]
     aggregates: list[AggregateRow]
     runs: list[RunResult]
-
-
-def _start_index_for(config: ExperimentConfig, victim: int, interferer: int,
-                     rep: int, usable: int) -> int:
-    if config.start_indices is not None:
-        return int(config.start_indices[rep])
-    rng = substream(config.master_seed, "start", victim, interferer, rep)
-    return int(rng.integers(0, usable + 1))
-
-
-def _run_pair(config: ExperimentConfig, channels: ChannelSet,
-              offsets: Mapping[int, np.ndarray]) -> list[RunResult]:
-    """Every repetition of one (victim, interferer) pair on shared channels and offsets."""
-    victim, (interferer,) = config.victim_subject, config.interferer_subjects
-    available = _available_epochs(config, channels)
-    usable = available - config.epochs
-    if usable < 0:
-        raise ConfigError(f"channel traces cover {available} epochs "
-                          f"but each run needs {config.epochs}")
-    weights = _interference_weights(config, offsets)
-    return [_execute_run(config, channels, weights,
-                         _start_index_for(config, victim, interferer, rep, usable), rep)
-            for rep in range(config.repetitions)]
 
 
 def sweep(config: ExperimentConfig) -> SweepResult:
@@ -560,9 +571,10 @@ def sweep(config: ExperimentConfig) -> SweepResult:
         channels = assemble_channels(replace(config, victim_subject=victim,
                                              interferer_subjects=foes))
         for interferer in foes:
-            results = _run_pair(replace(config, victim_subject=victim,
-                                        interferer_subjects=(interferer,)),
-                                channels, offsets)
+            results = _run_combination(replace(config, victim_subject=victim,
+                                               interferer_subjects=(interferer,)),
+                                       channels, offsets, config.repetitions,
+                                       draw_starts=True)
             runs.extend(results)
             pair_rows = [row for result in results for row in result.summary]
             rows.extend(pair_rows)

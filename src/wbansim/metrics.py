@@ -44,11 +44,6 @@ class SinrSeries:
     def n_samples(self) -> int:
         return int(self.values_db.size)
 
-    @property
-    def times_ms(self) -> np.ndarray:
-        """Sample times: sample k lies at (start_index + k) * period_ms."""
-        return (self.start_index + np.arange(self.n_samples)) * self.period_ms
-
     def cadence_ms(self) -> float:
         """Uniform sample spacing."""
         return self.period_ms
@@ -181,7 +176,7 @@ def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
         np.minimum.at(first, cells, samples)
         np.maximum.at(last, cells, samples)
     crossed = count >= 2
-    # Grid times of the first and last crossing, computed as times_ms computes them.
+    # Sample k lies at grid time (start_index + k) * period_ms.
     start, period = series.start_index, series.period_ms
     span_s = ((start + last[crossed]) * period - (start + first[crossed]) * period) / 1000.0
     rates[crossed] = count[crossed] / span_s

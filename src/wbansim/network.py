@@ -10,7 +10,6 @@ partially. Collisions are quantified by circular interval overlap.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -22,21 +21,16 @@ COORDINATOR_LOCATIONS = frozenset(
     {BodyLocation.CHEST, BodyLocation.LEFT_HIP, BodyLocation.RIGHT_HIP})
 
 
-class Role(enum.Enum):
-    HUB = "hub"
-    RELAY = "relay"
-    SENSOR = "sensor"
-
-
 @dataclass(frozen=True)
 class NodeSpec:
-    """One body-worn device: role, placement and transmit power.
+    """One body-worn device: placement and transmit power.
+
+    Its role is the slot of ``WbanConfig`` that holds it.
 
     tx_power_dbm may be -inf to mute a transmitter (a muted interferer is
     indistinguishable from an absent one); NaN and +inf are rejected.
     """
 
-    role: Role
     location: BodyLocation
     tx_power_dbm: float = 0.0
 
@@ -61,12 +55,10 @@ class WbanConfig:
     sensors: tuple[NodeSpec, ...]
 
     def __post_init__(self):
-        if self.hub.role != Role.HUB:
-            raise ValueError("hub node must have role HUB")
-        if len(self.relays) != 2 or any(r.role != Role.RELAY for r in self.relays):
-            raise ValueError("exactly two relay nodes with role RELAY are required")
-        if not 1 <= len(self.sensors) <= 3 or any(s.role != Role.SENSOR for s in self.sensors):
-            raise ValueError("one to three sensor nodes with role SENSOR are required")
+        if len(self.relays) != 2:
+            raise ValueError("exactly two relay nodes are required")
+        if not 1 <= len(self.sensors) <= 3:
+            raise ValueError("one to three sensor nodes are required")
         coord_locs = {self.hub.location, self.relays[0].location, self.relays[1].location}
         if len(coord_locs) != 3 or not coord_locs <= COORDINATOR_LOCATIONS:
             raise ValueError("hub and relays must occupy three distinct locations "
@@ -105,9 +97,12 @@ class MacConfig:
 
 @dataclass(frozen=True)
 class SuperframeLayout:
-    """Sub-interval layout of one superframe, relative to its offset."""
+    """Sub-interval layout of one superframe, relative to its offset.
 
-    beacon: tuple[float, float]
+    ``transmissions`` lists (rel start, dur, node) in time order; the first
+    is the hub's beacon.
+    """
+
     broadcast: tuple[tuple[float, float], ...]  # per sensor: (rel start, dur)
     forward: tuple[tuple[float, float], ...]
     transmissions: tuple[tuple[float, float, NodeSpec], ...]
@@ -137,7 +132,7 @@ def superframe_layout(wban: WbanConfig, mac: MacConfig) -> SuperframeLayout:
         forward.append((f_rel, half))
         txs.append((b_rel, half, sensor))
         txs.append((f_rel, half, wban.relays[i % len(wban.relays)]))
-    return SuperframeLayout((0.0, beacon_dur), tuple(broadcast), tuple(forward), tuple(txs))
+    return SuperframeLayout(tuple(broadcast), tuple(forward), tuple(txs))
 
 
 def overlap_lengths(delta, dur_a, dur_b, cycle_ms):

@@ -9,7 +9,7 @@ import numpy as np
 from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId, _read_float_pairs
 from wbansim.engine import ConfigError, ExperimentConfig, SyntheticChannelSource
 from wbansim.metrics import MetricsCurve, MetricsError
-from wbansim.network import NodeSpec, Role, WbanConfig
+from wbansim.network import NodeSpec, WbanConfig
 
 C = BodyLocation.CHEST
 LH = BodyLocation.LEFT_HIP
@@ -23,9 +23,9 @@ def make_wban(subject=1, sensor_locs=(HD,), sensor_power=0.0, relay_power=0.0,
     """Star network with hub at the chest and relays on the hips."""
     return WbanConfig(
         subject,
-        NodeSpec(Role.HUB, C, hub_power),
-        (NodeSpec(Role.RELAY, LH, relay_power), NodeSpec(Role.RELAY, RH, relay_power)),
-        tuple(NodeSpec(Role.SENSOR, loc, sensor_power) for loc in sensor_locs))
+        NodeSpec(C, hub_power),
+        (NodeSpec(LH, relay_power), NodeSpec(RH, relay_power)),
+        tuple(NodeSpec(loc, sensor_power) for loc in sensor_locs))
 
 
 def constant_set(gains, n=4, period_ms=120.0):

@@ -79,7 +79,7 @@ def build_schedule(wban: WbanConfig, mac: MacConfig, offset_ms: float,
         raise ValueError(f"offset {offset_ms} ms outside [0, {cycle}) ms")
     layout = superframe_layout(wban, mac)
     entries = [ScheduledTx("beacon", wban.hub,
-                           Interval(offset_ms % cycle, layout.beacon[1]))]
+                           Interval(offset_ms % cycle, layout.transmissions[0][1]))]
     for i in range(len(wban.sensors)):
         b_rel, b_dur = layout.broadcast[i]
         f_rel, f_dur = layout.forward[i]
@@ -264,7 +264,8 @@ def level_crossing_rate_reference(series: SinrSeries, threshold_db: float) -> fl
     n = int(crossing_idx.size)
     if n <= 1:
         return 0.0
-    crossing_times = series.times_ms[crossing_idx]
+    # Sample k lies at grid time (start_index + k) * period_ms.
+    crossing_times = (series.start_index + crossing_idx) * series.period_ms
     return n / (float(crossing_times[-1] - crossing_times[0]) / 1000.0)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
                              MissingLinkError, SyntheticChannelParams, TraceError,
@@ -52,17 +54,29 @@ def test_trace_validation():
     with pytest.raises(ValueError):
         trace.samples[0] = 0.0  # frozen array
     assert trace.n_samples == 2
-    assert trace.duration_ms == 240.0
+    assert trace.sample_period_ms == 120.0
 
 
-def test_save_load_round_trip(tmp_path):
-    trace = make_trace([-55.25, -60.0, -48.9375], period_ms=15.0)
+_ENDPOINTS = st.tuples(st.integers(0, 99), st.sampled_from(BodyLocation))
+_LINKS = st.tuples(_ENDPOINTS, _ENDPOINTS).filter(lambda ends: ends[0] != ends[1]).map(
+    lambda ends: LinkId(*ends[0], *ends[1]))
+
+
+# Every file in tmp_path is overwritten by the next example, so sharing it is safe.
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(link=_LINKS,
+       period_ms=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       gains=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=40))
+def test_save_load_round_trip(tmp_path, link, period_ms, gains):
+    trace = make_trace(gains, period_ms=period_ms, link=link)
     path = tmp_path / "t.csv"
     save_trace(trace, path)
     loaded = load_trace(path)
     assert loaded.link == trace.link
     assert loaded.sample_period_ms == trace.sample_period_ms
-    np.testing.assert_array_equal(loaded.samples, trace.samples)
+    assert loaded.samples.tobytes() == trace.samples.tobytes()
 
 
 @pytest.mark.parametrize("content,lineno,message", [
@@ -215,7 +229,7 @@ def test_channel_set_lookup_and_errors():
     traces = [make_trace([1.0, 2.0]),
               make_trace([3.0, 4.0], link=LinkId.parse("1:HD->1:LH"))]
     channels = ChannelSet(traces)
-    assert channels.sample_period_ms == 120.0
+    assert channels.trace(LINK).sample_period_ms == 120.0
     assert channels.trace(LINK).samples[1] == 2.0
     with pytest.raises(MissingLinkError, match="1:HD->1:RH"):
         channels.trace(LinkId.parse("1:HD->1:RH"))

@@ -241,3 +241,33 @@ sweep:
     assert {p.name for p in (out / "runs").iterdir()} == {"1x2", "2x1"}
     summary = (out / "summary.csv").read_text().splitlines()
     assert len(summary) == 1 + 2 * 2 * 2  # pairs x reps x schemes
+
+
+# ------------------------------------------------------------ benchmark hooks
+
+def test_the_benchmark_tracer_hooks_are_live_and_restored(tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps wbansim functions at module and class
+    # attributes it names by string; a rename that breaks one fails here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    patched = list(tracer._patches)
+    try:
+        rc = tracer.op(main, ["simulate", "--config", write_config(tmp_path),
+                              "--out", str(tmp_path / "out"), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert patched
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+    # Each wrapper sits where the simulate path looks its function up.
+    counts = tracer.counts()
+    for name in ("metrics.series", "metrics.lcr_calls", "metrics.crossing_evals",
+                 "engine.assemble_calls", "channel.fetch_calls", "channel.generate_calls",
+                 "network.layout_calls", "network.overlap_calls", "cli.files_written"):
+        assert counts[name] > 0, name
+    spans = {span.name for span in tracer.spans}
+    assert {"config.load", "engine.run", "engine.assemble", "metrics.outage",
+            "metrics.quantile", "cli.write"} <= spans

@@ -209,6 +209,9 @@ start_indices: [0, 5, 9]
         load_config(write_config(tmp_path, BASE + "start_index: 0\n"))
     with pytest.raises(ConfigError, match="start_indices lists 2 entries but repetitions is 3"):
         load_config(write_config(tmp_path, BASE + "repetitions: 3\nstart_indices: [0, 5]\n"))
+    # A negative start fails at load, by key.
+    with pytest.raises(ConfigError, match=re.escape("start_indices[0] must be >= 0, got -3")):
+        load_config(write_config(tmp_path, BASE + "start_indices: [-3]\n"))
 
 
 @pytest.mark.parametrize("text,key", [

@@ -60,6 +60,7 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
      "^interferers: duplicate subject ids"),
     (dict(sweep_victims=(1, 1)), "^sweep.victims: duplicate subject ids"),
     (dict(sweep_interferers=(2, 2)), "^sweep.interferers: duplicate subject ids"),
+    (dict(repetitions=2, start_indices=(0, -3)), r"^start_indices\[1\] must be >= 0, got -3$"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ConfigError, match=match):
@@ -130,10 +131,9 @@ def test_assemble_downsamples_to_epoch_period(tmp_path):
                    tmp_path / f"t{k}.csv")
     channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path),
                                              epochs=8))
-    assert channels.sample_period_ms == 120.0
-    np.testing.assert_array_equal(
-        channels.trace(LinkId.parse("1:HD->1:C")).samples,
-        np.arange(0.0, 24.0, 3.0))
+    trace = channels.trace(LinkId.parse("1:HD->1:C"))
+    assert trace.sample_period_ms == 120.0
+    np.testing.assert_array_equal(trace.samples, np.arange(0.0, 24.0, 3.0))
 
 
 def test_assemble_needs_a_distance_for_the_anchor_pairs():
@@ -166,6 +166,9 @@ def test_run_matches_per_epoch_reference():
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2)),
                          epochs=30, start_indices=(5,), master_seed=11)
     result = run(config)
+    # Sample e of every series lies at grid epoch 5 + e.
+    assert {(s.start_index, s.period_ms) for by_scheme in result.series.values()
+            for s in by_scheme.values()} == {(5, 120.0)}
     channels = assemble_channels(config)
     cycle = config.mac.cycle_ms
     offsets = {s: substream(config.master_seed, "offsets", s)
@@ -178,7 +181,6 @@ def test_run_matches_per_epoch_reference():
                                         anchor=config.interferer_source_location)
         for d in decisions:
             got = result.series[d.sensor_index]
-            assert got["single"].times_ms[e] == (5 + e) * 120.0
             np.testing.assert_allclose(
                 10.0 ** (got["single"].values_db[e] / 10.0), d.single, rtol=1e-9)
             np.testing.assert_allclose(
@@ -399,10 +401,25 @@ def test_run_takes_the_first_of_start_indices():
 
 
 def test_run_window_bounds_are_checked():
-    with pytest.raises(ConfigError, match="cover"):
+    # The traces cover 200 epochs: an error names the key that overruns them.
+    with pytest.raises(ConfigError, match=r"^epochs: each run needs 300 epochs but the "
+                                          r"channel traces cover 200$"):
         run(base_config(epochs=300))
-    with pytest.raises(ConfigError, match="cover"):
-        run(base_config(start_indices=(190,)))
+    with pytest.raises(ConfigError, match=r"^start_indices\[0\]: a run from epoch 161 "
+                                          r"needs \[161, 201\) but the channel traces "
+                                          r"cover 200 epochs$"):
+        run(base_config(start_indices=(161,)))
+    assert run(base_config(start_indices=(160,))).start_index == 160
+
+
+def test_a_sweep_checks_every_window_before_any_run(monkeypatch):
+    started = []
+    execute = engine._execute_run
+    monkeypatch.setattr(engine, "_execute_run",
+                        lambda *args: started.append(args[3]) or execute(*args))
+    with pytest.raises(ConfigError, match=r"^start_indices\[1\]: a run from epoch 195"):
+        sweep(base_config(epochs=10, repetitions=2, start_indices=(0, 195)))
+    assert started == []
 
 
 # ------------------------------------------------------------------ csv parity

@@ -34,9 +34,9 @@ def test_series_validation():
 def test_series_cadence():
     assert series([1.0, 2.0, 3.0]).cadence_ms() == 120.0
     assert series([1.0]).cadence_ms() == 120.0
-    # Sample k of a series lies at (start_index + k) * period_ms, as the engine's grid.
+    # Sample k of a series lies at grid time (start_index + k) * period_ms.
     late = SinrSeries(np.zeros(4), 120.0, 5)
-    assert late.times_ms.tobytes() == ((5 + np.arange(4)) * 120.0).tobytes()
+    assert (late.start_index, late.period_ms, late.n_samples) == (5, 120.0, 4)
 
 
 # --------------------------------------------------------------------- outage

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import C, HD, LH, LW, RH, make_wban
+from helpers import HD, LH, LW, make_wban
 from oracle import Interval, active_interferers, build_schedule, overlap_fraction
 from wbansim.channel import BodyLocation
-from wbansim.network import (MacConfig, NodeSpec, Role, WbanConfig, overlap_lengths,
+from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
                              superframe_layout)
 from wbansim.seeding import substream
 
@@ -31,13 +31,10 @@ def test_mac_config_rejects(kwargs):
 
 def test_wban_config_validation():
     wban = make_wban(sensor_locs=(HD, LW))
-    with pytest.raises(ValueError, match="role HUB"):
-        WbanConfig(1, NodeSpec(Role.SENSOR, C), wban.relays, wban.sensors)
     with pytest.raises(ValueError, match="distinct locations"):
-        WbanConfig(1, wban.hub,
-                   (NodeSpec(Role.RELAY, LH), NodeSpec(Role.RELAY, LH)), wban.sensors)
+        WbanConfig(1, wban.hub, (NodeSpec(LH), NodeSpec(LH)), wban.sensors)
     with pytest.raises(ValueError, match="chest, left hip and right hip"):
-        WbanConfig(1, NodeSpec(Role.HUB, HD), wban.relays, wban.sensors)
+        WbanConfig(1, NodeSpec(HD), wban.relays, wban.sensors)
     with pytest.raises(ValueError, match="differ from hub and relay"):
         make_wban(sensor_locs=(LH,))
     with pytest.raises(ValueError, match="distinct"):
@@ -49,8 +46,9 @@ def test_wban_config_validation():
 # -------------------------------------------------------------------- layout
 
 def test_layout_single_sensor():
-    layout = superframe_layout(make_wban(), MAC)
-    assert layout.beacon == (0.0, 6.0)
+    wban = make_wban()
+    layout = superframe_layout(wban, MAC)
+    assert layout.transmissions[0] == (0.0, 6.0, wban.hub)
     assert layout.broadcast == ((6.0, 27.0),)
     assert layout.forward == ((33.0, 27.0),)
     assert len(layout.transmissions) == 3
@@ -62,16 +60,17 @@ def test_layout_three_sensors_partitions_the_slot():
     assert layout.broadcast == ((6.0, 9.0), (24.0, 9.0), (42.0, 9.0))
     assert layout.forward == ((15.0, 9.0), (33.0, 9.0), (51.0, 9.0))
     # Sub-intervals tile the slot without gaps.
-    spans = sorted([layout.beacon, *layout.broadcast, *layout.forward])
+    spans = sorted([layout.transmissions[0][:2], *layout.broadcast, *layout.forward])
     edges = [0.0]
     for start, dur in spans:
         assert start == pytest.approx(edges[-1])
         edges.append(start + dur)
     assert edges[-1] == pytest.approx(MAC.slot_len_ms)
-    # Forward power attribution alternates between the relays.
-    forward_nodes = [node for _, _, node in layout.transmissions
-                     if node.role == Role.RELAY]
-    assert [n.location for n in forward_nodes] == [LH, RH, LH]
+    # The hub's beacon, then each sensor's broadcast and its forward, whose
+    # power attribution alternates between the relays.
+    hub, (r1, r2), (s1, s2, s3) = wban.hub, wban.relays, wban.sensors
+    nodes = [node for _, _, node in layout.transmissions]
+    assert all(a is b for a, b in zip(nodes, [hub, s1, r1, s2, r2, s3, r1], strict=True))
 
 
 def test_build_schedule_wraps_modulo_cycle():
@@ -130,20 +129,21 @@ def test_collision_probability_matches_analytic():
 
 def test_active_interferers_reports_nodes_and_fractions():
     victim = build_schedule(make_wban(1), MAC, offset_ms=0.0)
-    foreign = build_schedule(make_wban(2), MAC, offset_ms=0.0)
+    other = make_wban(2)
+    foreign = build_schedule(other, MAC, offset_ms=0.0)
     hits = active_interferers(victim.broadcast_interval(0), [foreign], MAC.cycle_ms)
     # Same offset: only the foreign sensor broadcast collides, fully.
     assert len(hits) == 1
     assert hits[0].subject == 2
-    assert hits[0].node.role == Role.SENSOR
+    assert hits[0].node is other.sensors[0]
     assert hits[0].fraction == pytest.approx(1.0)
 
-    shifted = build_schedule(make_wban(2), MAC, offset_ms=27.0)
+    shifted = build_schedule(other, MAC, offset_ms=27.0)
     hits = active_interferers(victim.broadcast_interval(0), [shifted], MAC.cycle_ms)
-    by_kind = {hit.node.role: hit.fraction for hit in hits}
     # Victim broadcast [6, 33): foreign beacon [27, 33) and broadcast [33, 60).
-    assert by_kind[Role.HUB] == pytest.approx(6.0 / 27.0)
-    assert Role.SENSOR not in by_kind
+    assert [hit.fraction for hit in hits if hit.node is other.hub] \
+        == [pytest.approx(6.0 / 27.0)]
+    assert not any(hit.node is other.sensors[0] for hit in hits)
 
 
 def test_active_interferers_ignores_own_network():
