@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .seeding import substream
 
@@ -204,7 +203,7 @@ def load_trace(path) -> ChannelTrace:
     tol = 1e-6 * period
     for lineno, t, gain in _read_float_pairs(path, lines, TraceError, "<t_ms>,<gain_db>"):
         expected_t = len(gains) * period
-        if abs(t - expected_t) > tol:
+        if not abs(t - expected_t) <= tol:  # also rejects a NaN timestamp
             raise TraceError(f"{path}:{lineno}: timestamp {t} is not the expected "
                              f"multiple {expected_t} of period {period}")
         if not math.isfinite(gain):
@@ -303,6 +302,8 @@ def generate_synthetic(params: SyntheticChannelParams, link: LinkId, duration_ms
     shocks[0] *= params.shadow_sigma_db
     if n > 1:
         shocks[1:] *= params.shadow_sigma_db * math.sqrt(1.0 - rho * rho)
+    # Imported here so that runs from CSV traces never load scipy.
+    from scipy.signal import lfilter
     deviations = lfilter([1.0], [1.0, -rho], shocks)
     return ChannelTrace(link, sample_period_ms, params.mean_gain_db + deviations)
 

@@ -7,9 +7,11 @@ relay selection. It shares with the engine only the superframe layout and
 the circular overlap length.
 
 It also keeps the per-threshold definition of the level crossing rate that
-the one-pass kernel in ``wbansim.metrics`` is checked against, and the
+the one-pass kernel in ``wbansim.metrics`` is checked against, the
 per-(sub-interval, transmission) interference weights that the engine's
-one pass per transmission is checked against.
+one pass per transmission is checked against, and the AR(1) shadowing
+recurrence, one step at a time, that ``generate_synthetic`` must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from wbansim.channel import BodyLocation, ChannelSet, LinkId
+from wbansim.channel import BodyLocation, ChannelSet, LinkId, SyntheticChannelParams
 from wbansim.metrics import SinrSeries
 from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
                              superframe_layout)
@@ -301,3 +303,28 @@ def interference_weights_reference(config) -> dict[tuple[int, int, str], np.ndar
                 weighted += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
             weights[(interferer.subject, i, kind)] = weighted
     return weights
+
+
+# ----------------------------------------------------------- synthetic traces
+
+def synthetic_samples_reference(params: SyntheticChannelParams, link: LinkId,
+                                duration_ms: float, sample_period_ms: float,
+                                seed: int) -> np.ndarray:
+    """The samples of ``generate_synthetic``, by the plain AR(1) recurrence.
+
+    The shocks are drawn and scaled as the generator draws them; then each
+    deviation is ``prev = x + rho * prev`` from ``prev = 0.0``, one float64
+    step at a time, and the mean is added. perfbench's golden digests of
+    synthetic runs and ``gen-traces`` rest on these bytes.
+    """
+    n = int(math.floor(duration_ms / sample_period_ms + 1e-9))
+    rho = math.exp(-sample_period_ms / params.coherence_time_ms)
+    shocks = substream(seed, "trace", str(link)).standard_normal(n)
+    innovation = params.shadow_sigma_db * math.sqrt(1.0 - rho * rho)
+    samples = np.empty(n)
+    prev = 0.0
+    for i, w in enumerate(shocks.tolist()):
+        x = w * (params.shadow_sigma_db if i == 0 else innovation)
+        prev = x + rho * prev
+        samples[i] = params.mean_gain_db + prev
+    return samples

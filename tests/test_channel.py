@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import synthetic_samples_reference
 from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
                              MissingLinkError, SyntheticChannelParams, TraceError,
                              downsample, extract_shadowing, fspl_db,
@@ -88,6 +89,7 @@ def test_save_load_round_trip(tmp_path, link, period_ms, gains):
     ("link=1:HD->1:C,period_ms=15\n0,-50\n15\n", 3, "expected"),
     ("link=1:HD->1:C,period_ms=15\n0,oops\n", 2, "could not convert"),
     ("link=1:HD->1:C,period_ms=15\n0,inf\n", 2, "non-finite"),
+    ("link=1:HD->1:C,period_ms=15\n0,-50\nnan,-51\n", 3, "timestamp"),
 ])
 def test_load_errors_carry_line_numbers(tmp_path, content, lineno, message):
     path = tmp_path / "bad.csv"
@@ -211,6 +213,23 @@ def test_synthetic_marginal_and_correlation():
     assert samples.std() == pytest.approx(6.0, abs=0.3)
     lag1 = np.corrcoef(samples[:-1], samples[1:])[0, 1]
     assert lag1 == pytest.approx(math.exp(-120.0 / 500.0), abs=0.02)
+
+
+@settings(max_examples=200, deadline=None)
+@given(link=_LINKS, n=st.integers(1, 300),
+       period_ms=st.floats(0.1, 1000.0),
+       decay=st.floats(1e-6, 40.0),
+       mean=st.floats(-200.0, 200.0),
+       sigma=st.floats(0.0, 30.0),
+       seed=st.integers(0, 2**63 - 1))
+def test_synthetic_matches_the_recurrence_bit_for_bit(link, n, period_ms, decay, mean,
+                                                      sigma, seed):
+    # rho = exp(-period / coherence) = exp(-decay) spans (0, 1).
+    params = SyntheticChannelParams(mean, sigma, period_ms / decay)
+    trace = generate_synthetic(params, link, n * period_ms, period_ms, seed)
+    expected = synthetic_samples_reference(params, link, n * period_ms, period_ms, seed)
+    assert trace.n_samples == n
+    np.testing.assert_array_equal(trace.samples.view(np.uint64), expected.view(np.uint64))
 
 
 def test_synthetic_param_validation():

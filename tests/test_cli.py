@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import read_curve_csv
-from wbansim.channel import LinkId, fspl_db, load_trace
+from wbansim import engine
+from wbansim.channel import ChannelTrace, LinkId, fspl_db, load_trace, save_trace
 from wbansim.cli import main, trace_filename
+from wbansim.config import load_config
 
 CONFIG = """
 wbans:
@@ -29,6 +34,8 @@ channels:
     on_body: {mean_gain_db: -55.0, shadow_sigma_db: 6.0, coherence_time_ms: 240.0}
     inter_body: {mean_gain_db: -70.0, shadow_sigma_db: 6.0, coherence_time_ms: 500.0}
 """
+
+CSV_CONFIG = CONFIG.split("channels:")[0] + "channels: {source: csv, csv_dir: traces}\n"
 
 RUN_FILES = {"outage_single.csv", "outage_coop.csv",
              "lcr_single.csv", "lcr_coop.csv", "summary.csv"}
@@ -153,13 +160,7 @@ def test_generated_traces_reproduce_the_synthetic_run(tmp_path):
     config = write_config(tmp_path)
     traces = tmp_path / "traces"
     main(["gen-traces", "--config", config, "--out", str(traces), "--quiet"])
-    csv_config = write_config(tmp_path, CONFIG.replace("""channels:
-  synthetic:
-    duration_ms: 24000.0
-    on_body: {mean_gain_db: -55.0, shadow_sigma_db: 6.0, coherence_time_ms: 240.0}
-    inter_body: {mean_gain_db: -70.0, shadow_sigma_db: 6.0, coherence_time_ms: 500.0}
-""", """channels: {source: csv, csv_dir: traces}
-"""), name="csv_config.yaml")
+    csv_config = write_config(tmp_path, CSV_CONFIG, name="csv_config.yaml")
     main(["simulate", "--config", config, "--out", str(tmp_path / "synth"), "--quiet"])
     main(["simulate", "--config", csv_config, "--out", str(tmp_path / "csv"), "--quiet"])
     assert tree_bytes(tmp_path / "synth") == tree_bytes(tmp_path / "csv")
@@ -168,7 +169,6 @@ def test_generated_traces_reproduce_the_synthetic_run(tmp_path):
 # -------------------------------------------------------------- overlay-traces
 
 def test_overlay_traces_builds_interference_channel(tmp_path):
-    from wbansim.channel import ChannelTrace, save_trace
     base = ChannelTrace(LinkId.parse("2:LH->1:LH"), 120.0,
                         np.array([-72.0, -73.0]))
     donor = ChannelTrace(LinkId.parse("1:LH->1:C"), 120.0,
@@ -189,7 +189,6 @@ def test_overlay_traces_builds_interference_channel(tmp_path):
 
 
 def test_overlay_traces_rejects_period_mismatch(tmp_path, capsys):
-    from wbansim.channel import ChannelTrace, save_trace
     save_trace(ChannelTrace(LinkId.parse("2:LH->1:LH"), 120.0, np.array([-72.0])),
                tmp_path / "base.csv")
     save_trace(ChannelTrace(LinkId.parse("1:LH->1:C"), 60.0, np.array([-50.0])),
@@ -241,6 +240,45 @@ sweep:
     assert {p.name for p in (out / "runs").iterdir()} == {"1x2", "2x1"}
     summary = (out / "summary.csv").read_text().splitlines()
     assert len(summary) == 1 + 2 * 2 * 2  # pairs x reps x schemes
+
+
+# ----------------------------------------------------------------- cold start
+
+COLD_START = """
+import sys
+from wbansim.cli import main
+from wbansim.config import load_config
+load_config({default!r})
+assert main({overlay!r}) == 0
+assert main({simulate!r}) == 0
+assert "scipy" not in sys.modules
+"""
+
+
+def test_csv_runs_and_overlays_never_load_scipy(tmp_path):
+    # scipy is imported where a synthetic trace is drawn, and nowhere else.
+    root = Path(__file__).resolve().parent.parent
+    config = write_config(tmp_path, CSV_CONFIG)
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    rng = np.random.default_rng(0)
+    links = engine.required_source_links(load_config(config))
+    for link in links:
+        save_trace(ChannelTrace(link, 120.0, rng.normal(-60.0, 6.0, 200)),
+                   traces / trace_filename(link))
+    overlay = ["overlay-traces", "--part1", str(traces / trace_filename(links[0])),
+               "--shadowing-from", str(traces / trace_filename(links[1])),
+               "--distance-m", "0.4", "--out-file", str(tmp_path / "overlay.csv"),
+               "--quiet"]
+    simulate = ["simulate", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]
+    script = COLD_START.format(default=str(root / "configs" / "default.yaml"),
+                               overlay=overlay, simulate=simulate)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 # ------------------------------------------------------------ benchmark hooks
