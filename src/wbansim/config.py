@@ -10,6 +10,7 @@ the offending key by its full dotted path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,6 +41,13 @@ def _as_float(value, key: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+
+
+def _as_positive(value, key: str) -> float:
+    number = _as_float(value, key)
+    if not (math.isfinite(number) and number > 0):
+        raise ConfigError(f"{key}: expected a positive finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, key: str) -> int:
@@ -87,7 +95,7 @@ def _parse_distances(value, key: str) -> dict[tuple[str, str], float]:
         if len(parts) != 2:
             raise ConfigError(f"{name}: expected keys like 'LH-RH'")
         a, b = (_parse_location(part, name) for part in parts)
-        distances[tuple(sorted((a.value, b.value)))] = _as_float(metres, name)
+        distances[tuple(sorted((a.value, b.value)))] = _as_positive(metres, name)
     return distances
 
 
@@ -255,7 +263,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         noise=noise.build(NoiseModel,
                           noise_floor_dbm=noise.get("noise_floor_dbm", _as_float)),
         radio=radio.build(RadioConfig,
-                          frequency_hz=radio.get("frequency_hz", _as_float),
+                          frequency_hz=radio.get("frequency_hz", _as_positive),
                           link_distances_m=radio.get("link_distances_m", _parse_distances)),
         channels=channels,
         master_seed=seed if seed_override is None else seed_override,

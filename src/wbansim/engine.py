@@ -54,11 +54,11 @@ class SyntheticChannelSource:
     overrides: Mapping[str, SyntheticChannelParams] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.sample_period_ms > 0.0:
+        if not (math.isfinite(self.sample_period_ms) and self.sample_period_ms > 0.0):
             raise ValueError(
-                f"sample_period_ms must be positive, got {self.sample_period_ms}")
-        if not self.duration_ms >= self.sample_period_ms:
-            raise ValueError("duration_ms must cover at least one sample, got "
+                f"sample_period_ms must be positive and finite, got {self.sample_period_ms}")
+        if not (math.isfinite(self.duration_ms) and self.duration_ms >= self.sample_period_ms):
+            raise ValueError("duration_ms must be finite and cover at least one sample, got "
                              f"{self.duration_ms}")
 
     def params_for(self, link: LinkId) -> SyntheticChannelParams:

@@ -143,8 +143,57 @@ def threshold_at_outage(curve: MetricsCurve, probability: float) -> float:
     return float(t0 + (probability - v0) * (t1 - t0) / (v1 - v0))
 
 
-# Downward steps expanded into grid cells at a time: bounds the temporary arrays.
-_STEP_BLOCK = 2048
+def _levels(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """searchsorted(thresholds, values, side="right"): the thresholds at or below each value.
+
+    The level is guessed from the mean grid spacing, kept within [0, size],
+    then moved one cell at a time until thresholds[level - 1] <= value <
+    thresholds[level] (with -inf and +inf past the ends), so it is exact on
+    any grid; on an evenly spaced grid one pass confirms the guess.
+    """
+    size = thresholds.size
+    if size == 1:
+        return (values >= thresholds[0]).astype(np.intp)
+    # On a subnormal span the scale is inf and the guess NaN or infinite; the clamp keeps
+    # every level in range and the corrections walk it home.
+    scale = (size - 1) / (float(thresholds[-1]) - float(thresholds[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        guess = (values - thresholds[0]) * scale
+    levels = np.fmax(np.fmin(guess, size - 1.0), -1.0).astype(np.intp) + 1
+    edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    while True:
+        up = values >= edges[1:][levels]
+        down = values < edges[levels]
+        if not (up.any() or down.any()):
+            return levels
+        levels += up
+        levels -= down
+
+
+def _first_steps(high: np.ndarray, low: np.ndarray, cells: np.ndarray, size: int,
+                 ) -> np.ndarray:
+    """Index of the first downward step that crosses each of ``cells``.
+
+    Step j falls from level high[j] to low[j] and crosses the cells c with
+    low[j] <= c < high[j]; between steps the series does not fall, so
+    high[j] >= low[j - 1]. Split the steps into runs where the running
+    maximum of high rises. Within a run of maximum top, step j has crossed
+    c, or an earlier step of the run has, exactly when the run's minimum of
+    low so far is <= c < top. So a cell is first crossed in the earliest run
+    that reaches it, at the first step where that run's minimum falls to it.
+    The key top * (size + 1) - (the run's minimum so far) never decreases,
+    so one searchsorted finds that step. Levels lie in [0, size], and every
+    cell must be crossed.
+    """
+    width = size + 1
+    top = np.maximum.accumulate(high)
+    # Less top * width puts each run below every earlier one: the minimum restarts per run.
+    key = -np.minimum.accumulate(low - top * width)
+    ends = np.append(np.flatnonzero(top[1:] > top[:-1]), top.size - 1)
+    tops = top[ends]
+    floors = tops * width - key[ends]
+    reached = (floors[:, None] <= cells) & (cells < tops[:, None])
+    return np.searchsorted(key, tops[reached.argmax(axis=0)] * width - cells)
 
 
 def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
@@ -152,33 +201,29 @@ def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
 
     A downward step from v[k] to v[k+1] crosses, at sample k+1, every
     threshold t with v[k] >= t > v[k+1]. On a strictly increasing grid
-    those are the cells from searchsorted(v[k+1], "right") up to, not
-    including, searchsorted(v[k], "right"). The steps are expanded into
-    cells, counted, and the first and last crossing sample kept per cell.
+    those are the cells from the level of v[k+1] up to, not including, the
+    level of v[k], where a level counts the thresholds at or below a value.
+    A difference array counts the crossings per cell, and _first_steps
+    finds each cell's first and last crossing sample.
     """
     thresholds = _threshold_array(thresholds_db)
-    rates = np.zeros(thresholds.size)
-    if series.n_samples < 2:
+    size = thresholds.size
+    rates = np.zeros(size)
+    levels = _levels(series.values_db, thresholds)
+    at = np.flatnonzero(levels[1:] < levels[:-1]) + 1
+    high, low = levels[at - 1], levels[at]
+    count = np.cumsum(np.bincount(low, minlength=size + 1)
+                      - np.bincount(high, minlength=size + 1))[:size]
+    crossed = np.flatnonzero(count >= 2)
+    if crossed.size == 0:
         return rates
-    values = series.values_db
-    at = np.flatnonzero(values[1:] < values[:-1]) + 1
-    low = np.searchsorted(thresholds, values[at], side="right")
-    width = np.searchsorted(thresholds, values[at - 1], side="right") - low
-    count = np.zeros(thresholds.size, dtype=np.int64)
-    first = np.full(thresholds.size, series.n_samples)
-    last = np.full(thresholds.size, -1)
-    for b in range(0, at.size, _STEP_BLOCK):
-        w = width[b:b + _STEP_BLOCK]
-        ends = np.cumsum(w)
-        cells = np.arange(ends[-1]) + np.repeat(low[b:b + _STEP_BLOCK] - (ends - w), w)
-        samples = np.repeat(at[b:b + _STEP_BLOCK], w)
-        count += np.bincount(cells, minlength=thresholds.size)
-        np.minimum.at(first, cells, samples)
-        np.maximum.at(last, cells, samples)
-    crossed = count >= 2
+    first = at[_first_steps(high, low, crossed, size)]
+    # The last crossing is the first one of the steps reversed and turned upside down.
+    last = at[::-1][_first_steps(size - low[::-1], size - high[::-1], size - 1 - crossed,
+                                 size)]
     # Sample k lies at grid time (start_index + k) * period_ms.
     start, period = series.start_index, series.period_ms
-    span_s = ((start + last[crossed]) * period - (start + first[crossed]) * period) / 1000.0
+    span_s = ((start + last) * period - (start + first) * period) / 1000.0
     rates[crossed] = count[crossed] / span_s
     return rates
 

@@ -99,6 +99,20 @@ def test_bad_values_are_named(tmp_path):
         with pytest.raises(ConfigError, match=r"metrics\.lcr_ref_threshold_db"):
             load_config(write_config(
                 tmp_path, BASE + f"metrics:\n  lcr_ref_threshold_db: {bad}\n"))
+    for bad in ("-0.40", ".nan", "0", ".inf"):
+        with pytest.raises(ConfigError, match=re.escape("radio.link_distances_m.C-LH")):
+            load_config(write_config(
+                tmp_path, BASE + f"radio:\n  link_distances_m:\n    C-LH: {bad}\n"))
+    for bad in ("-5", ".nan", "0", ".inf"):
+        with pytest.raises(ConfigError, match=re.escape("radio.frequency_hz")):
+            load_config(write_config(tmp_path, BASE + f"radio:\n  frequency_hz: {bad}\n"))
+    for bad in (".inf", ".nan"):
+        with pytest.raises(ConfigError, match="channels.synthetic: duration_ms"):
+            load_config(write_config(tmp_path, BASE.replace(
+                "duration_ms: 60000.0", f"duration_ms: {bad}")))
+        with pytest.raises(ConfigError, match="channels.synthetic: sample_period_ms"):
+            load_config(write_config(tmp_path, BASE.replace(
+                "duration_ms: 60000.0", f"duration_ms: 60000.0\n    sample_period_ms: {bad}")))
 
 
 def test_mute_power_spelling(tmp_path):

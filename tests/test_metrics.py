@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import read_curve_csv
 from oracle import level_crossing_rate_reference
-from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries,
+from wbansim.metrics import (MetricsCurve, MetricsError, SinrSeries, _levels,
                              empirical_outage, lcr_curve, level_crossing_rate,
                              threshold_at_outage, threshold_grid, write_curve_csv)
 
@@ -152,24 +152,59 @@ def test_lcr_curve_over_grid():
 
 grids = st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=30, unique=True).map(
     lambda values: np.array(sorted(values)))
+one_threshold_grids = st.floats(-40.0, 40.0).map(lambda t: np.array([t]))
+
+
+@st.composite
+def tiny_grids(draw):
+    """Adjacent floats from a drawn start: spans of a few ulps, subnormal around 0."""
+    grid = [draw(st.one_of(st.just(0.0), st.just(-5e-324), st.floats(-40.0, 40.0)))]
+    for _ in range(draw(st.integers(1, 4))):
+        grid.append(np.nextafter(grid[-1], math.inf))
+    return np.array(grid)
+
+
+def near(grid):
+    """Grid points and their neighbouring floats."""
+    return st.sampled_from(grid.tolist()).flatmap(lambda t: st.sampled_from(
+        [float(np.nextafter(t, -math.inf)), t, float(np.nextafter(t, math.inf))]))
 
 
 @st.composite
 def series_on_grid(draw):
-    """A series whose values hit grid points and stay flat in runs, and its grid.
+    """A series and its grid, sampled at one of several periods from a drawn grid index.
 
-    It is sampled at one of several periods, from a drawn grid index.
+    The series either hits grid points and stays flat in runs, or trends up
+    or down in small steps, setting many new highs or lows. Grids include
+    the default one, one-threshold grids and grids spanning a few ulps.
     """
-    grid = draw(st.one_of(st.just(threshold_grid()), grids))
-    level = st.one_of(st.sampled_from(grid.tolist()), st.floats(-45.0, 45.0))
-    runs = draw(st.lists(st.tuples(level, st.integers(1, 4)), min_size=1, max_size=60))
-    values = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    grid = draw(st.one_of(st.just(threshold_grid()), grids, one_threshold_grids,
+                          tiny_grids()))
+    if draw(st.booleans()):
+        level = st.one_of(near(grid), st.floats(-45.0, 45.0))
+        runs = draw(st.lists(st.tuples(level, st.integers(1, 4)), min_size=1, max_size=60))
+        values = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    else:
+        trend = draw(st.sampled_from([-1.0, 1.0]))
+        steps = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=120))
+        values = draw(st.floats(-45.0, 45.0)) + trend * np.cumsum(steps)
     period = draw(st.sampled_from([0.5, 1.0, 7.5, 15.0, 120.0]))
     return SinrSeries(values, period, draw(st.integers(0, 40_000))), grid
 
 
+@given(st.one_of(st.just(threshold_grid()), grids, one_threshold_grids, tiny_grids())
+       .flatmap(lambda grid: st.tuples(st.just(grid), st.lists(
+           st.one_of(near(grid), st.floats(-1e300, 1e300)), max_size=50))))
+def test_levels_equal_searchsorted_right(case):
+    grid, values = case
+    values = np.array(values, dtype=np.float64)
+    want = np.searchsorted(grid, values, side="right")
+    assert _levels(values, grid).tobytes() == want.astype(np.intp).tobytes()
+
+
 def test_lcr_curve_equals_the_definition_on_a_long_series():
-    # Thousands of downward steps, so the kernel expands them in several blocks.
+    # Thousands of downward steps, many across several cells, a few crossing a cell
+    # only near the start or the end: counts, first and last crossings at full length.
     values = np.round(np.random.default_rng(8).normal(10.0, 12.0, 12_000) * 2.0) / 2.0
     sinr, grid = series(values), threshold_grid()
     want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
@@ -177,6 +212,8 @@ def test_lcr_curve_equals_the_definition_on_a_long_series():
 
 
 @given(series_on_grid())
+# Cell 1 is first crossed in a later run of new highs than cell 0, whose run fell to level 0.
+@example((series([0.5, -1.0, 2.0, 0.5, 2.0, 0.5]), np.array([0.0, 1.0])))
 def test_lcr_curve_equals_the_per_threshold_definition(case):
     sinr, grid = case
     want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
