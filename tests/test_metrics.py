@@ -164,6 +164,9 @@ def tiny_grids(draw):
     return np.array(grid)
 
 
+any_grid = st.one_of(st.just(threshold_grid()), grids, one_threshold_grids, tiny_grids())
+
+
 def near(grid):
     """Grid points and their neighbouring floats."""
     return st.sampled_from(grid.tolist()).flatmap(lambda t: st.sampled_from(
@@ -178,8 +181,7 @@ def series_on_grid(draw):
     or down in small steps, setting many new highs or lows. Grids include
     the default one, one-threshold grids and grids spanning a few ulps.
     """
-    grid = draw(st.one_of(st.just(threshold_grid()), grids, one_threshold_grids,
-                          tiny_grids()))
+    grid = draw(any_grid)
     if draw(st.booleans()):
         level = st.one_of(near(grid), st.floats(-45.0, 45.0))
         runs = draw(st.lists(st.tuples(level, st.integers(1, 4)), min_size=1, max_size=60))
@@ -192,9 +194,8 @@ def series_on_grid(draw):
     return SinrSeries(values, period, draw(st.integers(0, 40_000))), grid
 
 
-@given(st.one_of(st.just(threshold_grid()), grids, one_threshold_grids, tiny_grids())
-       .flatmap(lambda grid: st.tuples(st.just(grid), st.lists(
-           st.one_of(near(grid), st.floats(-1e300, 1e300)), max_size=50))))
+@given(any_grid.flatmap(lambda grid: st.tuples(st.just(grid), st.lists(
+    st.one_of(near(grid), st.floats(-1e300, 1e300)), max_size=50))))
 def test_levels_equal_searchsorted_right(case):
     grid, values = case
     values = np.array(values, dtype=np.float64)
@@ -203,8 +204,7 @@ def test_levels_equal_searchsorted_right(case):
 
 
 def test_lcr_curve_equals_the_definition_on_a_long_series():
-    # Thousands of downward steps, many across several cells, a few crossing a cell
-    # only near the start or the end: counts, first and last crossings at full length.
+    # Thousands of downward steps, many across several cells, all in one scan each way.
     values = np.round(np.random.default_rng(8).normal(10.0, 12.0, 12_000) * 2.0) / 2.0
     sinr, grid = series(values), threshold_grid()
     want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
