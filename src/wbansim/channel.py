@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -179,7 +181,8 @@ def load_trace(path) -> ChannelTrace:
 
     The first line must read ``link=<tx>:<loc>-><rx>:<loc>,period_ms=<p>``
     and data rows must be ``<t_ms>,<gain_db>`` with timestamps running
-    0, p, 2p, ... strictly.
+    0, p, 2p, ... strictly. A field is anything Python's ``float()`` accepts,
+    blank rows are skipped, and an error names the first bad row's line.
     """
     path = Path(path)
     try:
@@ -199,6 +202,43 @@ def load_trace(path) -> ChannelTrace:
     if not (math.isfinite(period) and period > 0):
         raise TraceError(f"{path}:1: period_ms must be positive, got {header.group('period')}")
 
+    gains = _grid_gains(lines, period)
+    if gains is None:
+        gains = _scan_rows(path, lines, period)
+    return ChannelTrace(link, period, gains)
+
+
+def _grid_gains(lines, period: float):
+    """The gains of a well-formed data section in one array parse, else None.
+
+    Blank rows are skipped and every other row must hold exactly one comma.
+    numpy converts a str field with Python's ``float()``, so this accepts
+    what the row scan accepts; any doubt (a bad field, an off-grid or NaN
+    timestamp, a non-finite gain) is left to the row scan, which names the
+    first bad row.
+    """
+    rows = list(filter(str.strip, lines[1:]))
+    fields = ",".join(rows).split(",")
+    well_formed = (len(fields) == 2 * len(rows)
+                   and all(map(operator.contains, rows, repeat(","))))
+    del rows
+    if not well_formed:
+        return None
+    try:
+        values = np.array(fields, dtype=np.float64)
+    except ValueError:
+        return None
+    del fields
+    times, gains = values[0::2], values[1::2]
+    # The row scan's operations, element by element, so a NaN fails here too.
+    on_grid = np.abs(times - np.arange(times.size) * period) <= 1e-6 * period
+    if not (on_grid.all() and np.isfinite(gains).all()):
+        return None
+    return gains
+
+
+def _scan_rows(path, lines, period: float) -> list[float]:
+    """The gains, read one row at a time: the first bad row raises its error."""
     gains = []
     tol = 1e-6 * period
     for lineno, t, gain in _read_float_pairs(path, lines, TraceError, "<t_ms>,<gain_db>"):
@@ -210,16 +250,18 @@ def load_trace(path) -> ChannelTrace:
             text = lines[lineno - 1].strip().split(",")[1]
             raise TraceError(f"{path}:{lineno}: non-finite gain {text!r}")
         gains.append(gain)
-    return ChannelTrace(link, period, np.array(gains))
+    return gains
 
 
 def save_trace(trace: ChannelTrace, path) -> None:
     """Write a trace in the CSV format understood by :func:`load_trace`."""
-    path = Path(path)
-    lines = [f"link={trace.link},period_ms={float(trace.sample_period_ms)!r}"]
-    for i, gain in enumerate(trace.samples):
-        lines.append(f"{float(i * trace.sample_period_ms)!r},{float(gain)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    period = float(trace.sample_period_ms)
+    # float(i) * period, as Python computes i * period: the same timestamps
+    # for every i below 2**53.
+    times = (np.arange(trace.n_samples) * period).tolist()
+    rows = map(",".join, zip(map(repr, times), map(repr, trace.samples.tolist())))
+    Path(path).write_text(f"link={trace.link},period_ms={period!r}\n"
+                          + "\n".join(rows) + "\n")
 
 
 def downsample(trace: ChannelTrace, target_period_ms: float) -> ChannelTrace:

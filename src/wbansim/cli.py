@@ -7,12 +7,15 @@ Subcommands:
     overlay-traces  build an interference trace from a base and a donor
 
 Exit codes: 0 on success, 1 for configuration or input errors, 2 for
-runtime failures. Outputs are pure functions of the inputs.
+runtime failures. Usage errors (an unknown flag, or a flag value that fails
+its check, such as ``--distance-m 0``) also exit 2, with a message that
+names the flag. Outputs are pure functions of the inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -89,12 +92,29 @@ def _cmd_gen_traces(args) -> int:
     return 0
 
 
+def _positive(text: str) -> float:
+    """A flag value that must be a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _link(text: str) -> LinkId:
+    try:
+        return LinkId.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_overlay_traces(args) -> int:
     base = load_trace(args.part1)
     donor = load_trace(args.shadowing_from)
     shadowing = extract_shadowing(donor, args.distance_m, args.frequency_hz)
-    out_link = LinkId.parse(args.link) if args.link else base.link
-    result = overlay(base, shadowing, out_link)
+    result = overlay(base, shadowing, args.link or base.link)
     save_trace(result, args.out_file)
     if not args.quiet:
         print(f"wrote {result.n_samples} samples for {result.link} to {args.out_file}")
@@ -135,11 +155,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part1", required=True, help="base trace CSV")
     p.add_argument("--shadowing-from", required=True,
                    help="trace CSV donating the shadowing")
-    p.add_argument("--distance-m", type=float, required=True,
+    p.add_argument("--distance-m", type=_positive, required=True,
                    help="donor link distance for path loss removal")
-    p.add_argument("--frequency-hz", type=float, default=engine.RadioConfig.frequency_hz,
+    p.add_argument("--frequency-hz", type=_positive, default=engine.RadioConfig.frequency_hz,
                    help="carrier frequency in Hz (default %(default)s)")
-    p.add_argument("--link", default=None, help="output link label, like 2:LH->1:C")
+    p.add_argument("--link", type=_link, default=None,
+                   help="output link label, like 2:LH->1:C")
     p.add_argument("--out-file", required=True, help="output trace CSV")
     p.set_defaults(func=_cmd_overlay_traces)
 

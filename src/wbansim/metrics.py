@@ -249,8 +249,8 @@ def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray | None = None,
 
 def write_curve_csv(curve: MetricsCurve, path, scheme: str, subject) -> None:
     """Write a curve with its identifying header line."""
-    lines = [f"kind,{curve.kind},scheme,{scheme},subject,{subject}"]
     # tolist() gives Python floats, whose repr is that of float(np.float64).
-    for threshold, value in zip(curve.thresholds_db.tolist(), curve.values.tolist()):
-        lines.append(f"{threshold!r},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = map(",".join, zip(map(repr, curve.thresholds_db.tolist()),
+                             map(repr, curve.values.tolist())))
+    Path(path).write_text(f"kind,{curve.kind},scheme,{scheme},subject,{subject}\n"
+                          + "\n".join(rows) + "\n")

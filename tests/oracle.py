@@ -11,18 +11,23 @@ the one-pass kernel in ``wbansim.metrics`` is checked against, the
 per-(sub-interval, transmission) interference weights that the engine's
 one pass per transmission is checked against, and the AR(1) shadowing
 recurrence, one step at a time, that ``generate_synthetic`` must match
-bit for bit.
+bit for bit. Last, it reads and writes trace CSVs one row at a time: the
+bytes ``save_trace`` must write, and the samples or the first bad row's
+error that ``load_trace`` must give.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from wbansim.channel import BodyLocation, ChannelSet, LinkId, SyntheticChannelParams
+from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
+                             SyntheticChannelParams, TraceError)
 from wbansim.metrics import SinrSeries
 from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
                              superframe_layout)
@@ -328,3 +333,66 @@ def synthetic_samples_reference(params: SyntheticChannelParams, link: LinkId,
         prev = x + rho * prev
         samples[i] = params.mean_gain_db + prev
     return samples
+
+
+# ------------------------------------------------------------------ trace CSVs
+
+def save_trace_reference(trace: ChannelTrace, path) -> None:
+    """Write a trace CSV one row at a time: timestamp ``float(i * period)``."""
+    lines = [f"link={trace.link},period_ms={float(trace.sample_period_ms)!r}"]
+    for i, gain in enumerate(trace.samples):
+        lines.append(f"{float(i * trace.sample_period_ms)!r},{float(gain)!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+_TRACE_HEADER_RE = re.compile(r"^link=(?P<link>[^,]+),period_ms=(?P<period>[^,\s]+)$")
+
+
+def load_trace_reference(path) -> ChannelTrace:
+    """Read a trace CSV one row at a time; the first bad row raises.
+
+    Blank rows are skipped. Each other row must split into two ``float()``
+    fields, its timestamp must lie within 1e-6 periods of ``k * period``
+    for the k-th data row, and its gain must be finite.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise TraceError(f"cannot read trace file {path}: {exc}") from exc
+    if not lines:
+        raise TraceError(f"{path}:1: empty file, expected a header line")
+    header = _TRACE_HEADER_RE.match(lines[0].strip())
+    if header is None:
+        raise TraceError(f"{path}:1: malformed header {lines[0]!r}")
+    try:
+        link = LinkId.parse(header.group("link"))
+        period = float(header.group("period"))
+    except ValueError as exc:
+        raise TraceError(f"{path}:1: {exc}") from exc
+    if not (math.isfinite(period) and period > 0):
+        raise TraceError(f"{path}:1: period_ms must be positive, got {header.group('period')}")
+
+    gains = []
+    tol = 1e-6 * period
+    for lineno, raw in enumerate(lines[1:], start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise TraceError(f"{path}:{lineno}: expected '<t_ms>,<gain_db>', got {raw!r}")
+        try:
+            t, gain = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise TraceError(f"{path}:{lineno}: {exc}") from exc
+        expected_t = len(gains) * period
+        if not abs(t - expected_t) <= tol:
+            raise TraceError(f"{path}:{lineno}: timestamp {t} is not the expected "
+                             f"multiple {expected_t} of period {period}")
+        if not math.isfinite(gain):
+            raise TraceError(f"{path}:{lineno}: non-finite gain {parts[1]!r}")
+        gains.append(gain)
+    if not gains:
+        raise TraceError(f"{path}:2: no data rows")
+    return ChannelTrace(link, period, np.array(gains))

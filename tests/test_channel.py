@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracle import synthetic_samples_reference
+from oracle import load_trace_reference, save_trace_reference, synthetic_samples_reference
 from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
                              MissingLinkError, SyntheticChannelParams, TraceError,
                              downsample, extract_shadowing, fspl_db,
@@ -98,6 +98,110 @@ def test_load_errors_carry_line_numbers(tmp_path, content, lineno, message):
         load_trace(path)
     assert message in str(err.value)
 
+
+
+# Periods from the smallest subnormal to 1e6 ms, and gains with signed
+# zeros, subnormals and the ends of the finite range.
+_PERIODS = st.one_of(st.sampled_from([5e-324, 1e-310, 0.1, 1 / 3, 15.0, 40.0, 1e6]),
+                     st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
+_GAINS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                    1e308, -1e308, -1.7976931348623157e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(link=_LINKS, period_ms=_PERIODS, gains=st.lists(_GAINS, min_size=1, max_size=40))
+def test_save_trace_writes_the_row_by_row_bytes(tmp_path, link, period_ms, gains):
+    trace = make_trace(gains, period_ms=period_ms, link=link)
+    save_trace(trace, tmp_path / "fast.csv")
+    save_trace_reference(trace, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@st.composite
+def _trace_files(draw):
+    """A valid trace file's parts: period, data rows as field lists, layout.
+
+    The layout pads fields with whitespace, puts blank and whitespace-only
+    rows between data rows, and picks LF or CRLF line ends.
+    """
+    period = draw(_PERIODS)
+    gains = draw(st.lists(_GAINS, min_size=1, max_size=30))
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    rows = [[draw(pad) + repr(float(i * period)) + draw(pad),
+             draw(pad) + repr(gain) + draw(pad)] for i, gain in enumerate(gains)]
+    # (k, text): a blank row of that text before data row k, or after the last.
+    blanks = draw(st.lists(st.tuples(st.integers(0, len(rows)),
+                                     st.sampled_from(["", " ", "\t"])), max_size=4))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return period, rows, sorted(blanks), newline
+
+
+def _write_trace_file(path, period, rows, blanks, newline) -> list[int]:
+    """Write the file; return the line number of each data row."""
+    lines, linenos = [f"link=1:HD->1:C,period_ms={period!r}"], []
+    blanks = list(blanks)
+    for k, row in enumerate(rows + [None]):
+        while blanks and blanks[0][0] == k:
+            lines.append(blanks.pop(0)[1])
+        if row is not None:
+            lines.append(",".join(row))
+            linenos.append(len(lines))
+    path.write_text(newline.join(lines) + newline)
+    return linenos
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parts=_trace_files())
+def test_valid_files_load_to_the_reference_samples(tmp_path, parts):
+    path = tmp_path / "t.csv"
+    _write_trace_file(path, *parts)
+    loaded, expected = load_trace(path), load_trace_reference(path)
+    assert loaded.link == expected.link
+    assert loaded.sample_period_ms == expected.sample_period_ms
+    assert loaded.samples.tobytes() == expected.samples.tobytes()
+
+
+_FAULTS = ("one field", "three fields", "unparsable", "off grid", "nan timestamp",
+           "non-finite gain")
+
+
+def _break(row, k, period, fault, data):
+    t, gain = row
+    if fault == "one field":
+        return [t]
+    if fault == "three fields":
+        return [t, gain, gain]
+    if fault == "unparsable":
+        bad = data.draw(st.sampled_from(["oops", "", " ", "0x1", "1e", "1__0"]))
+        return data.draw(st.sampled_from([[bad, gain], [t, bad]]))
+    if fault == "off grid":
+        return [repr(float(k * period) + period), gain]
+    if fault == "nan timestamp":
+        return [data.draw(st.sampled_from(["nan", "-NaN"])), gain]
+    return [t, data.draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parts=_trace_files(), data=st.data())
+def test_faulty_files_raise_the_reference_error_for_the_first_bad_row(tmp_path, parts,
+                                                                       data):
+    period, rows, blanks, newline = parts
+    bad = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2,
+                             unique=True))
+    for k in bad:
+        rows[k] = _break(rows[k], k, period, data.draw(st.sampled_from(_FAULTS)), data)
+    path = tmp_path / "t.csv"
+    linenos = _write_trace_file(path, period, rows, blanks, newline)
+    with pytest.raises(TraceError) as expected:
+        load_trace_reference(path)
+    with pytest.raises(TraceError) as raised:
+        load_trace(path)
+    assert str(raised.value) == str(expected.value)
+    assert str(expected.value).startswith(f"{path}:{linenos[min(bad)]}:")
 
 # ----------------------------------------------------------------- resampling
 

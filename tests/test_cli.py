@@ -212,6 +212,27 @@ def test_overlay_traces_takes_no_seed(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+
+@pytest.mark.parametrize("flags,flag", [
+    (["--distance-m", "0"], "--distance-m"),
+    (["--distance-m", "-1"], "--distance-m"),
+    (["--distance-m", "nan"], "--distance-m"),
+    (["--distance-m", "0.4", "--frequency-hz", "-5"], "--frequency-hz"),
+    (["--distance-m", "0.4", "--link", "2:LH-1:C"], "--link"),
+])
+def test_overlay_traces_flag_errors_name_the_flag(tmp_path, capsys, flags, flag):
+    for name, link in (("base", "2:LH->1:LH"), ("donor", "1:LH->1:C")):
+        save_trace(ChannelTrace(LinkId.parse(link), 120.0, np.array([-60.0])),
+                   tmp_path / f"{name}.csv")
+    out_file = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["overlay-traces", "--part1", str(tmp_path / "base.csv"),
+              "--shadowing-from", str(tmp_path / "donor.csv"),
+              "--out-file", str(out_file), *flags])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out_file.exists()
+
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_outputs_and_determinism(tmp_path):

@@ -350,3 +350,12 @@ def test_readme_config_blocks_load(tmp_path):
         assert config.lcr_ref_threshold_db == default.lcr_ref_threshold_db
         assert config.channels.on_body == default.channels.on_body
         assert config.channels.inter_body == default.channels.inter_body
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_agree_on_the_shipped_configs():
+    # load_config parses with libyaml where it is available.
+    blocks = re.findall(r"^```yaml\n(.*?)^```", README.read_text(), re.M | re.S)
+    for text in [DEFAULT_CONFIG.read_text(), *blocks]:
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
