@@ -271,7 +271,7 @@ def downsample(trace: ChannelTrace, target_period_ms: float) -> ChannelTrace:
     k = target_period_ms / sample_period_ms must be a whole number.
     """
     ratio = target_period_ms / trace.sample_period_ms
-    stride = round(ratio)
+    stride = round(ratio) if math.isfinite(ratio) else 0
     if stride < 1 or abs(ratio - stride) > 1e-9:
         raise TraceError(f"cannot downsample period {trace.sample_period_ms} ms to "
                          f"{target_period_ms} ms: ratio {ratio} is not a whole number")

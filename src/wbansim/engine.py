@@ -395,7 +395,9 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
     Each is the power-weighted overlap of foreign transmissions with one
     victim receive sub-interval, for the superframe ``offsets`` of each
     subject (see ``_draw_offsets``). One pass per foreign transmission
-    covers every victim sub-interval, accumulating in transmission order.
+    covers every victim sub-interval, accumulating in transmission order,
+    over the epochs where the two active periods can meet; every other
+    epoch's weights are exactly +0.0, the bytes the full pass gives there.
     """
     victim, mac = config.victim, config.mac
     cycle = mac.cycle_ms
@@ -405,17 +407,40 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
     # One row per victim receive sub-interval, in the order of keys.
     sub_intervals = np.array(v_layout.broadcast + v_layout.forward)
     rel_a, dur_a = sub_intervals[:, :1], sub_intervals[:, 1:]
+    v_end = float(np.max(rel_a + dur_a))
+    # Far more than the few ulps of 2 cycle by which a computed delta can
+    # miss its exact value; MacConfig keeps the cycle finite.
+    margin = 1e-9 * cycle
     weights: dict[tuple[int, int, str], np.ndarray] = {}
     for interferer in config.interferers:
         i_layout = superframe_layout(interferer, mac)
+        i_end = max(rel_b + dur_b for rel_b, dur_b, _ in i_layout.transmissions)
         # Both offsets lie in [0, cycle) and both relative starts in [0, slot),
         # so every delta lies in (-2 cycle, 2 cycle), where _wrap is exact.
         delta_base = offsets[interferer.subject] - offsets[victim.subject]
-        weighted = np.zeros((len(keys), config.epochs))
+        # The interferer's active period starts gap after the victim's. When
+        # v_end + margin <= gap <= cycle - i_end - margin, the exact delta of
+        # every pair lies in [dur_a + margin, cycle - dur_b - margin], since
+        # rel_a + dur_a <= v_end and rel_b + dur_b <= i_end. The computed
+        # delta is off by far less than the margin, so the direct and the
+        # wrapped overlap are both max(0.0, x <= 0) = +0.0, and adding
+        # (+0.0 / dur_a) * power_mw, with power_mw finite, leaves the zeros
+        # at +0.0: such epochs are skipped. Without room for the margins,
+        # every epoch is kept.
+        low, high = v_end + margin, cycle - i_end - margin
+        if low > high:
+            meet = slice(None)
+        else:
+            gap = _wrap(delta_base, cycle)
+            meet = np.flatnonzero((gap < low) | (gap > high))
+        met = delta_base[meet]
+        weighted_met = np.zeros((len(keys), met.size))
         for rel_b, dur_b, node in i_layout.transmissions:
             power_mw = 10.0 ** (node.tx_power_dbm / 10.0)
-            delta = _wrap((delta_base + rel_b) - rel_a, cycle)
-            weighted += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
+            delta = _wrap((met + rel_b) - rel_a, cycle)
+            weighted_met += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
+        weighted = np.zeros((len(keys), config.epochs))
+        weighted[:, meet] = weighted_met
         for (i, kind), row in zip(keys, weighted):
             weights[(interferer.subject, i, kind)] = row
     return weights

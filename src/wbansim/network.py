@@ -89,6 +89,9 @@ class MacConfig:
             raise ValueError(f"slot_len_ms must be positive, got {self.slot_len_ms}")
         if not 0 <= self.beacon_frac < 1:
             raise ValueError(f"beacon_frac must lie in [0, 1), got {self.beacon_frac}")
+        if not math.isfinite(self.cycle_ms):
+            raise ValueError(f"n_coexisting * slot_len_ms must be finite, got "
+                             f"{self.n_coexisting} * {self.slot_len_ms} = {self.cycle_ms}")
 
     @property
     def cycle_ms(self) -> float:

@@ -278,19 +278,23 @@ def level_crossing_rate_reference(series: SinrSeries, threshold_db: float) -> fl
 
 # -------------------------------------------------------- interference weights
 
-def interference_weights_reference(config) -> dict[tuple[int, int, str], np.ndarray]:
+def interference_weights_reference(config, offsets=None,
+                                   ) -> dict[tuple[int, int, str], np.ndarray]:
     """Per-epoch interference weights, keyed by (interferer, sensor index, kind).
 
     For each interferer and each victim receive sub-interval, the foreign
-    transmissions are added in layout order: each one's circular overlap,
-    reduced with ``%``, as a fraction of the sub-interval, times its power.
-    Offsets come from each subject's "offsets" stream, as in the engine.
+    transmissions are added in layout order over every epoch: each one's
+    circular overlap, reduced with ``%``, as a fraction of the sub-interval,
+    times its power. ``offsets`` maps each subject to its per-epoch
+    superframe offsets in [0, cycle); by default they come from each
+    subject's "offsets" stream, as in the engine.
     """
     victim, mac, epochs = config.victim, config.mac, config.epochs
     cycle = mac.cycle_ms
-    offsets = {w.subject: substream(config.master_seed, "offsets", w.subject)
-               .uniform(0.0, cycle, epochs)
-               for w in (victim, *config.interferers)}
+    if offsets is None:
+        offsets = {w.subject: substream(config.master_seed, "offsets", w.subject)
+                   .uniform(0.0, cycle, epochs)
+                   for w in (victim, *config.interferers)}
     v_layout = superframe_layout(victim, mac)
     v_intervals = {}
     for i in range(len(victim.sensors)):

@@ -226,6 +226,9 @@ def test_downsample_identity_and_errors():
         downsample(make_trace([1.0, 2.0], period_ms=15.0), 100.0)
     with pytest.raises(TraceError, match="whole number"):
         downsample(trace, 60.0)  # upsampling is out of scope
+    # 120 / 5e-324 overflows to inf, which round() cannot convert.
+    with pytest.raises(TraceError, match="ratio inf is not a whole number"):
+        downsample(make_trace([1.0, 2.0], period_ms=5e-324), 120.0)
 
 
 # ------------------------------------------------------------------ path loss

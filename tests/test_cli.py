@@ -166,6 +166,19 @@ def test_generated_traces_reproduce_the_synthetic_run(tmp_path):
     assert tree_bytes(tmp_path / "synth") == tree_bytes(tmp_path / "csv")
 
 
+def test_a_trace_period_too_fine_to_downsample_exits_2(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    main(["gen-traces", "--config", write_config(tmp_path), "--out", str(traces), "--quiet"])
+    for path in traces.glob("*.csv"):
+        trace = load_trace(path)
+        save_trace(ChannelTrace(trace.link, 5e-324, trace.samples), path)
+    rc = main(["simulate", "--config", write_config(tmp_path, CSV_CONFIG, name="csv.yaml"),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot downsample period 5e-324 ms to 120.0 ms: ratio inf")
+
+
 # -------------------------------------------------------------- overlay-traces
 
 def test_overlay_traces_builds_interference_channel(tmp_path):

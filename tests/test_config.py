@@ -113,6 +113,11 @@ def test_bad_values_are_named(tmp_path):
         with pytest.raises(ConfigError, match="channels.synthetic: sample_period_ms"):
             load_config(write_config(tmp_path, BASE.replace(
                 "duration_ms: 60000.0", f"duration_ms: 60000.0\n    sample_period_ms: {bad}")))
+    # Each factor is finite, their product is not.
+    with pytest.raises(ConfigError, match=re.escape(
+            "mac: n_coexisting * slot_len_ms must be finite, got 2 * 1e+308 = inf")):
+        load_config(write_config(tmp_path, BASE.replace("slot_len_ms: 60.0",
+                                                        "slot_len_ms: 1.0e308")))
 
 
 def test_mute_power_spelling(tmp_path):

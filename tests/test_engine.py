@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HD, LW, make_wban
@@ -17,7 +17,7 @@ from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
 from wbansim.metrics import lcr_curve, threshold_at_outage
-from wbansim.network import MacConfig
+from wbansim.network import MacConfig, superframe_layout
 from wbansim.seeding import substream
 
 
@@ -212,6 +212,91 @@ def test_interference_weights_equal_the_per_interval_reference(
     assert set(got) == set(want)
     for key, weights in want.items():
         assert got[key].tobytes() == weights.tobytes(), key
+
+
+def _ulps_from(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+def _fold(offsets: np.ndarray, cycle: float) -> np.ndarray:
+    """Offsets in (-cycle, 2 cycle) moved into [0, cycle) by a whole cycle."""
+    offsets = offsets - cycle * (offsets >= cycle) + cycle * (offsets < 0.0)
+    return np.clip(offsets, 0.0, np.nextafter(cycle, 0.0))
+
+
+def _slot_ends(victim, interferer, mac):
+    """The end of the victim's last receive sub-interval and of the interferer's
+    last transmission, relative to their superframe offsets."""
+    v_layout = superframe_layout(victim, mac)
+    v_end = max(rel + dur for rel, dur in v_layout.broadcast + v_layout.forward)
+    i_end = max(rel + dur for rel, dur, _ in superframe_layout(interferer, mac).transmissions)
+    return v_end, i_end
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_coexisting=st.integers(1, 8), slot_len_ms=st.sampled_from([60.0, 7.3, 15.0]),
+       beacon_frac=st.sampled_from([0.0, 0.1, 0.35]),
+       n_sensors=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       powers=st.lists(_POWER, min_size=5, max_size=5), seed=st.integers(0, 2**32))
+# A gap of exactly v_end, where v_end rounds below the exact end of the last
+# sub-interval, overlaps the beacon by a few ulps: it is inside the margin.
+@example(n_coexisting=2, slot_len_ms=7.3, beacon_frac=0.1, n_sensors=(3, 1),
+         powers=[-math.inf] * 4 + [0.0], seed=0)
+def test_interference_weights_at_the_edges_of_the_skipped_gaps(
+        n_coexisting, slot_len_ms, beacon_frac, n_sensors, powers, seed):
+    """Epochs whose interferer starts within a few ulps of the bounds of the
+    skipped gaps, of 0 and of the cycle give the reference's bytes."""
+    mac = MacConfig(n_coexisting, slot_len_ms, beacon_frac)
+    cycle = mac.cycle_ms
+    locations = (HD, LW, BodyLocation.RIGHT_WRIST)
+    victim = make_wban(1, sensor_locs=locations[:n_sensors[0]], relay_power=powers[0],
+                       hub_power=powers[1])
+    interferer = make_wban(2, sensor_locs=locations[:n_sensors[1]], sensor_power=powers[2],
+                           relay_power=powers[3], hub_power=powers[4])
+    v_end, i_end = _slot_ends(victim, interferer, mac)
+    margin = 1e-9 * cycle
+    edges = (v_end + margin, cycle - i_end - margin, v_end, cycle - i_end, 0.0, cycle)
+    rng = np.random.default_rng(seed)
+    gaps = np.array([_ulps_from(edge, ulps) for edge in edges for ulps in range(-4, 5)]
+                    + rng.uniform(0.0, cycle, 20).tolist())
+    # Each gap three times: with the victim at 0, where the difference of the
+    # offsets is the gap itself, at a random offset, and one gap before the
+    # cycle's end, where the interferer's offset is the smaller one.
+    victim_offsets = _fold(np.concatenate(
+        [np.zeros(gaps.size), rng.uniform(0.0, cycle, gaps.size), cycle - gaps]), cycle)
+    foe_offsets = _fold(victim_offsets + np.tile(gaps, 3), cycle)
+    config = base_config(wbans=(victim, interferer), mac=mac, epochs=victim_offsets.size)
+    offsets = {1: victim_offsets, 2: foe_offsets}
+    got = engine._interference_weights(config, offsets)
+    want = interference_weights_reference(config, offsets)
+    assert set(got) == set(want)
+    for key, weights in want.items():
+        assert got[key].tobytes() == weights.tobytes(), key
+
+
+def test_overlaps_are_computed_only_in_epochs_where_the_slots_meet(monkeypatch):
+    columns = []
+    overlap_lengths = engine.overlap_lengths
+    monkeypatch.setattr(engine, "overlap_lengths", lambda delta, *args: columns.append(
+        delta.shape[1]) or overlap_lengths(delta, *args))
+    for n_coexisting in (8, 2):
+        config = base_config(mac=MacConfig(n_coexisting, 15.0), epochs=400)
+        offsets = engine._draw_offsets(config, (1, 2))
+        columns.clear()
+        engine._interference_weights(config, offsets)
+        # Active periods [0, slot) and [gap, gap + slot) meet, up to a margin.
+        cycle, slot = config.mac.cycle_ms, config.mac.slot_len_ms
+        gap = (offsets[2] - offsets[1]) % cycle
+        margin = 1e-9 * cycle
+        meeting = int(np.count_nonzero((gap < slot + margin) | (gap > cycle - slot - margin)))
+        transmissions = len(superframe_layout(config.wban(2), config.mac).transmissions)
+        assert columns == [meeting] * transmissions
+        if n_coexisting == 8:
+            assert 0 < meeting < config.epochs / 2
+        else:
+            assert meeting == config.epochs
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,6 +21,7 @@ def test_mac_config_timing():
 @pytest.mark.parametrize("kwargs", [
     dict(n_coexisting=0),
     dict(slot_len_ms=0.0),
+    dict(slot_len_ms=1e308),  # finite, but the cycle is not
     dict(beacon_frac=1.0),
     dict(beacon_frac=-0.1),
 ])
