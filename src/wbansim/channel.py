@@ -38,6 +38,30 @@ class MissingLinkError(TraceError):
     """A channel set has no trace for a required link."""
 
 
+class FieldError(ValueError):
+    """An out-of-range value of one field, named by ``field``."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field}: {problem}")
+        self.field, self.problem = field, problem
+
+
+def _linear(value_db: float, field: str, positive: bool = False) -> float:
+    """The linear value ``10.0 ** (value_db / 10.0)`` of a dB quantity, e.g. mW from dBm.
+
+    It must be a finite float, and > 0 if ``positive``; an overflow counts as
+    not finite. Otherwise a ``FieldError`` names ``field``.
+    """
+    try:
+        linear = 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not (math.isfinite(linear) and (linear > 0.0 or not positive)):
+        raise FieldError(field, f"the linear value of {value_db} dB must be finite"
+                                + (" and > 0" if positive else ""))
+    return linear
+
+
 class BodyLocation(enum.Enum):
     """Device placements on a subject's body."""
 
@@ -136,8 +160,7 @@ class SyntheticChannelParams:
     coherence_time_ms: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mean_gain_db):
-            raise ValueError(f"mean_gain_db must be finite, got {self.mean_gain_db}")
+        _linear(self.mean_gain_db, "mean_gain_db", positive=True)
         if not (math.isfinite(self.shadow_sigma_db) and self.shadow_sigma_db >= 0):
             raise ValueError(
                 f"shadow_sigma_db must be finite and >= 0, got {self.shadow_sigma_db}")

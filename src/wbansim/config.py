@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .channel import BodyLocation, LinkId, SyntheticChannelParams
+from .channel import BodyLocation, FieldError, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
                      SyntheticChannelSource)
 from .metrics import threshold_grid
@@ -157,11 +157,13 @@ class _Section:
         """Call ``target`` with the present values once every key has been read.
 
         A ``ValueError`` from ``target`` becomes a ``ConfigError`` naming
-        this section.
+        this section, or the key of this section that a ``FieldError`` names.
         """
         self.check()
         try:
             return target(*args, **{k: v for k, v in kwargs.items() if v is not _ABSENT})
+        except FieldError as exc:
+            raise ConfigError(f"{self.name(exc.field)}: {exc.problem}") from None
         except ValueError as exc:
             raise ConfigError(f"{self.label}: {exc}") from None
 

@@ -168,10 +168,21 @@ class ExperimentConfig:
         for subject in dict.fromkeys((self.victim_subject, *victims)):
             k = subjects.index(subject)
             for j, sensor in enumerate(self.wbans[k].sensors):
-                if not math.isfinite(sensor.tx_power_dbm):
+                # A mute sensor and one whose power underflows to 0 mW alike.
+                if not sensor.tx_power_mw > 0.0:
                     raise ConfigError(
                         f"wbans[{k}].sensors[{j}].tx_power_dbm: the sensors of victim "
-                        f"subject {subject} must transmit, got {sensor.tx_power_dbm}")
+                        f"subject {subject} must transmit above 0 mW, got "
+                        f"{sensor.tx_power_dbm} dBm")
+        # An override of a link on no defined subject would be silently unused.
+        overrides = (self.channels.overrides
+                     if isinstance(self.channels, SyntheticChannelSource) else {})
+        for text in overrides:
+            link = LinkId.parse(text)
+            for subject in (link.tx_subject, link.rx_subject):
+                if subject not in subjects:
+                    raise ConfigError(f"channels.synthetic.overrides.{text}: no wban "
+                                      f"defined for subject {subject}")
         # Interference reaches the hub and relays, which always occupy the
         # coordinator locations, by overlay onto the anchor's on-body traces.
         foes = self.sweep_interferers or self.interferer_subjects
@@ -424,8 +435,8 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
         # rel_a + dur_a <= v_end and rel_b + dur_b <= i_end. The computed
         # delta is off by far less than the margin, so the direct and the
         # wrapped overlap are both max(0.0, x <= 0) = +0.0, and adding
-        # (+0.0 / dur_a) * power_mw, with power_mw finite, leaves the zeros
-        # at +0.0: such epochs are skipped. Without room for the margins,
+        # (+0.0 / dur_a) * tx_power_mw, finite for every NodeSpec, leaves the
+        # zeros at +0.0: such epochs are skipped. Without room for the margins,
         # every epoch is kept.
         low, high = v_end + margin, cycle - i_end - margin
         if low > high:
@@ -436,9 +447,9 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
         met = delta_base[meet]
         weighted_met = np.zeros((len(keys), met.size))
         for rel_b, dur_b, node in i_layout.transmissions:
-            power_mw = 10.0 ** (node.tx_power_dbm / 10.0)
             delta = _wrap((met + rel_b) - rel_a, cycle)
-            weighted_met += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
+            weighted_met += ((overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a)
+                             * node.tx_power_mw)
         weighted = np.zeros((len(keys), config.epochs))
         weighted[:, meet] = weighted_met
         for (i, kind), row in zip(keys, weighted):
@@ -476,7 +487,7 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
     noise_mw = config.noise.noise_mw
     series: dict[int, dict[str, SinrSeries]] = {}
     for i, sensor in enumerate(victim.sensors):
-        p_sensor = 10.0 ** (sensor.tx_power_dbm / 10.0)
+        p_sensor = sensor.tx_power_mw
         den_hub_b = noise_mw + interference_mw(hub_loc, i, "broadcast")
         den_hub_f = noise_mw + interference_mw(hub_loc, i, "forward")
         nu_direct = p_sensor * link_gain(sensor.location, hub_loc) / den_hub_b
@@ -484,8 +495,7 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet,
         for relay in victim.relays:
             den_relay_b = noise_mw + interference_mw(relay.location, i, "broadcast")
             nu_sr.append(p_sensor * link_gain(sensor.location, relay.location) / den_relay_b)
-            p_relay = 10.0 ** (relay.tx_power_dbm / 10.0)
-            nu_rh.append(p_relay * link_gain(relay.location, hub_loc) / den_hub_f)
+            nu_rh.append(relay.tx_power_mw * link_gain(relay.location, hub_loc) / den_hub_f)
         coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
         series[i] = {scheme: SinrSeries(10.0 * np.log10(nu), config.epoch_period_ms,
                                         start_index)

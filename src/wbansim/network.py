@@ -11,11 +11,11 @@ partially. Collisions are quantified by circular interval overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BodyLocation
+from .channel import BodyLocation, _linear
 
 COORDINATOR_LOCATIONS = frozenset(
     {BodyLocation.CHEST, BodyLocation.LEFT_HIP, BodyLocation.RIGHT_HIP})
@@ -27,17 +27,19 @@ class NodeSpec:
 
     Its role is the slot of ``WbanConfig`` that holds it.
 
-    tx_power_dbm may be -inf to mute a transmitter (a muted interferer is
-    indistinguishable from an absent one); NaN and +inf are rejected.
+    ``tx_power_mw`` is ``tx_power_dbm`` in mW, set once here: a power whose
+    mW value is not a finite float (NaN, +inf, or beyond float range) is
+    rejected, so every node that exists has a finite ``tx_power_mw``.
+    tx_power_dbm may be -inf to mute a transmitter, which gives 0.0 mW (a
+    muted interferer is indistinguishable from an absent one).
     """
 
     location: BodyLocation
     tx_power_dbm: float = 0.0
+    tx_power_mw: float = field(init=False)
 
     def __post_init__(self):
-        p = self.tx_power_dbm
-        if math.isnan(p) or p == math.inf:
-            raise ValueError(f"tx_power_dbm must be a real power or -inf, got {p}")
+        object.__setattr__(self, "tx_power_mw", _linear(self.tx_power_dbm, "tx_power_dbm"))
 
 
 @dataclass(frozen=True)

@@ -9,25 +9,28 @@ the higher SINR.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .channel import _linear
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Receiver noise floor, flat across devices."""
+    """Receiver noise floor, flat across devices.
+
+    ``noise_mw`` is the floor in mW, set once here; a floor whose mW value
+    is not a finite float > 0 is rejected, so every SINR has a finite,
+    nonzero denominator.
+    """
 
     noise_floor_dbm: float = -100.0
+    noise_mw: float = field(init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.noise_floor_dbm):
-            raise ValueError(f"noise floor must be finite, got {self.noise_floor_dbm}")
-
-    @property
-    def noise_mw(self) -> float:
-        return 10.0 ** (self.noise_floor_dbm / 10.0)
+        object.__setattr__(self, "noise_mw",
+                           _linear(self.noise_floor_dbm, "noise_floor_dbm", positive=True))
 
 
 def cooperative_sinr(nu_direct, nu_sr, nu_rh):

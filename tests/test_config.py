@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 from pathlib import Path
@@ -5,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wbansim.channel import BodyLocation, LinkId
 from helpers import with_on_body_coherence
+from wbansim.cli import main
 from wbansim.config import load_config
 from wbansim.engine import ConfigError, CsvChannelSource, SyntheticChannelSource
 
@@ -118,13 +123,35 @@ def test_bad_values_are_named(tmp_path):
             "mac: n_coexisting * slot_len_ms must be finite, got 2 * 1e+308 = inf")):
         load_config(write_config(tmp_path, BASE.replace("slot_len_ms: 60.0",
                                                         "slot_len_ms: 1.0e308")))
+    # A dB quantity whose linear value is not a finite float fails at load, by
+    # key, as does a victim sensor or noise floor of 0 mW.
+    head, tail = BASE.rsplit("hub: {location: C}", 1)
+    for text, key in [
+            (head + "hub: {location: C, tx_power_dbm: 4000}" + tail,
+             "wbans[1].hub.tx_power_dbm"),
+            (BASE.replace("{location: HD}", "{location: HD, tx_power_dbm: 4000}", 1),
+             "wbans[0].sensors[0].tx_power_dbm"),
+            (BASE.replace("{location: HD}", "{location: HD, tx_power_dbm: -4000}", 1),
+             "wbans[0].sensors[0].tx_power_dbm"),
+            (BASE + "noise: {noise_floor_dbm: 4000}\n", "noise.noise_floor_dbm"),
+            (BASE + "noise: {noise_floor_dbm: -4000}\n", "noise.noise_floor_dbm"),
+            (BASE.replace("mean_gain_db: -55.0", "mean_gain_db: 1.0e308"),
+             "channels.synthetic.on_body.mean_gain_db"),
+            (BASE + '    overrides: {"9:HD->9:C": {mean_gain_db: -40.0}}\n',
+             "channels.synthetic.overrides.9:HD->9:C: no wban defined for subject 9")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}"):
+            load_config(write_config(tmp_path, text))
 
 
 def test_mute_power_spelling(tmp_path):
     text = BASE.replace("      - {location: LH}\n",
                         "      - {location: LH, tx_power_dbm: -inf}\n", 1)
-    config = load_config(write_config(tmp_path, text))
-    assert config.wban(1).relays[0].tx_power_dbm == -math.inf
+    head, tail = text.rsplit("{location: HD}", 1)
+    config = load_config(write_config(tmp_path, head + "{location: HD, tx_power_dbm: mute}"
+                                      + tail))
+    relay, interferer = config.wban(1).relays[0], config.wban(2).sensors[0]
+    assert relay.tx_power_dbm == interferer.tx_power_dbm == -math.inf
+    assert relay.tx_power_mw == interferer.tx_power_mw == 0.0
 
 
 def test_a_muted_sweep_victim_sensor_fails_at_load(tmp_path):
@@ -134,6 +161,36 @@ def test_a_muted_sweep_victim_sensor_fails_at_load(tmp_path):
     assert load_config(write_config(tmp_path, text)).victim_subject == 1
     with pytest.raises(ConfigError, match=re.escape("wbans[1].sensors[0].tx_power_dbm")):
         load_config(write_config(tmp_path, text + "sweep:\n  victims: [1, 2]\n"))
+
+
+# Where each power of BASE sits in its loaded YAML tree.
+_POWER_PATHS = [("noise", "noise_floor_dbm")] + [
+    ("wbans", k, *node, "tx_power_dbm")
+    for k in (0, 1) for node in [("hub",), ("relays", 0), ("relays", 1), ("sensors", 0)]]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(_POWER_PATHS),
+       value=st.one_of(st.floats(-300.0, 300.0), st.floats(-1e308, 1e308),
+                       st.sampled_from([math.inf, -math.inf, math.nan, "mute"])))
+def test_any_power_value_runs_or_is_named(tmp_path, path, value):
+    *parents, leaf = path
+    node = raw = {**yaml.safe_load(BASE), "noise": {}}
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    name = re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, path)))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main(["simulate", "--config", str(write_config(tmp_path, yaml.safe_dump(raw))),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    # A muted victim sensor fails at load; it is -inf, so never in this range.
+    if value != "mute" and abs(value) <= 300.0:
+        assert rc == 0, stderr.getvalue()
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert f"config error: {name}: " in stderr.getvalue()
 
 
 @pytest.mark.parametrize("anchor,pairs", [("C", "C-RH"), ("RH", "C-RH"),
