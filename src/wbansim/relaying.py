@@ -21,8 +21,7 @@ class NoiseModel:
     """Receiver noise floor, flat across devices.
 
     ``noise_mw`` is the floor in mW, set once here; a floor whose mW value
-    is not a finite float > 0 is rejected, so every SINR has a finite,
-    nonzero denominator.
+    is not a finite float > 0 is rejected, so no SINR divides by zero.
     """
 
     noise_floor_dbm: float = -100.0
