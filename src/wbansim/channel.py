@@ -169,33 +169,6 @@ class SyntheticChannelParams:
                              f"{self.coherence_time_ms}")
 
 
-def _read_float_pairs(path, lines, error, row_format: str):
-    """Yield (line number, first, second) for each data row of a two-column CSV.
-
-    ``lines`` is the whole file and its header is skipped; blank lines are
-    ignored. A row that is not two numbers, or a file without data rows,
-    raises ``error`` with a ``path:line:`` prefix. Rows are yielded as they
-    are read, so a caller's own check of one row fires before a parse
-    error in a later row.
-    """
-    count = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise error(f"{path}:{lineno}: expected '{row_format}', got {raw!r}")
-        try:
-            first, second = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise error(f"{path}:{lineno}: {exc}") from exc
-        count += 1
-        yield lineno, first, second
-    if not count:
-        raise error(f"{path}:2: no data rows")
-
-
 _HEADER_RE = re.compile(r"^link=(?P<link>[^,]+),period_ms=(?P<period>[^,\s]+)$")
 
 
@@ -264,15 +237,26 @@ def _scan_rows(path, lines, period: float) -> list[float]:
     """The gains, read one row at a time: the first bad row raises its error."""
     gains = []
     tol = 1e-6 * period
-    for lineno, t, gain in _read_float_pairs(path, lines, TraceError, "<t_ms>,<gain_db>"):
+    for lineno, raw in enumerate(lines[1:], start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise TraceError(f"{path}:{lineno}: expected '<t_ms>,<gain_db>', got {raw!r}")
+        try:
+            t, gain = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise TraceError(f"{path}:{lineno}: {exc}") from exc
         expected_t = len(gains) * period
         if not abs(t - expected_t) <= tol:  # also rejects a NaN timestamp
             raise TraceError(f"{path}:{lineno}: timestamp {t} is not the expected "
                              f"multiple {expected_t} of period {period}")
         if not math.isfinite(gain):
-            text = lines[lineno - 1].strip().split(",")[1]
-            raise TraceError(f"{path}:{lineno}: non-finite gain {text!r}")
+            raise TraceError(f"{path}:{lineno}: non-finite gain {parts[1]!r}")
         gains.append(gain)
+    if not gains:
+        raise TraceError(f"{path}:2: no data rows")
     return gains
 
 

@@ -18,7 +18,7 @@ import yaml
 
 from .channel import BodyLocation, FieldError, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
-                     SyntheticChannelSource)
+                     SyntheticChannelSource, _distance_key)
 from .metrics import threshold_grid
 from .network import MacConfig, NodeSpec, WbanConfig
 from .relaying import NoiseModel
@@ -99,7 +99,7 @@ def _parse_distances(value, key: str) -> dict[tuple[str, str], float]:
         if len(parts) != 2:
             raise ConfigError(f"{name}: expected keys like 'LH-RH'")
         a, b = (_parse_location(part, name) for part in parts)
-        distances[tuple(sorted((a.value, b.value)))] = _as_positive(metres, name)
+        distances[_distance_key(a, b)] = _as_positive(metres, name)
     return distances
 
 

@@ -174,20 +174,23 @@ class ExperimentConfig:
                         f"wbans[{k}].sensors[{j}].tx_power_dbm: the sensors of victim "
                         f"subject {subject} must transmit above 0 mW, got "
                         f"{sensor.tx_power_dbm} dBm")
-        # An override of a link on no defined subject would be silently unused.
-        overrides = (self.channels.overrides
-                     if isinstance(self.channels, SyntheticChannelSource) else {})
-        for text in overrides:
-            link = LinkId.parse(text)
-            for subject in (link.tx_subject, link.rx_subject):
-                if subject not in subjects:
-                    raise ConfigError(f"channels.synthetic.overrides.{text}: no wban "
-                                      f"defined for subject {subject}")
+        foes = self.sweep_interferers or self.interferer_subjects
+        anchor = self.interferer_source_location
+        # An override of a link that neither simulate nor a sweep pair reads
+        # would be silently unused.
+        if isinstance(self.channels, SyntheticChannelSource) and self.channels.overrides:
+            read = _source_links(self.victim, self.interferers, anchor)
+            for v in victims:
+                pair_foes = [self.wban(u) for u in foes if u != v]
+                read += _source_links(self.wban(v), pair_foes, anchor) if pair_foes else []
+            read = set(map(str, read))
+            for text in self.channels.overrides:
+                if text not in read:
+                    raise ConfigError(f"channels.synthetic.overrides.{text}: no run reads "
+                                      "this link")
         # Interference reaches the hub and relays, which always occupy the
         # coordinator locations, by overlay onto the anchor's on-body traces.
-        foes = self.sweep_interferers or self.interferer_subjects
         if self.interferer_subjects or any(u != v for v in victims for u in foes):
-            anchor = self.interferer_source_location
             missing = sorted("-".join(_distance_key(anchor, loc))
                              for loc in COORDINATOR_LOCATIONS - {anchor}
                              if _distance_key(anchor, loc) not in self.radio.link_distances_m)
@@ -240,10 +243,11 @@ def required_source_links(config: ExperimentConfig) -> list[LinkId]:
     links that donate shadowing), then one cross-body base link per
     interferer, ending at the victim's anchor location.
     """
-    victim = config.victim
-    subject = victim.subject
-    hub_loc = victim.hub.location
-    anchor = config.interferer_source_location
+    return _source_links(config.victim, config.interferers, config.interferer_source_location)
+
+
+def _source_links(victim: WbanConfig, interferers, anchor: BodyLocation) -> list[LinkId]:
+    subject, hub_loc = victim.subject, victim.hub.location
     links: dict[LinkId, None] = {}
     for sensor in victim.sensors:
         for target in _device_locations(victim):
@@ -253,7 +257,7 @@ def required_source_links(config: ExperimentConfig) -> list[LinkId]:
     for loc in _device_locations(victim):
         if loc != anchor:
             links.setdefault(LinkId(subject, anchor, subject, loc))
-    for interferer in config.interferers:
+    for interferer in interferers:
         links.setdefault(LinkId(interferer.subject, anchor, subject, anchor))
     return list(links)
 
@@ -400,30 +404,28 @@ def _wrap(a: np.ndarray, cycle: float) -> np.ndarray:
 
 
 def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.ndarray],
-                          ) -> dict[tuple[int, int, str], np.ndarray]:
-    """Per-epoch interference weights, keyed by (interferer, sensor index, kind).
+                          ) -> np.ndarray:
+    """Per-epoch interference weights, indexed [interferer, kind, sensor, epoch].
 
-    Each is the power-weighted overlap of foreign transmissions with one
-    victim receive sub-interval, for the superframe ``offsets`` of each
-    subject (see ``_draw_offsets``). One pass per foreign transmission
-    covers every victim sub-interval, accumulating in transmission order,
-    over the epochs where the two active periods can meet; every other
+    Each is the power-weighted overlap of one of ``config.interferers`` with a
+    victim sensor's broadcast (kind 0) or forward (kind 1) sub-interval, for
+    the superframe ``offsets`` of each subject (see ``_draw_offsets``). One
+    pass per foreign transmission covers every sub-interval, in transmission
+    order, over the epochs where the active periods can meet; every other
     epoch's weights are exactly +0.0, the bytes the full pass gives there.
     """
     victim, mac = config.victim, config.mac
     cycle = mac.cycle_ms
     v_layout = superframe_layout(victim, mac)
-    keys = [(i, kind) for kind in ("broadcast", "forward")
-            for i in range(len(victim.sensors))]
-    # One row per victim receive sub-interval, in the order of keys.
+    # One row per victim receive sub-interval: every broadcast, then every forward.
     sub_intervals = np.array(v_layout.broadcast + v_layout.forward)
     rel_a, dur_a = sub_intervals[:, :1], sub_intervals[:, 1:]
     v_end = float(np.max(rel_a + dur_a))
     # Far more than the few ulps of 2 cycle by which a computed delta can
     # miss its exact value; MacConfig keeps the cycle finite.
     margin = 1e-9 * cycle
-    weights: dict[tuple[int, int, str], np.ndarray] = {}
-    for interferer in config.interferers:
+    weights = np.zeros((len(config.interferers), len(sub_intervals), config.epochs))
+    for weighted, interferer in zip(weights, config.interferers):
         i_layout = superframe_layout(interferer, mac)
         i_end = max(rel_b + dur_b for rel_b, dur_b, _ in i_layout.transmissions)
         # Both offsets lie in [0, cycle) and both relative starts in [0, slot),
@@ -445,86 +447,82 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
             gap = _wrap(delta_base, cycle)
             meet = np.flatnonzero((gap < low) | (gap > high))
         met = delta_base[meet]
-        weighted_met = np.zeros((len(keys), met.size))
+        weighted_met = np.zeros((len(sub_intervals), met.size))
         for rel_b, dur_b, node in i_layout.transmissions:
             delta = _wrap((met + rel_b) - rel_a, cycle)
             weighted_met += ((overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a)
                              * node.tx_power_mw)
-        weighted = np.zeros((len(keys), config.epochs))
         weighted[:, meet] = weighted_met
-        for (i, kind), row in zip(keys, weighted):
-            weights[(interferer.subject, i, kind)] = row
-    return weights
+    return weights.reshape(len(config.interferers), 2, len(victim.sensors), config.epochs)
 
 
-def _execute_run(config: ExperimentConfig, channels: ChannelSet,
-                 weights: dict[tuple[int, int, str], np.ndarray],
+def _linear_gains(channels: ChannelSet, links, window: slice) -> np.ndarray:
+    """One row per link: its gains over ``window`` in linear power."""
+    return 10.0 ** (np.array([channels.trace(link).samples[window] for link in links]) / 10.0)
+
+
+def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.ndarray,
                  start_index: int, rep: int) -> RunResult:
-    victim, epochs = config.victim, config.epochs
+    """One run: a (sensors, epochs) SINR block per scheme, then its curves and summary."""
+    victim, subject, epochs = config.victim, config.victim_subject, config.epochs
     window = slice(start_index, start_index + epochs)
-    subject, hub_loc = victim.subject, victim.hub.location
-    anchor = config.interferer_source_location
+    receivers = _device_locations(victim)  # the hub, then the relays
+    p_sensor = np.array([[sensor.tx_power_mw] for sensor in victim.sensors])
 
-    # Each link's window is converted to linear power once per run; a sensor's
-    # sub-intervals and the other sensors look it up again.
-    gains: dict[LinkId, np.ndarray] = {}
-
-    def linear_gain(link: LinkId) -> np.ndarray:
-        if link not in gains:
-            gains[link] = 10.0 ** (channels.trace(link).samples[window] / 10.0)
-        return gains[link]
-
-    def link_gain(tx_loc: BodyLocation, rx_loc: BodyLocation) -> np.ndarray:
-        return linear_gain(LinkId(subject, tx_loc, subject, rx_loc))
-
-    def interference_mw(rx_loc: BodyLocation, i: int, kind: str) -> np.ndarray:
-        total = np.zeros(epochs)
-        for u in config.interferer_subjects:
-            total += (linear_gain(LinkId(u, anchor, subject, rx_loc))
-                      * weights[(u, i, kind)])
-        return total
-
-    noise_mw = config.noise.noise_mw
-    series: dict[int, dict[str, SinrSeries]] = {}
-    for i, sensor in enumerate(victim.sensors):
-        p_sensor = sensor.tx_power_mw
-        den_hub_b = noise_mw + interference_mw(hub_loc, i, "broadcast")
-        den_hub_f = noise_mw + interference_mw(hub_loc, i, "forward")
-        nu_direct = p_sensor * link_gain(sensor.location, hub_loc) / den_hub_b
-        nu_sr, nu_rh = [], []
-        for relay in victim.relays:
-            den_relay_b = noise_mw + interference_mw(relay.location, i, "broadcast")
-            nu_sr.append(p_sensor * link_gain(sensor.location, relay.location) / den_relay_b)
-            nu_rh.append(relay.tx_power_mw * link_gain(relay.location, hub_loc) / den_hub_f)
+    # Out-of-range values are found below, by block, and named.
+    with np.errstate(all="ignore"):
+        # Gains by link role: from the sensors to each receiver, a (sensors, epochs)
+        # block; from each relay to the hub and each interferer to each receiver, a row.
+        # Blocks no larger than these, alive until the run returns, reuse the heap
+        # as one sensor's rows did; bigger or shorter-lived ones page fault more.
+        from_sensors = [_linear_gains(channels, [LinkId(subject, sensor.location, subject, rx)
+                                                 for sensor in victim.sensors], window)
+                        for rx in receivers]
+        relay_hub = [_linear_gains(channels, [LinkId(subject, relay.location, subject,
+                                                     receivers[0])], window)
+                     for relay in victim.relays]
+        foe_gains = [[_linear_gains(channels, [LinkId(u, config.interferer_source_location,
+                                                      subject, rx)], window)
+                      for rx in receivers] for u in config.interferer_subjects]
+        # Noise plus interference in each receiver's broadcast sub-interval, then in
+        # the hub's forward one; interferers add in order.
+        dens = []
+        for rx, kind in ((0, 0), (1, 0), (2, 0), (0, 1)):
+            total = np.zeros((len(victim.sensors), epochs))
+            for gains, foe_weights in zip(foe_gains, weights):
+                total += gains[rx] * foe_weights[kind]
+            dens.append(config.noise.noise_mw + total)
+        nu_direct, *nu_sr = [(p_sensor * gains) / den
+                             for gains, den in zip(from_sensors, dens)]
+        nu_rh = [(relay.tx_power_mw * gains) / dens[3]
+                 for relay, gains in zip(victim.relays, relay_hub)]
         coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
-        series[i] = {scheme: SinrSeries(10.0 * np.log10(nu), config.epoch_period_ms,
-                                        start_index)
-                     for scheme, nu in (("single", nu_direct), ("coop", coop))}
+        sinr_db = {"single": 10.0 * np.log10(nu_direct), "coop": 10.0 * np.log10(coop)}
+    for scheme, block in sinr_db.items():
+        finite = np.isfinite(block)
+        if not finite.all():
+            j = int(np.flatnonzero(~finite.all(axis=1))[0])
+            k = [w.subject for w in config.wbans].index(subject)
+            bad = epochs - np.count_nonzero(finite[j])
+            raise MetricsError(f"wbans[{k}].sensors[{j}]: the {scheme} SINR is beyond "
+                               f"float range in {bad} of {epochs} epochs")
 
-    thresholds = config.thresholds_db
-    curves: dict[str, dict[str, MetricsCurve]] = {}
-    for scheme in ("single", "coop"):
-        pooled = np.concatenate([series[i][scheme].values_db
-                                 for i in range(len(victim.sensors))])
-        outage = empirical_outage(pooled, thresholds)
-        lcr_values = np.mean(
-            [lcr_curve(series[i][scheme], thresholds).values
-             for i in range(len(victim.sensors))], axis=0)
-        curves[scheme] = {"outage": outage,
-                          "lcr": MetricsCurve("lcr", thresholds, lcr_values)}
+    thresholds, ref_db = config.thresholds_db, config.lcr_ref_threshold_db
+    series, curves, quantities = {i: {} for i in range(len(victim.sensors))}, {}, {}
+    for scheme, block in sinr_db.items():
+        rows = [SinrSeries(values, config.epoch_period_ms, start_index) for values in block]
+        for i, row in enumerate(rows):
+            series[i][scheme] = row
+        outage = empirical_outage(block.ravel(), thresholds)
+        lcr = np.mean([lcr_curve(row, thresholds).values for row in rows], axis=0)
+        curves[scheme] = {"outage": outage, "lcr": MetricsCurve("lcr", thresholds, lcr)}
+        quantities[scheme] = (_quantile_or_nan(outage, 0.01), _quantile_or_nan(outage, 0.10),
+                              float(np.mean([level_crossing_rate(r, ref_db) for r in rows])))
 
-    combination, interferer_label = _combination_id(subject, config.interferer_subjects)
-    thr10 = {s: _quantile_or_nan(curves[s]["outage"], 0.10) for s in ("single", "coop")}
-    gain10 = thr10["coop"] - thr10["single"]
-    summary = []
-    for scheme in ("single", "coop"):
-        ref_lcr = float(np.mean([
-            level_crossing_rate(series[i][scheme], config.lcr_ref_threshold_db)
-            for i in range(len(victim.sensors))]))
-        summary.append(SummaryRow(
-            combination, subject, interferer_label, rep, scheme,
-            _quantile_or_nan(curves[scheme]["outage"], 0.01), thr10[scheme],
-            gain10, ref_lcr))
+    combination, label = _combination_id(subject, config.interferer_subjects)
+    gain10 = quantities["coop"][1] - quantities["single"][1]
+    summary = [SummaryRow(combination, subject, label, rep, scheme, thr1, thr10, gain10, ref)
+               for scheme, (thr1, thr10, ref) in quantities.items()]
     return RunResult(subject, config.interferer_subjects, rep, start_index,
                      series, curves, summary)
 

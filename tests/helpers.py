@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId, _read_float_pairs
+from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId
 from wbansim.engine import ConfigError, ExperimentConfig, SyntheticChannelSource
 from wbansim.metrics import MetricsCurve, MetricsError
 from wbansim.network import NodeSpec, WbanConfig
@@ -68,7 +68,18 @@ def read_curve_csv(path) -> tuple[MetricsCurve, str, str]:
     header = _CURVE_HEADER_RE.match(lines[0].strip())
     if header is None:
         raise MetricsError(f"{path}:1: malformed curve header {lines[0]!r}")
-    _, thresholds, values = zip(*_read_float_pairs(path, lines, MetricsError,
-                                                   "<threshold_db>,<value>"))
-    return (MetricsCurve(header.group("kind"), np.array(thresholds), np.array(values)),
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        try:
+            threshold, value = map(float, raw.split(","))
+        except ValueError as exc:
+            raise MetricsError(f"{path}:{lineno}: expected '<threshold_db>,<value>', "
+                               f"got {raw!r}") from exc
+        rows.append((threshold, value))
+    if not rows:
+        raise MetricsError(f"{path}:2: no data rows")
+    thresholds, values = np.array(rows).T
+    return (MetricsCurve(header.group("kind"), thresholds, values),
             header.group("scheme"), header.group("subject"))

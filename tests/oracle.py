@@ -9,11 +9,13 @@ the circular overlap length.
 It also keeps the per-threshold definition of the level crossing rate that
 the one-pass kernel in ``wbansim.metrics`` is checked against, the
 per-(sub-interval, transmission) interference weights that the engine's
-one pass per transmission is checked against, and the AR(1) shadowing
-recurrence, one step at a time, that ``generate_synthetic`` must match
-bit for bit. Last, it reads and writes trace CSVs one row at a time: the
-bytes ``save_trace`` must write, and the samples or the first bad row's
-error that ``load_trace`` must give.
+one pass per transmission is checked against, the per-sensor SINR series
+that the engine's (sensors, epochs) blocks must match byte for byte, and
+the AR(1) shadowing recurrence, one step at a time, that
+``generate_synthetic`` must match bit for bit. It reads and writes trace
+CSVs one row at a time: the bytes ``save_trace`` must write, and the
+samples or the first bad row's error that ``load_trace`` must give. Last,
+it states the interference-free model's outage in closed form.
 """
 
 from __future__ import annotations
@@ -312,6 +314,87 @@ def interference_weights_reference(config, offsets=None,
                 weighted += (overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a) * power_mw
             weights[(interferer.subject, i, kind)] = weighted
     return weights
+
+
+def sinr_series_reference(config, channels: ChannelSet, start_index: int,
+                          ) -> dict[int, dict[str, np.ndarray]]:
+    """Per-sensor SINR in dB, {sensor: {"single", "coop"}}, one sensor at a time.
+
+    Each link's window is converted to linear power once; the interference
+    at a receiver adds the interferers in ``config.interferer_subjects``
+    order, from zeros, with the weights of ``interference_weights_reference``.
+    """
+    victim, epochs = config.victim, config.epochs
+    window = slice(start_index, start_index + epochs)
+    subject, hub_loc = victim.subject, victim.hub.location
+    anchor = config.interferer_source_location
+    weights = interference_weights_reference(config)
+    gains: dict[LinkId, np.ndarray] = {}
+
+    def linear_gain(link: LinkId) -> np.ndarray:
+        if link not in gains:
+            gains[link] = 10.0 ** (channels.trace(link).samples[window] / 10.0)
+        return gains[link]
+
+    def link_gain(tx_loc: BodyLocation, rx_loc: BodyLocation) -> np.ndarray:
+        return linear_gain(LinkId(subject, tx_loc, subject, rx_loc))
+
+    def interference_mw(rx_loc: BodyLocation, i: int, kind: str) -> np.ndarray:
+        total = np.zeros(epochs)
+        for u in config.interferer_subjects:
+            total += (linear_gain(LinkId(u, anchor, subject, rx_loc))
+                      * weights[(u, i, kind)])
+        return total
+
+    noise_mw = config.noise.noise_mw
+    series = {}
+    for i, sensor in enumerate(victim.sensors):
+        p_sensor = sensor.tx_power_mw
+        den_hub_b = noise_mw + interference_mw(hub_loc, i, "broadcast")
+        den_hub_f = noise_mw + interference_mw(hub_loc, i, "forward")
+        nu_direct = p_sensor * link_gain(sensor.location, hub_loc) / den_hub_b
+        branches = []
+        for relay in victim.relays:
+            den_relay_b = noise_mw + interference_mw(relay.location, i, "broadcast")
+            nu_sr = p_sensor * link_gain(sensor.location, relay.location) / den_relay_b
+            nu_rh = relay.tx_power_mw * link_gain(relay.location, hub_loc) / den_hub_f
+            branches.append(np.minimum(nu_sr, nu_rh))
+        coop = np.maximum(nu_direct, np.maximum(branches[0], branches[1]))
+        series[i] = {"single": 10.0 * np.log10(nu_direct), "coop": 10.0 * np.log10(coop)}
+    return series
+
+
+# ------------------------------------------------------- interference-free model
+
+def outage_single_closed_form(x: float, mean: float, sd: float) -> float:
+    """P(SINR < x) of the direct link alone: F(x) = Phi((x - mean) / sd).
+
+    With no interferer a packet's SINR in dB is tx power + on-body gain -
+    noise floor, and every synthetic on-body gain is N(mean_gain, sd^2) in
+    every epoch, whatever the coherence time.
+    """
+    return 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0))))
+
+
+def outage_coop_closed_form(x: float, mean: float, sd: float) -> float:
+    """P(max(direct, min(sr1, rh1), min(sr2, rh2)) < x) = F (1 - (1 - F)^2)^2.
+
+    The five links are independent with the same law F, and a relay
+    branch is below x unless both of its hops are at or above it.
+    """
+    f = outage_single_closed_form(x, mean, sd)
+    return f * (1.0 - (1.0 - f) ** 2) ** 2
+
+
+def closed_form_quantile(cdf, probability: float, lo: float, hi: float) -> float:
+    """The x in [lo, hi] where an increasing ``cdf`` reaches ``probability``, by bisection."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < probability:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ----------------------------------------------------------- synthetic traces

@@ -15,7 +15,8 @@ import pytest
 from scipy.stats import chi2
 
 from helpers import with_on_body_coherence
-from oracle import compute_sinr, select_relay
+from oracle import (closed_form_quantile, compute_sinr, outage_coop_closed_form,
+                    outage_single_closed_form, select_relay)
 from wbansim.channel import (LinkId, SyntheticChannelParams, extract_shadowing,
                              fspl_db, generate_synthetic, overlay)
 from wbansim.config import load_config
@@ -153,6 +154,58 @@ def test_coherence_time_trend():
     assert in_band, f"240 ms gain {g_fast:.3f} dB outside [2, 10] dB"
     assert ordered, (f"240 ms gain {g_fast:.3f} dB does not exceed "
                      f"5000 ms gain {g_slow:.3f} dB")
+
+
+# The bound below is fixed from theory before the run, not fitted to it.
+# An empirical p-quantile of n samples of a stationary sequence spreads with
+# sd ~ sqrt(p (1 - p) tau / n) / f(x_p): f is the density at the quantile and
+# tau the sum over all lags of the outage indicator's autocorrelation. Every
+# on-body gain is a Gaussian AR(1) with lag-k correlation rho^k, rho =
+# exp(-epoch / coherence). The maximal correlation of a bivariate normal is
+# its |correlation|, and that of independent pairs the largest of theirs, so
+# any function of one epoch's five links, single's or coop's indicator
+# included, has |lag-k correlation| <= rho^k, and tau <= (1 + rho) / (1 - rho).
+# On the default config, rho = exp(-0.5) = 0.607, tau <= 4.08 and n = 20000:
+# sd <= 0.147 dB for single (f = 0.0293 per dB) and 0.090 dB for coop (f =
+# 0.0477 per dB). The gain's sd is at most their sum, 0.237 dB, whatever
+# their correlation. threshold_at_outage interpolates the curve linearly on
+# the 0.5 dB grid, which moves a smooth quantile by at most h^2/8 max|f'|/f,
+# under 0.02 dB here. Each check allows 3 sd plus 0.02 dB per quantile.
+_SD_MULTIPLE = 3.0
+_GRID_ALLOWANCE_DB = 0.02
+
+
+def test_interference_free_outage_matches_the_closed_form():
+    config = replace(load_config(DEFAULT_CONFIG), interferer_subjects=())
+    (sensor,) = config.victim.sensors
+    on_body = config.channels.on_body
+    mean = sensor.tx_power_dbm + on_body.mean_gain_db - config.noise.noise_floor_dbm
+    sigma = on_body.shadow_sigma_db
+    rho = math.exp(-config.epoch_period_ms / on_body.coherence_time_ms)
+    p, n = 0.10, config.epochs
+    spread = math.sqrt(p * (1.0 - p) * (1.0 + rho) / (1.0 - rho) / n)
+    want, sd = {}, {}
+    for scheme, outage in (("single", outage_single_closed_form),
+                           ("coop", outage_coop_closed_form)):
+        def cdf(x, outage=outage):
+            return outage(x, mean, sigma)
+        want[scheme] = closed_form_quantile(cdf, p, mean - 10 * sigma, mean + 10 * sigma)
+        density = (cdf(want[scheme] + 1e-4) - cdf(want[scheme] - 1e-4)) / 2e-4
+        sd[scheme] = spread / density
+    want["gain"], sd["gain"] = want["coop"] - want["single"], sd["single"] + sd["coop"]
+    bound = {"single": _SD_MULTIPLE * sd["single"] + _GRID_ALLOWANCE_DB,
+             "coop": _SD_MULTIPLE * sd["coop"] + _GRID_ALLOWANCE_DB,
+             "gain": _SD_MULTIPLE * sd["gain"] + 2 * _GRID_ALLOWANCE_DB}
+    rows = {row.scheme: row for row in run(config).summary}
+    got = {"single": rows["single"].thr_at_10pct_db, "coop": rows["coop"].thr_at_10pct_db,
+           "gain": rows["coop"].gain_at_10pct_db}
+    ok = all(abs(got[q] - want[q]) <= bound[q] for q in want)
+    report(ok, "interference-free closed form", ", ".join(
+        f"{q} {got[q]:.3f} dB vs {want[q]:.3f} ± {bound[q]:.3f} dB" for q in want))
+    assert round(want["single"], 3) == 37.311 and round(want["coop"], 3) == 42.356
+    assert round(want["gain"], 3) == 5.045
+    for q in want:
+        assert abs(got[q] - want[q]) <= bound[q], q
 
 
 def test_cli_runs_are_byte_deterministic(tmp_path):

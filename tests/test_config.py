@@ -124,7 +124,8 @@ def test_bad_values_are_named(tmp_path):
         load_config(write_config(tmp_path, BASE.replace("slot_len_ms: 60.0",
                                                         "slot_len_ms: 1.0e308")))
     # A dB quantity whose linear value is not a finite float fails at load, by
-    # key, as does a victim sensor or noise floor of 0 mW.
+    # key, as do a victim sensor or noise floor of 0 mW and an override that no
+    # run reads.
     head, tail = BASE.rsplit("hub: {location: C}", 1)
     for text, key in [
             (head + "hub: {location: C, tx_power_dbm: 4000}" + tail,
@@ -137,10 +138,45 @@ def test_bad_values_are_named(tmp_path):
             (BASE + "noise: {noise_floor_dbm: -4000}\n", "noise.noise_floor_dbm"),
             (BASE.replace("mean_gain_db: -55.0", "mean_gain_db: 1.0e308"),
              "channels.synthetic.on_body.mean_gain_db"),
-            (BASE + '    overrides: {"9:HD->9:C": {mean_gain_db: -40.0}}\n',
-             "channels.synthetic.overrides.9:HD->9:C: no wban defined for subject 9")]:
+            *[(BASE + f'    overrides: {{"{link}": {{mean_gain_db: -40.0}}}}\n' + sweep,
+               f"channels.synthetic.overrides.{link}: no run reads this link")
+              for link, sweep in [
+                  ("9:HD->9:C", ""),
+                  ("1:LW->1:C", ""),  # subject 1 has no LW node
+                  ("2:HD->2:C", ""),  # subject 2 is never a victim
+                  ("2:HD->2:C", "sweep: {victims: [1], interferers: [2]}\n"),
+                  ("2:LH->1:C", "")]]]:  # overlaid from 2:LH->1:LH, never fetched
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}"):
             load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("text", [
+    BASE.replace("{location: HD}", "{location: HD, tx_power_dbm: 3050}", 1),
+    BASE + "noise: {noise_floor_dbm: -3150}\n",
+    BASE.replace("shadow_sigma_db: 6.0", "shadow_sigma_db: 3000", 1)],
+    ids=["victim sensor at 3050 dBm", "noise floor at -3150 dBm", "on-body sigma 3000 dB"])
+def test_an_sinr_beyond_float_range_names_the_sensor_and_scheme(tmp_path, text):
+    # Each of these loads: no rule on one value can bound the SINR it leads to.
+    load_config(write_config(tmp_path, text))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main(["simulate", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert re.fullmatch(r"error: wbans\[0\]\.sensors\[0\]: the single SINR is beyond "
+                        r"float range in [1-9]\d* of 50 epochs\n", stderr.getvalue())
+
+
+@pytest.mark.parametrize("link,sweep", [
+    ("1:HD->1:C", ""),
+    ("1:LH->1:RH", ""),              # donates the shadowing of 2:LH->1:RH
+    ("2:LH->1:LH", ""),
+    ("2:HD->2:C", "sweep: {victims: [1, 2], interferers: [1, 2]}\n"),
+    ("1:LH->2:LH", "sweep: {victims: [2], interferers: [1]}\n")])
+def test_an_override_that_simulate_or_a_sweep_pair_reads_loads(tmp_path, link, sweep):
+    text = BASE + f'    overrides: {{"{link}": {{mean_gain_db: -40.0}}}}\n' + sweep
+    config = load_config(write_config(tmp_path, text))
+    assert config.channels.overrides[link].mean_gain_db == -40.0
 
 
 def test_mute_power_spelling(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HD, LW, make_wban
-from oracle import build_schedule, evaluate_superframe, interference_weights_reference
+from oracle import (build_schedule, evaluate_superframe, interference_weights_reference,
+                    sinr_series_reference)
 from wbansim import engine
 from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
                              MissingLinkError, SyntheticChannelParams, fspl_db,
@@ -191,6 +192,18 @@ _FINITE_POWER = st.floats(-30.0, 10.0)
 _POWER = st.one_of(st.just(-math.inf), _FINITE_POWER)
 
 
+def _assert_weights_equal(config, got, want):
+    """The engine's [interferer, kind, sensor, epoch] array holds the reference's rows."""
+    n_sensors = len(config.victim.sensors)
+    assert got.shape == (len(config.interferer_subjects), 2, n_sensors, config.epochs)
+    assert len(want) == got[:, :, :, 0].size
+    for k, u in enumerate(config.interferer_subjects):
+        for kind_index, kind in enumerate(("broadcast", "forward")):
+            for i in range(n_sensors):
+                assert got[k, kind_index, i].tobytes() == want[(u, i, kind)].tobytes(), \
+                    (u, i, kind)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n_sensors=st.integers(1, 3), n_coexisting=st.integers(2, 8),
        n_interferers=st.integers(1, 2), epochs=st.integers(1, 40),
@@ -207,11 +220,8 @@ def test_interference_weights_equal_the_per_interval_reference(
     config = base_config(wbans=wbans, mac=MacConfig(n_coexisting, 60.0), epochs=epochs,
                          interferer_subjects=(2, 3)[:n_interferers], master_seed=seed)
     offsets = engine._draw_offsets(config, (1, 2, 3))
-    got = engine._interference_weights(config, offsets)
-    want = interference_weights_reference(config)
-    assert set(got) == set(want)
-    for key, weights in want.items():
-        assert got[key].tobytes() == weights.tobytes(), key
+    _assert_weights_equal(config, engine._interference_weights(config, offsets),
+                          interference_weights_reference(config))
 
 
 def _ulps_from(x: float, ulps: int) -> float:
@@ -269,11 +279,8 @@ def test_interference_weights_at_the_edges_of_the_skipped_gaps(
     foe_offsets = _fold(victim_offsets + np.tile(gaps, 3), cycle)
     config = base_config(wbans=(victim, interferer), mac=mac, epochs=victim_offsets.size)
     offsets = {1: victim_offsets, 2: foe_offsets}
-    got = engine._interference_weights(config, offsets)
-    want = interference_weights_reference(config, offsets)
-    assert set(got) == set(want)
-    for key, weights in want.items():
-        assert got[key].tobytes() == weights.tobytes(), key
+    _assert_weights_equal(config, engine._interference_weights(config, offsets),
+                          interference_weights_reference(config, offsets))
 
 
 def test_overlaps_are_computed_only_in_epochs_where_the_slots_meet(monkeypatch):
@@ -330,6 +337,38 @@ def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_powe
     for i, per_sensor in result.series.items():
         for scheme, series in per_sensor.items():
             assert series.values_db.tobytes() == mirrored.series[i][scheme].values_db.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sensors=st.integers(1, 3), n_interferers=st.integers(0, 2),
+       epochs=st.integers(1, 40), start=st.integers(0, 20), seed=st.integers(0, 2**32),
+       sensor_powers=st.lists(_FINITE_POWER, min_size=3, max_size=3),
+       powers=st.lists(_POWER, min_size=8, max_size=8))
+def test_run_series_equal_the_per_sensor_reference(n_sensors, n_interferers, epochs, start,
+                                                   seed, sensor_powers, powers):
+    """Every row of the engine's (sensors, epochs) SINR blocks has the bytes of the
+    one-sensor-at-a-time reference, with relays and interferer nodes that may be muted."""
+    locations = (HD, LW, BodyLocation.RIGHT_WRIST)[:n_sensors]
+    victim = make_wban(1, sensor_locs=locations)
+    victim = replace(victim,
+                     sensors=tuple(replace(sensor, tx_power_dbm=p)
+                                   for sensor, p in zip(victim.sensors, sensor_powers)),
+                     relays=tuple(replace(relay, tx_power_dbm=p)
+                                  for relay, p in zip(victim.relays, powers)))
+    foes = tuple(make_wban(s, sensor_locs=locations, sensor_power=powers[3 * s - 4],
+                           relay_power=powers[3 * s - 3], hub_power=powers[3 * s - 2])
+                 for s in (2, 3))
+    config = base_config(wbans=(victim, *foes), interferer_subjects=(2, 3)[:n_interferers],
+                         epochs=epochs, start_indices=(start,), master_seed=seed,
+                         channels=SyntheticChannelSource(duration_ms=120.0 * 60))
+    result = run(config)
+    want = sinr_series_reference(config, assemble_channels(config), start)
+    assert set(result.series) == set(want) == set(range(n_sensors))
+    for i, per_sensor in want.items():
+        for scheme, values_db in per_sensor.items():
+            got = result.series[i][scheme]
+            assert got.values_db.tobytes() == values_db.tobytes(), (i, scheme)
+            assert got.start_index == start
 
 
 def _wrap_cases(cycle):
