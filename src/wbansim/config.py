@@ -18,7 +18,8 @@ import yaml
 
 from .channel import BodyLocation, FieldError, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
-                     SyntheticChannelSource, _distance_key)
+                     SyntheticChannelSource, _distance_key, required_source_links,
+                     sweep_pairs)
 from .metrics import threshold_grid
 from .network import MacConfig, NodeSpec, WbanConfig
 from .relaying import NoiseModel
@@ -231,6 +232,21 @@ def _thresholds(metrics: _Section):
         raise ConfigError(f"{metrics.name('threshold_{start,stop,step}_db')}: {exc}") from None
 
 
+def _check_overrides(config: ExperimentConfig) -> None:
+    """Reject a synthetic override of a link that neither simulate nor a sweep pair fetches.
+
+    Checked once, on the loaded config: the configs ``sweep`` derives read only part of it.
+    """
+    if not isinstance(config.channels, SyntheticChannelSource):
+        return
+    combinations = [config] + [replace(config, victim_subject=victim, interferer_subjects=foes)
+                               for victim, foes in sweep_pairs(config)]
+    read = {str(link) for c in combinations for link in required_source_links(c)}
+    for text in config.channels.overrides:
+        if text not in read:
+            raise ConfigError(f"channels.synthetic.overrides.{text}: no run reads this link")
+
+
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Load and validate an experiment configuration file."""
     path = Path(path)
@@ -259,7 +275,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     metrics = top.section("metrics")
     channels = _channels(top.section("channels", required=True), path.parent)
     seed = top.get("seed", _as_int)
-    return top.build(
+    config = top.build(
         ExperimentConfig,
         wbans=wbans,
         victim_subject=top.get("victim", _as_int, required=True),
@@ -280,3 +296,5 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         interferer_source_location=interference.get("source_location", _parse_location),
         sweep_victims=sweep.get("victims", _as_ints),
         sweep_interferers=sweep.get("interferers", _as_ints))
+    _check_overrides(config)
+    return config

@@ -174,23 +174,10 @@ class ExperimentConfig:
                         f"wbans[{k}].sensors[{j}].tx_power_dbm: the sensors of victim "
                         f"subject {subject} must transmit above 0 mW, got "
                         f"{sensor.tx_power_dbm} dBm")
-        foes = self.sweep_interferers or self.interferer_subjects
-        anchor = self.interferer_source_location
-        # An override of a link that neither simulate nor a sweep pair reads
-        # would be silently unused.
-        if isinstance(self.channels, SyntheticChannelSource) and self.channels.overrides:
-            read = _source_links(self.victim, self.interferers, anchor)
-            for v in victims:
-                pair_foes = [self.wban(u) for u in foes if u != v]
-                read += _source_links(self.wban(v), pair_foes, anchor) if pair_foes else []
-            read = set(map(str, read))
-            for text in self.channels.overrides:
-                if text not in read:
-                    raise ConfigError(f"channels.synthetic.overrides.{text}: no run reads "
-                                      "this link")
         # Interference reaches the hub and relays, which always occupy the
         # coordinator locations, by overlay onto the anchor's on-body traces.
-        if self.interferer_subjects or any(u != v for v in victims for u in foes):
+        if self.interferer_subjects or sweep_pairs(self):
+            anchor = self.interferer_source_location
             missing = sorted("-".join(_distance_key(anchor, loc))
                              for loc in COORDINATOR_LOCATIONS - {anchor}
                              if _distance_key(anchor, loc) not in self.radio.link_distances_m)
@@ -243,11 +230,10 @@ def required_source_links(config: ExperimentConfig) -> list[LinkId]:
     links that donate shadowing), then one cross-body base link per
     interferer, ending at the victim's anchor location.
     """
-    return _source_links(config.victim, config.interferers, config.interferer_source_location)
-
-
-def _source_links(victim: WbanConfig, interferers, anchor: BodyLocation) -> list[LinkId]:
-    subject, hub_loc = victim.subject, victim.hub.location
+    victim = config.victim
+    subject = victim.subject
+    hub_loc = victim.hub.location
+    anchor = config.interferer_source_location
     links: dict[LinkId, None] = {}
     for sensor in victim.sensors:
         for target in _device_locations(victim):
@@ -257,7 +243,7 @@ def _source_links(victim: WbanConfig, interferers, anchor: BodyLocation) -> list
     for loc in _device_locations(victim):
         if loc != anchor:
             links.setdefault(LinkId(subject, anchor, subject, loc))
-    for interferer in interferers:
+    for interferer in config.interferers:
         links.setdefault(LinkId(interferer.subject, anchor, subject, anchor))
     return list(links)
 
@@ -461,6 +447,16 @@ def _linear_gains(channels: ChannelSet, links, window: slice) -> np.ndarray:
     return 10.0 ** (np.array([channels.trace(link).samples[window] for link in links]) / 10.0)
 
 
+def _noise_plus_interference(noise_mw: float, foe_gains, weights: np.ndarray, rx: int,
+                             kind: int) -> np.ndarray:
+    """Per sensor and epoch, noise plus the interferers' power, added in order, at
+    receiver ``rx`` (0 the hub, then the relays) in sub-interval ``kind`` of ``weights``."""
+    total = np.zeros(weights.shape[2:])
+    for gains, foe_weights in zip(foe_gains, weights):
+        total += gains[rx] * foe_weights[kind]
+    return noise_mw + total
+
+
 def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.ndarray,
                  start_index: int, rep: int) -> RunResult:
     """One run: a (sensors, epochs) SINR block per scheme, then its curves and summary."""
@@ -484,17 +480,13 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.nda
         foe_gains = [[_linear_gains(channels, [LinkId(u, config.interferer_source_location,
                                                       subject, rx)], window)
                       for rx in receivers] for u in config.interferer_subjects]
-        # Noise plus interference in each receiver's broadcast sub-interval, then in
-        # the hub's forward one; interferers add in order.
-        dens = []
-        for rx, kind in ((0, 0), (1, 0), (2, 0), (0, 1)):
-            total = np.zeros((len(victim.sensors), epochs))
-            for gains, foe_weights in zip(foe_gains, weights):
-                total += gains[rx] * foe_weights[kind]
-            dens.append(config.noise.noise_mw + total)
+        noise_mw = config.noise.noise_mw
+        den_broadcast = [_noise_plus_interference(noise_mw, foe_gains, weights, rx, 0)
+                         for rx in range(len(receivers))]
+        den_hub_forward = _noise_plus_interference(noise_mw, foe_gains, weights, 0, 1)
         nu_direct, *nu_sr = [(p_sensor * gains) / den
-                             for gains, den in zip(from_sensors, dens)]
-        nu_rh = [(relay.tx_power_mw * gains) / dens[3]
+                             for gains, den in zip(from_sensors, den_broadcast)]
+        nu_rh = [(relay.tx_power_mw * gains) / den_hub_forward
                  for relay, gains in zip(victim.relays, relay_hub)]
         coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
         sinr_db = {"single": 10.0 * np.log10(nu_direct), "coop": 10.0 * np.log10(coop)}
@@ -571,6 +563,15 @@ def run(config: ExperimentConfig) -> RunResult:
     return result
 
 
+def sweep_pairs(config: ExperimentConfig) -> list[tuple[int, tuple[int, ...]]]:
+    """Each sweep victim (sweep_victims, else the victim) with the interferers it runs
+    against (sweep_interferers, else the interferers, less itself), if it has any."""
+    interferers = config.sweep_interferers or config.interferer_subjects
+    pairs = [(v, tuple(u for u in interferers if u != v))
+             for v in config.sweep_victims or (config.victim_subject,)]
+    return [(v, foes) for v, foes in pairs if foes]
+
+
 @dataclass
 class SweepResult:
     """Outputs of a combination sweep."""
@@ -583,24 +584,18 @@ class SweepResult:
 def sweep(config: ExperimentConfig) -> SweepResult:
     """Run the victim x interferer matrix with repetitions and aggregate.
 
-    The combination matrix comes from sweep_victims x sweep_interferers
-    (minus self-pairs), falling back to the configured victim and
-    interferers. Superframe offsets are drawn once per subject, channels
-    assembled once per victim, for all of its interferers, and interference
-    weights computed once per pair. Results are
+    The matrix is ``sweep_pairs``. Superframe offsets are drawn once per
+    subject, channels assembled once per victim, for all of its interferers,
+    and interference weights computed once per pair. Results are
     deterministic in the master seed; standard deviations are population
     deviations over the repetitions.
     """
-    victims = config.sweep_victims or (config.victim_subject,)
-    interferers = config.sweep_interferers or config.interferer_subjects
+    pairs = sweep_pairs(config)
     rows: list[SummaryRow] = []
     aggregates: list[AggregateRow] = []
     runs: list[RunResult] = []
-    offsets = _draw_offsets(config, dict.fromkeys((*victims, *interferers)))
-    for victim in victims:
-        foes = tuple(u for u in interferers if u != victim)
-        if not foes:
-            continue
+    offsets = _draw_offsets(config, dict.fromkeys(s for v, foes in pairs for s in (v, *foes)))
+    for victim, foes in pairs:
         channels = assemble_channels(replace(config, victim_subject=victim,
                                              interferer_subjects=foes))
         for interferer in foes:

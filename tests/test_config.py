@@ -14,7 +14,8 @@ from wbansim.channel import BodyLocation, LinkId
 from helpers import with_on_body_coherence
 from wbansim.cli import main
 from wbansim.config import load_config
-from wbansim.engine import ConfigError, CsvChannelSource, SyntheticChannelSource
+from wbansim.engine import (ConfigError, CsvChannelSource, SyntheticChannelSource, run,
+                            sweep)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -138,9 +139,9 @@ def test_bad_values_are_named(tmp_path):
             (BASE + "noise: {noise_floor_dbm: -4000}\n", "noise.noise_floor_dbm"),
             (BASE.replace("mean_gain_db: -55.0", "mean_gain_db: 1.0e308"),
              "channels.synthetic.on_body.mean_gain_db"),
-            *[(BASE + f'    overrides: {{"{link}": {{mean_gain_db: -40.0}}}}\n' + sweep,
+            *[(BASE + f'    overrides: {{"{link}": {{mean_gain_db: -40.0}}}}\n' + sweep_text,
                f"channels.synthetic.overrides.{link}: no run reads this link")
-              for link, sweep in [
+              for link, sweep_text in [
                   ("9:HD->9:C", ""),
                   ("1:LW->1:C", ""),  # subject 1 has no LW node
                   ("2:HD->2:C", ""),  # subject 2 is never a victim
@@ -167,16 +168,34 @@ def test_an_sinr_beyond_float_range_names_the_sensor_and_scheme(tmp_path, text):
                         r"float range in [1-9]\d* of 50 epochs\n", stderr.getvalue())
 
 
-@pytest.mark.parametrize("link,sweep", [
-    ("1:HD->1:C", ""),
-    ("1:LH->1:RH", ""),              # donates the shadowing of 2:LH->1:RH
-    ("2:LH->1:LH", ""),
-    ("2:HD->2:C", "sweep: {victims: [1, 2], interferers: [1, 2]}\n"),
-    ("1:LH->2:LH", "sweep: {victims: [2], interferers: [1]}\n")])
-def test_an_override_that_simulate_or_a_sweep_pair_reads_loads(tmp_path, link, sweep):
-    text = BASE + f'    overrides: {{"{link}": {{mean_gain_db: -40.0}}}}\n' + sweep
+THREE_BODIES = BASE.replace("victim: 1\ninterferers: [2]\n", """  - subject: 3
+    hub: {location: C}
+    relays:
+      - {location: LH}
+      - {location: RH}
+    sensors:
+      - {location: HD}
+victim: 1
+interferers: [2, 3]
+""")
+
+
+@pytest.mark.parametrize("base,link,sweep_text", [
+    (BASE, "1:HD->1:C", ""),
+    (BASE, "1:LH->1:RH", ""),              # donates the shadowing of 2:LH->1:RH
+    (BASE, "2:LH->1:LH", ""),
+    (BASE, "2:HD->2:C", "sweep: {victims: [1, 2], interferers: [1, 2]}\n"),
+    (BASE, "1:LH->2:LH", "sweep: {victims: [2], interferers: [1]}\n"),
+    # Read by the loaded config, not by the config that sweep derives for a pair.
+    (THREE_BODIES, "3:LH->1:LH", ""),
+    (BASE, "1:HD->1:C", "sweep: {victims: [2], interferers: [1]}\n")])
+def test_an_override_that_simulate_or_a_sweep_pair_reads_loads_and_runs(
+        tmp_path, base, link, sweep_text):
+    text = base + f'    overrides: {{"{link}": {{mean_gain_db: -40.0}}}}\n' + sweep_text
     config = load_config(write_config(tmp_path, text))
     assert config.channels.overrides[link].mean_gain_db == -40.0
+    run(config)
+    sweep(config)
 
 
 def test_mute_power_spelling(tmp_path):
