@@ -275,15 +275,17 @@ def downsample(trace: ChannelTrace, target_period_ms: float) -> ChannelTrace:
     """Decimate a trace to a coarser period that is an integer multiple.
 
     Keeps every k-th sample starting from the first, where
-    k = target_period_ms / sample_period_ms must be a whole number.
+    k = target_period_ms / sample_period_ms must be a whole number to
+    within 1e-9. The result is at exactly ``target_period_ms``; a trace
+    already there is returned as it is.
     """
+    if trace.sample_period_ms == target_period_ms:
+        return trace
     ratio = target_period_ms / trace.sample_period_ms
     stride = round(ratio) if math.isfinite(ratio) else 0
     if stride < 1 or abs(ratio - stride) > 1e-9:
         raise TraceError(f"cannot downsample period {trace.sample_period_ms} ms to "
                          f"{target_period_ms} ms: ratio {ratio} is not a whole number")
-    if stride == 1:
-        return trace
     return ChannelTrace(trace.link, target_period_ms, trace.samples[::stride])
 
 

@@ -103,6 +103,17 @@ def _positive(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A flag value that must be an integer in [0, 2**64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _link(text: str) -> LinkId:
     try:
         return LinkId.parse(text)
@@ -130,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="experiment YAML file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config master seed")
         p.add_argument("--quiet", action="store_true", help="suppress console output")
 

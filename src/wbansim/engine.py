@@ -185,6 +185,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"radio.link_distances_m: no distance for the pair(s) {', '.join(missing)} "
                     f"that interference from source_location {anchor} needs")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.master_seed}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.repetitions < 1:
@@ -195,6 +197,14 @@ class ExperimentConfig:
         for k, start in enumerate(self.start_indices or ()):
             if start < 0:
                 raise ConfigError(f"start_indices[{k}] must be >= 0, got {start}")
+        grid = np.array(self.thresholds_db, dtype=np.float64)
+        if not (grid.ndim == 1 and grid.size and np.all(np.isfinite(grid))
+                and np.all(np.diff(grid) > 0)):
+            raise ConfigError("metrics.threshold_{start,stop,step}_db: the threshold grid "
+                              "must be a non-empty 1-D array of finite, strictly "
+                              f"increasing values, got {grid.size} points")
+        grid.flags.writeable = False
+        object.__setattr__(self, "thresholds_db", grid)
         if not math.isfinite(self.lcr_ref_threshold_db):
             raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
                               f"got {self.lcr_ref_threshold_db}")
@@ -344,13 +354,14 @@ class AggregateRow:
 
 @dataclass
 class RunResult:
-    """All outputs of one run: per-sensor series, curves and summaries."""
+    """All outputs of one run: its SINR, curves and summaries."""
 
     victim_subject: int
     interferer_subjects: tuple[int, ...]
     rep: int
     start_index: int
-    series: dict[int, dict[str, SinrSeries]]
+    # Per scheme, the SINR in dB of victim sensor i in epoch start_index + e at [i, e].
+    sinr_db: dict[str, np.ndarray]
     curves: dict[str, dict[str, MetricsCurve]]
     summary: list[SummaryRow]
 
@@ -500,11 +511,9 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.nda
                                f"float range in {bad} of {epochs} epochs")
 
     thresholds, ref_db = config.thresholds_db, config.lcr_ref_threshold_db
-    series, curves, quantities = {i: {} for i in range(len(victim.sensors))}, {}, {}
+    curves, quantities = {}, {}
     for scheme, block in sinr_db.items():
         rows = [SinrSeries(values, config.epoch_period_ms, start_index) for values in block]
-        for i, row in enumerate(rows):
-            series[i][scheme] = row
         outage = empirical_outage(block.ravel(), thresholds)
         lcr = np.mean([lcr_curve(row, thresholds).values for row in rows], axis=0)
         curves[scheme] = {"outage": outage, "lcr": MetricsCurve("lcr", thresholds, lcr)}
@@ -516,7 +525,7 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.nda
     summary = [SummaryRow(combination, subject, label, rep, scheme, thr1, thr10, gain10, ref)
                for scheme, (thr1, thr10, ref) in quantities.items()]
     return RunResult(subject, config.interferer_subjects, rep, start_index,
-                     series, curves, summary)
+                     sinr_db, curves, summary)
 
 
 def _run_combination(config: ExperimentConfig, channels: ChannelSet,

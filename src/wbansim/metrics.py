@@ -28,22 +28,6 @@ class SinrSeries:
     period_ms: float
     start_index: int
 
-    def __post_init__(self):
-        values = np.asarray(self.values_db, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise MetricsError("series values must be a 1-D array of at least one sample")
-        if not np.all(np.isfinite(values)):
-            raise MetricsError("series values must be finite")
-        if not (math.isfinite(self.period_ms) and self.period_ms > 0):
-            raise MetricsError(f"series period must be positive, got {self.period_ms} ms")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values_db", values)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.values_db.size)
-
     def cadence_ms(self) -> float:
         """Uniform sample spacing."""
         return self.period_ms
@@ -51,43 +35,11 @@ class SinrSeries:
 
 @dataclass(frozen=True)
 class MetricsCurve:
-    """Metric values over a strictly increasing threshold grid in dB."""
+    """Metric values over a threshold grid in dB; ``kind`` is "outage" or "lcr"."""
 
-    kind: str  # "outage" | "lcr"
+    kind: str
     thresholds_db: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("outage", "lcr"):
-            raise MetricsError(f"unknown curve kind {self.kind!r}")
-        thresholds = _threshold_array(self.thresholds_db)
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != thresholds.shape:
-            raise MetricsError("thresholds and values must be 1-D arrays of equal length")
-        if self.kind == "outage":
-            if not (np.all(values >= 0.0) and np.all(values <= 1.0)):
-                raise MetricsError("outage probabilities must lie in [0, 1]")
-            if thresholds.size > 1 and np.any(np.diff(values) < -1e-12):
-                raise MetricsError("outage curve must be non-decreasing")
-        else:
-            if not np.all(values >= 0.0):
-                raise MetricsError("crossing rates must be nonnegative")
-        for name, arr in (("thresholds_db", thresholds), ("values", values)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def _threshold_array(thresholds_db) -> np.ndarray:
-    """Thresholds as float64; raises unless 1-D, non-empty, strictly increasing, finite."""
-    thresholds = np.asarray(thresholds_db, dtype=np.float64)
-    if thresholds.ndim != 1 or thresholds.size == 0:
-        raise MetricsError("thresholds must be a non-empty 1-D array")
-    if thresholds.size > 1 and not np.all(np.diff(thresholds) > 0):
-        raise MetricsError("thresholds must be strictly increasing")
-    if not np.all(np.isfinite(thresholds)):
-        raise MetricsError("thresholds must be finite")
-    return thresholds
 
 
 def threshold_grid(start: float = -30.0, stop: float = 50.0, step: float = 0.5,
@@ -107,16 +59,12 @@ def threshold_grid(start: float = -30.0, stop: float = 50.0, step: float = 0.5,
     return np.linspace(start, stop, count + 1)
 
 
-def empirical_outage(values_db: np.ndarray, thresholds_db: np.ndarray | None = None,
-                     ) -> MetricsCurve:
+def empirical_outage(values_db: np.ndarray, thresholds_db: np.ndarray) -> MetricsCurve:
     """Outage curve from a bag of SINR samples (order does not matter)."""
-    if thresholds_db is None:
-        thresholds_db = threshold_grid()
     values = np.sort(np.asarray(values_db, dtype=np.float64))
     if values.size == 0:
         raise MetricsError("outage needs at least one sample")
-    counts = np.searchsorted(values, np.asarray(thresholds_db, dtype=np.float64),
-                             side="left")
+    counts = np.searchsorted(values, thresholds_db, side="left")
     return MetricsCurve("outage", thresholds_db, counts / values.size)
 
 
@@ -196,7 +144,7 @@ def _first_steps(high: np.ndarray, low: np.ndarray, cells: np.ndarray, size: int
     return np.searchsorted(key, tops[reached.argmax(axis=0)] * width - cells)
 
 
-def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
+def _crossing_rates(series: SinrSeries, thresholds: np.ndarray) -> np.ndarray:
     """Downward crossing rate at every threshold of a grid, from one pass over the series.
 
     A downward step from v[k] to v[k+1] crosses, at sample k+1, every
@@ -204,9 +152,9 @@ def _crossing_rates(series: SinrSeries, thresholds_db) -> np.ndarray:
     those are the cells from the level of v[k+1] up to, not including, the
     level of v[k], where a level counts the thresholds at or below a value.
     A difference array counts the crossings per cell, and _first_steps
-    finds each cell's first and last crossing sample.
+    finds each cell's first and last crossing sample. The grid must be
+    strictly increasing and finite, as ExperimentConfig checks.
     """
-    thresholds = _threshold_array(thresholds_db)
     size = thresholds.size
     rates = np.zeros(size)
     levels = _levels(series.values_db, thresholds)
@@ -236,14 +184,11 @@ def level_crossing_rate(series: SinrSeries, threshold_db: float) -> float:
     divided by the total time between the first and the last crossing;
     fewer than two crossings give 0 Hz. Requires a finite threshold.
     """
-    return float(_crossing_rates(series, [threshold_db])[0])
+    return float(_crossing_rates(series, np.array([threshold_db]))[0])
 
 
-def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray | None = None,
-              ) -> MetricsCurve:
+def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray) -> MetricsCurve:
     """Level crossing rate over a threshold grid, by the rule of level_crossing_rate."""
-    if thresholds_db is None:
-        thresholds_db = threshold_grid()
     return MetricsCurve("lcr", thresholds_db, _crossing_rates(series, thresholds_db))
 
 

@@ -11,13 +11,11 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def derive_seed(master_seed: int, *labels) -> int:
-    """Stable 64-bit seed for the given master seed and label path."""
+    """Stable 64-bit seed for a master seed in [0, 2**64) and a label path."""
     key = "/".join(str(part) for part in labels)
-    digest = hashlib.sha256(f"{master_seed & _MASK64}/{key}".encode()).digest()
+    digest = hashlib.sha256(f"{master_seed}/{key}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

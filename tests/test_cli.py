@@ -62,6 +62,14 @@ def test_simulate_writes_run_outputs(tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == RUN_FILES
     curve, scheme, subject = read_curve_csv(out / "outage_coop.csv")
     assert (curve.kind, scheme, subject) == ("outage", "coop", "1")
+    for scheme in ("single", "coop"):
+        outage, _, _ = read_curve_csv(out / f"outage_{scheme}.csv")
+        lcr, _, _ = read_curve_csv(out / f"lcr_{scheme}.csv")
+        for curve in (outage, lcr):
+            assert np.all(np.diff(curve.thresholds_db) > 0.0)
+        assert np.all((outage.values >= 0.0) & (outage.values <= 1.0))
+        assert np.all(np.diff(outage.values) >= 0.0)
+        assert np.all(np.isfinite(lcr.values) & (lcr.values >= 0.0))
     assert "gain@10%" in capsys.readouterr().out
 
 
@@ -226,25 +234,32 @@ def test_overlay_traces_takes_no_seed(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("flags,flag", [
-    (["--distance-m", "0"], "--distance-m"),
-    (["--distance-m", "-1"], "--distance-m"),
-    (["--distance-m", "nan"], "--distance-m"),
-    (["--distance-m", "0.4", "--frequency-hz", "-5"], "--frequency-hz"),
-    (["--distance-m", "0.4", "--link", "2:LH-1:C"], "--link"),
+@pytest.mark.parametrize("command,flags,flag", [
+    ("overlay-traces", ["--distance-m", "0"], "--distance-m"),
+    ("overlay-traces", ["--distance-m", "-1"], "--distance-m"),
+    ("overlay-traces", ["--distance-m", "nan"], "--distance-m"),
+    ("overlay-traces", ["--distance-m", "0.4", "--frequency-hz", "-5"], "--frequency-hz"),
+    ("overlay-traces", ["--distance-m", "0.4", "--link", "2:LH-1:C"], "--link"),
+    # -1 and 2**64 would derive the streams of 2**64 - 1 and 0.
+    ("simulate", ["--seed", "-1"], "--seed"),
+    ("sweep", ["--seed", "18446744073709551616"], "--seed"),
+    ("gen-traces", ["--seed", "five"], "--seed"),
 ])
-def test_overlay_traces_flag_errors_name_the_flag(tmp_path, capsys, flags, flag):
-    for name, link in (("base", "2:LH->1:LH"), ("donor", "1:LH->1:C")):
-        save_trace(ChannelTrace(LinkId.parse(link), 120.0, np.array([-60.0])),
-                   tmp_path / f"{name}.csv")
-    out_file = tmp_path / "out.csv"
+def test_flag_errors_name_the_flag(tmp_path, capsys, command, flags, flag):
+    out = tmp_path / "out"
+    if command == "overlay-traces":
+        for name, link in (("base", "2:LH->1:LH"), ("donor", "1:LH->1:C")):
+            save_trace(ChannelTrace(LinkId.parse(link), 120.0, np.array([-60.0])),
+                       tmp_path / f"{name}.csv")
+        args = ["--part1", str(tmp_path / "base.csv"),
+                "--shadowing-from", str(tmp_path / "donor.csv"), "--out-file", str(out)]
+    else:
+        args = ["--config", write_config(tmp_path), "--out", str(out)]
     with pytest.raises(SystemExit) as exit_info:
-        main(["overlay-traces", "--part1", str(tmp_path / "base.csv"),
-              "--shadowing-from", str(tmp_path / "donor.csv"),
-              "--out-file", str(out_file), *flags])
+        main([command, *args, *flags])
     assert exit_info.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
-    assert not out_file.exists()
+    assert not out.exists()
 
 # ---------------------------------------------------------------------- sweep
 

@@ -79,6 +79,15 @@ def test_seed_sources(tmp_path):
     path = write_config(tmp_path, BASE + "\nseed: 11\n")
     assert load_config(path).master_seed == 11
     assert load_config(path, seed_override=3).master_seed == 3
+    # Seeds are taken in [0, 2**64), so that no two of them derive the same streams.
+    for seed in (0, 2**64 - 1):
+        path = write_config(tmp_path, BASE + f"seed: {seed}\n")
+        assert load_config(path).master_seed == seed
+    for seed in (-1, 2**64, 2**65 + 5):
+        path = write_config(tmp_path, BASE + f"seed: {seed}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"seed must be in [0, 2**64), "
+                                                        f"got {seed}")):
+            load_config(path)
 
 
 def test_missing_keys_are_named(tmp_path):
@@ -428,12 +437,20 @@ def test_interferers_are_optional(tmp_path):
     assert config.interferer_subjects == ()
 
 
-def test_grid_errors_name_the_grid_keys(tmp_path):
-    bad = BASE + "metrics: {threshold_start_db: 0.0, threshold_stop_db: 10.0, " \
-                 "threshold_step_db: 3.0}\n"
-    with pytest.raises(ConfigError, match=re.escape(
-            "metrics.threshold_{start,stop,step}_db: step 3.0 does not divide")):
-        load_config(write_config(tmp_path, bad))
+@pytest.mark.parametrize("start,stop,step,problem", [
+    ("0.0", "10.0", "3.0", "step 3.0 does not divide"),
+    # A step below the spacing of floats there: linspace repeats points.
+    ("1e16", "1.0000000000000008e16", "0.5", "the threshold grid must be a non-empty 1-D "
+                                             "array of finite, strictly increasing values"),
+])
+def test_grid_errors_name_the_grid_keys(tmp_path, capsys, start, stop, step, problem):
+    bad = write_config(tmp_path, BASE + f"metrics: {{threshold_start_db: {start}, "
+                       f"threshold_stop_db: {stop}, threshold_step_db: {step}}}\n")
+    message = f"metrics.threshold_{{start,stop,step}}_db: {problem}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(bad)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["240.0", "0.0", ".nan", ".inf"])

@@ -17,7 +17,7 @@ from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
-from wbansim.metrics import lcr_curve, threshold_at_outage
+from wbansim.metrics import SinrSeries, lcr_curve, threshold_at_outage
 from wbansim.network import MacConfig, superframe_layout
 from wbansim.seeding import substream
 
@@ -167,9 +167,8 @@ def test_run_matches_per_epoch_reference():
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2)),
                          epochs=30, start_indices=(5,), master_seed=11)
     result = run(config)
-    # Sample e of every series lies at grid epoch 5 + e.
-    assert {(s.start_index, s.period_ms) for by_scheme in result.series.values()
-            for s in by_scheme.values()} == {(5, 120.0)}
+    # Column e of every SINR block is grid epoch 5 + e.
+    assert result.start_index == 5
     channels = assemble_channels(config)
     cycle = config.mac.cycle_ms
     offsets = {s: substream(config.master_seed, "offsets", s)
@@ -181,11 +180,11 @@ def test_run_matches_per_epoch_reference():
                                         config.noise, epoch=5 + e,
                                         anchor=config.interferer_source_location)
         for d in decisions:
-            got = result.series[d.sensor_index]
+            i = d.sensor_index
             np.testing.assert_allclose(
-                10.0 ** (got["single"].values_db[e] / 10.0), d.single, rtol=1e-9)
+                10.0 ** (result.sinr_db["single"][i, e] / 10.0), d.single, rtol=1e-9)
             np.testing.assert_allclose(
-                10.0 ** (got["coop"].values_db[e] / 10.0), d.cooperative, rtol=1e-9)
+                10.0 ** (result.sinr_db["coop"][i, e] / 10.0), d.cooperative, rtol=1e-9)
 
 
 _FINITE_POWER = st.floats(-30.0, 10.0)
@@ -311,9 +310,10 @@ def test_overlaps_are_computed_only_in_epochs_where_the_slots_meet(monkeypatch):
        seed=st.integers(0, 2**32), victim_sensor_power=_FINITE_POWER,
        powers=st.lists(_POWER, min_size=8, max_size=8))
 def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_power, powers):
-    """Cooperation never loses a packet, the outage curves are monotone with coop's
-    below single's, crossing rates are nonnegative, and the victim's relay order
-    does not matter; with relays and interferers that may be muted."""
+    """Cooperation never loses a packet, the outage curves lie in [0, 1] and are
+    monotone with coop's below single's, crossing rates are finite and nonnegative,
+    and the victim's relay order does not matter; with relays and interferers that
+    may be muted."""
     locations = (HD, LW, BodyLocation.RIGHT_WRIST)[:n_sensors]
     victim = make_wban(1, sensor_locs=locations, sensor_power=victim_sensor_power)
     victim = replace(victim, relays=tuple(replace(relay, tx_power_dbm=p)
@@ -325,18 +325,20 @@ def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_powe
                          epochs=50, channels=SyntheticChannelSource(duration_ms=120.0 * 60),
                          master_seed=seed)
     result = run(config)
-    for per_sensor in result.series.values():
-        assert np.all(per_sensor["coop"].values_db >= per_sensor["single"].values_db)
+    assert np.all(result.sinr_db["coop"] >= result.sinr_db["single"])
     outage = {s: result.curves[s]["outage"].values for s in ("single", "coop")}
+    assert all(np.all((values >= 0.0) & (values <= 1.0)) for values in outage.values())
     assert all(np.all(np.diff(values) >= 0.0) for values in outage.values())
     assert np.all(outage["coop"] <= outage["single"])
-    assert all(np.all(result.curves[s]["lcr"].values >= 0.0) for s in ("single", "coop"))
-    assert all(row.lcr_at_ref_hz >= 0.0 for row in result.summary)
+    for s in ("single", "coop"):
+        lcr = result.curves[s]["lcr"].values
+        assert np.all(np.isfinite(lcr) & (lcr >= 0.0))
+    assert all(math.isfinite(row.lcr_at_ref_hz) and row.lcr_at_ref_hz >= 0.0
+               for row in result.summary)
     mirrored = run(replace(config, wbans=(replace(victim, relays=victim.relays[::-1]),
                                           *foes)))
-    for i, per_sensor in result.series.items():
-        for scheme, series in per_sensor.items():
-            assert series.values_db.tobytes() == mirrored.series[i][scheme].values_db.tobytes()
+    for scheme, block in result.sinr_db.items():
+        assert block.tobytes() == mirrored.sinr_db[scheme].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,12 +365,12 @@ def test_run_series_equal_the_per_sensor_reference(n_sensors, n_interferers, epo
                          channels=SyntheticChannelSource(duration_ms=120.0 * 60))
     result = run(config)
     want = sinr_series_reference(config, assemble_channels(config), start)
-    assert set(result.series) == set(want) == set(range(n_sensors))
-    for i, per_sensor in want.items():
-        for scheme, values_db in per_sensor.items():
-            got = result.series[i][scheme]
-            assert got.values_db.tobytes() == values_db.tobytes(), (i, scheme)
-            assert got.start_index == start
+    assert set(want) == set(range(n_sensors))
+    assert result.start_index == start
+    for scheme, block in result.sinr_db.items():
+        assert block.shape == (n_sensors, epochs)
+        for i, row in enumerate(block):
+            assert row.tobytes() == want[i][scheme].tobytes(), (i, scheme)
 
 
 def _wrap_cases(cycle):
@@ -388,10 +390,8 @@ def test_wrap_equals_remainder_on_two_cycles_each_side(data, cycle):
 def test_run_is_deterministic():
     config = base_config()
     a, b = run(config), run(config)
-    for i in a.series:
-        for scheme in ("single", "coop"):
-            np.testing.assert_array_equal(a.series[i][scheme].values_db,
-                                          b.series[i][scheme].values_db)
+    for scheme in ("single", "coop"):
+        np.testing.assert_array_equal(a.sinr_db[scheme], b.sinr_db[scheme])
     assert a.summary == b.summary
 
 
@@ -417,9 +417,8 @@ def test_muted_interferer_equals_absent_interferer(n_sensors, n_others, position
                          master_seed=seed)
     without = run(config)
     muted_run = run(replace(config, interferer_subjects=with_muted))
-    for i, per_sensor in without.series.items():
-        for scheme, series in per_sensor.items():
-            assert series.values_db.tobytes() == muted_run.series[i][scheme].values_db.tobytes()
+    for scheme, block in without.sinr_db.items():
+        assert block.tobytes() == muted_run.sinr_db[scheme].tobytes()
     for scheme, curves in without.curves.items():
         for kind, curve in curves.items():
             assert curve.values.tobytes() == muted_run.curves[scheme][kind].values.tobytes()
@@ -432,14 +431,12 @@ def test_muted_interferer_equals_absent_interferer(n_sensors, n_others, position
 def test_muted_relays_reduce_coop_to_single():
     config = base_config(wbans=(make_wban(1, relay_power=-math.inf), make_wban(2)))
     result = run(config)
-    np.testing.assert_array_equal(result.series[0]["coop"].values_db,
-                                  result.series[0]["single"].values_db)
+    np.testing.assert_array_equal(result.sinr_db["coop"], result.sinr_db["single"])
 
 
 def test_cooperation_never_hurts():
     result = run(base_config(epochs=150))
-    assert np.all(result.series[0]["coop"].values_db
-                  >= result.series[0]["single"].values_db)
+    assert np.all(result.sinr_db["coop"] >= result.sinr_db["single"])
     outage = result.curves
     assert np.all(outage["coop"]["outage"].values <= outage["single"]["outage"].values)
 
@@ -465,9 +462,8 @@ def test_a_run_converts_each_link_window_once(monkeypatch):
 def test_flat_channels_give_flat_series():
     config = base_config(channels=flat_source(), interferer_subjects=())
     result = run(config)
-    single = result.series[0]["single"].values_db
-    np.testing.assert_allclose(single, 45.0, rtol=1e-12)
-    np.testing.assert_allclose(result.series[0]["coop"].values_db, 45.0, rtol=1e-12)
+    np.testing.assert_allclose(result.sinr_db["single"], 45.0, rtol=1e-12)
+    np.testing.assert_allclose(result.sinr_db["coop"], 45.0, rtol=1e-12)
     curve = result.curves["single"]["outage"]
     grid = curve.thresholds_db
     np.testing.assert_array_equal(curve.values[grid <= 44.5], 0.0)
@@ -485,11 +481,11 @@ def test_curves_aggregate_over_sensors():
     pooled = result.curves["coop"]["outage"]
     # Pooled outage equals the mean of the two per-sensor curves (equal
     # sample counts), and the lcr curve is the per-sensor mean.
-    per_sensor = [np.searchsorted(np.sort(result.series[i]["coop"].values_db),
-                                  pooled.thresholds_db, side="left") / 60.0
+    coop = result.sinr_db["coop"]
+    per_sensor = [np.searchsorted(np.sort(coop[i]), pooled.thresholds_db, side="left") / 60.0
                   for i in (0, 1)]
     np.testing.assert_allclose(pooled.values, np.mean(per_sensor, axis=0), atol=1e-12)
-    per_lcr = [lcr_curve(result.series[i]["coop"], pooled.thresholds_db).values
+    per_lcr = [lcr_curve(SinrSeries(coop[i], 120.0, 0), pooled.thresholds_db).values
                for i in (0, 1)]
     np.testing.assert_allclose(result.curves["coop"]["lcr"].values,
                                np.mean(per_lcr, axis=0), atol=1e-12)
@@ -556,8 +552,32 @@ def test_csv_round_trip_reproduces_synthetic_run(tmp_path):
     from_csv = run(replace(config, channels=CsvChannelSource(tmp_path)))
     from_synth = run(config)
     for scheme in ("single", "coop"):
-        np.testing.assert_array_equal(from_csv.series[0][scheme].values_db,
-                                      from_synth.series[0][scheme].values_db)
+        np.testing.assert_array_equal(from_csv.sinr_db[scheme], from_synth.sinr_db[scheme])
+
+
+def test_a_trace_period_within_the_downsample_tolerance_runs(tmp_path):
+    # downsample takes 120.00000000001 ms as stride 1; its trace must join the 120 ms set.
+    config = base_config()
+    seed = engine.channel_seed(config)
+    links = required_source_links(config)
+    for name, first_period in (("exact", 120.0), ("near", 120.00000000001)):
+        (tmp_path / name).mkdir()
+        for k, link in enumerate(links):
+            save_trace(ChannelTrace(link, first_period if k == 0 else 120.0,
+                                    config.channels.trace(link, seed).samples),
+                       tmp_path / name / f"t{k}.csv")
+    exact, near = (replace(config, channels=CsvChannelSource(tmp_path / name))
+                   for name in ("exact", "near"))
+    channels = assemble_channels(near)
+    assert channels.trace(links[0]).sample_period_ms == 120.0
+    # A trace already at the epoch period is used as it is, not copied.
+    assert channels.trace(links[1]) is near.channels.trace(links[1], seed)
+    want, got = run(exact), run(near)
+    for scheme in ("single", "coop"):
+        assert got.sinr_db[scheme].tobytes() == want.sinr_db[scheme].tobytes()
+        for kind in ("outage", "lcr"):
+            assert (got.curves[scheme][kind].values.tobytes()
+                    == want.curves[scheme][kind].values.tobytes())
 
 
 # ----------------------------------------------------------------------- sweep

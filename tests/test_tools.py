@@ -1,12 +1,19 @@
-"""The gain rule, the no-regression verdict and seed ranges of tools/bench_pairs.py."""
+"""The gain rule, the no-regression verdict and seed ranges of tools/bench_pairs.py, and
+how the benchmark tools end their child on SIGTERM."""
 
 import argparse
+import json
+import os
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(TOOLS))
 
 from bench_pairs import parse_seeds, regression, verdict  # noqa: E402
 
@@ -76,3 +83,53 @@ def test_seed_ranges():
     for garbage in ("", "abc", "1..x", "1...3", "1-3"):
         with pytest.raises(argparse.ArgumentTypeError, match="expected seeds like"):
             parse_seeds(garbage)
+
+
+# Stands in for perfbench/run.py: it records its pid, then sleeps past any test's patience.
+STUB_RUN = """
+import os, sys, time
+from pathlib import Path
+pid = Path(__file__).with_name("child.pid")
+pid.with_suffix(".tmp").write_text(str(os.getpid()))
+pid.with_suffix(".tmp").replace(pid)
+time.sleep(120)
+"""
+
+
+@pytest.mark.parametrize("script,args", [
+    ("bench_pairs.py", ["--base", "{stub}", "--change", "{stub}", "--workload", "w",
+                        "--seeds", "1"]),
+    ("bench_record.py", ["--root", "{stub}", "--label", "sigterm-test", "--runs", "1"]),
+])
+def test_sigterm_ends_the_running_benchmark_child(tmp_path, script, args):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    pid_file = tmp_path / "perfbench" / "child.pid"
+    tool = subprocess.Popen([sys.executable, str(TOOLS / script),
+                             *(arg.format(stub=tmp_path) for arg in args)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert tool.poll() is None, f"{script} exited {tool.returncode} before its child"
+            assert time.monotonic() < deadline, "the stub child never started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=60) == 128 + signal.SIGTERM
+        # The tool killed and reaped its child before exiting, so the pid is gone.
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        child = None
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

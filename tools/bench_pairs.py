@@ -14,7 +14,8 @@ operations fail. Beside it stands the no-regression verdict under the metric's
 ``bound``: "worse" when the change's median is worse than the base's by more
 than that fraction of the base median, else "unresolved" when the base's
 quartile spread exceeds that much and not every change run beats every base
-run, else "no worse".
+run, else "no worse". SIGTERM ends the running ``perfbench/run.py`` process
+before the script exits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_record import run_perfbench  # noqa: E402
+from bench_record import end_children_on_sigterm, run_perfbench  # noqa: E402
 
 SIDES = ("base", "change")
 
@@ -82,6 +83,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="inclusive seed range A..B, one pair per seed")
     args = parser.parse_args(argv)
+    end_children_on_sigterm()
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
     specs = {side: json.loads((root / "BENCHMARK.json").read_text())
              for side, root in roots.items()}

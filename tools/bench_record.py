@@ -11,7 +11,8 @@ in, holds per workload the median of every metric over the runs, the
 end-to-end values of each run, the attempted and failed operation counts,
 and whether every run was correct; plus the checkout's git commit and the
 host's processor count and CPU model. Runs alternate between workloads, so
-a slow spell of the host spreads over all of them.
+a slow spell of the host spreads over all of them. SIGTERM ends the running
+``perfbench/run.py`` process before the script exits.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -42,6 +44,13 @@ def _cpu_model() -> str:
     except OSError:
         pass
     return platform.processor() or "unknown"
+
+
+def end_children_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, on which ``subprocess.run`` kills its running child."""
+    def raise_exit(signum, frame):
+        raise SystemExit(128 + signum)
+    signal.signal(signal.SIGTERM, raise_exit)
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -99,6 +108,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--runs", type=int, default=3, help="runs per workload and trace")
     args = parser.parse_args(argv)
+    end_children_on_sigterm()
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     result = {"label": args.label, **record(args.root.resolve(), args.runs)}
