@@ -3,7 +3,7 @@
 Subcommands:
     simulate        one run, write curve CSVs and a summary CSV
     sweep           combination matrix with repetitions, write summaries
-    gen-traces      write the synthetic source traces a config implies
+    gen-traces      write the synthetic source traces simulate and sweep read
     overlay-traces  build an interference trace from a base and a donor
 
 Exit codes: 0 on success, 1 for configuration or input errors, 2 for
@@ -84,7 +84,7 @@ def _cmd_gen_traces(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = engine.channel_seed(config)
-    links = engine.required_source_links(config)
+    links = engine.source_links(config)
     for link in links:
         save_trace(config.channels.trace(link, seed), out_dir / trace_filename(link))
     if not args.quiet:

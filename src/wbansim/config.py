@@ -18,8 +18,7 @@ import yaml
 
 from .channel import BodyLocation, FieldError, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
-                     SyntheticChannelSource, _distance_key, required_source_links,
-                     sweep_pairs)
+                     SyntheticChannelSource, _distance_key, source_links)
 from .metrics import threshold_grid
 from .network import MacConfig, NodeSpec, WbanConfig
 from .relaying import NoiseModel
@@ -43,6 +42,9 @@ def _as_mapping(value, section: str) -> dict:
 
 def _as_float(value, key: str) -> float:
     try:
+        # YAML reads on, off, yes and no as booleans, which float() takes as 1 and 0.
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
@@ -233,15 +235,10 @@ def _thresholds(metrics: _Section):
 
 
 def _check_overrides(config: ExperimentConfig) -> None:
-    """Reject a synthetic override of a link that neither simulate nor a sweep pair fetches.
-
-    Checked once, on the loaded config: the configs ``sweep`` derives read only part of it.
-    """
+    """Reject a synthetic override of a link that neither simulate nor a sweep pair fetches."""
     if not isinstance(config.channels, SyntheticChannelSource):
         return
-    combinations = [config] + [replace(config, victim_subject=victim, interferer_subjects=foes)
-                               for victim, foes in sweep_pairs(config)]
-    read = {str(link) for c in combinations for link in required_source_links(c)}
+    read = {str(link) for link in source_links(config)}
     for text in config.channels.overrides:
         if text not in read:
             raise ConfigError(f"channels.synthetic.overrides.{text}: no run reads this link")

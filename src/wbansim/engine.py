@@ -15,7 +15,7 @@ summary quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
@@ -220,28 +220,20 @@ class ExperimentConfig:
         """One block-fading epoch spans one TDMA cycle."""
         return self.mac.cycle_ms
 
-    @property
-    def victim(self) -> WbanConfig:
-        return self.wban(self.victim_subject)
-
-    @property
-    def interferers(self) -> tuple[WbanConfig, ...]:
-        return tuple(self.wban(s) for s in self.interferer_subjects)
-
 
 def _device_locations(victim: WbanConfig) -> tuple[BodyLocation, ...]:
     return (victim.hub.location, victim.relays[0].location, victim.relays[1].location)
 
 
-def required_source_links(config: ExperimentConfig) -> list[LinkId]:
-    """Links whose raw traces the channel source must provide.
+def required_source_links(config: ExperimentConfig, subject: int,
+                          interferers: tuple[int, ...]) -> list[LinkId]:
+    """Links whose raw traces a run of ``subject`` against ``interferers`` reads.
 
     Victim on-body links first (sensor hops, relay hops and the anchor
     links that donate shadowing), then one cross-body base link per
     interferer, ending at the victim's anchor location.
     """
-    victim = config.victim
-    subject = victim.subject
+    victim = config.wban(subject)
     hub_loc = victim.hub.location
     anchor = config.interferer_source_location
     links: dict[LinkId, None] = {}
@@ -253,9 +245,16 @@ def required_source_links(config: ExperimentConfig) -> list[LinkId]:
     for loc in _device_locations(victim):
         if loc != anchor:
             links.setdefault(LinkId(subject, anchor, subject, loc))
-    for interferer in config.interferers:
-        links.setdefault(LinkId(interferer.subject, anchor, subject, anchor))
+    for interferer in interferers:
+        links.setdefault(LinkId(interferer, anchor, subject, anchor))
     return list(links)
+
+
+def source_links(config: ExperimentConfig) -> list[LinkId]:
+    """Every link that simulate or any sweep pair reads, simulate's links first."""
+    pairs = [(config.victim_subject, config.interferer_subjects), *sweep_pairs(config)]
+    return list(dict.fromkeys(link for pair in pairs
+                              for link in required_source_links(config, *pair)))
 
 
 def channel_seed(config: ExperimentConfig) -> int:
@@ -263,8 +262,9 @@ def channel_seed(config: ExperimentConfig) -> int:
     return derive_seed(config.master_seed, "channels")
 
 
-def assemble_channels(config: ExperimentConfig) -> ChannelSet:
-    """Fetch, decimate and overlay every trace the simulation needs.
+def assemble_channels(config: ExperimentConfig, subject: int,
+                      interferers: tuple[int, ...]) -> ChannelSet:
+    """Fetch, decimate and overlay every trace ``subject`` against ``interferers`` needs.
 
     On-body victim traces are used directly. Interference channels are
     assembled per interferer and victim device location: the cross-body
@@ -274,13 +274,12 @@ def assemble_channels(config: ExperimentConfig) -> ChannelSet:
     location trace for the other device locations. Every link the source
     lacks is named in one MissingLinkError.
     """
-    subject = config.victim_subject
     anchor = config.interferer_source_location
     seed = channel_seed(config)
 
     traces: dict[LinkId, ChannelTrace] = {}
     missing: list[str] = []
-    for link in required_source_links(config):
+    for link in required_source_links(config, subject, interferers):
         try:
             traces[link] = downsample(config.channels.trace(link, seed),
                                       config.epoch_period_ms)
@@ -289,9 +288,9 @@ def assemble_channels(config: ExperimentConfig) -> ChannelSet:
     if missing:
         raise MissingLinkError("; ".join(missing))
 
-    for interferer in config.interferer_subjects:
+    for interferer in interferers:
         base = traces[LinkId(interferer, anchor, subject, anchor)]
-        for loc in _device_locations(config.victim):
+        for loc in _device_locations(config.wban(subject)):
             if loc == anchor:
                 continue
             shadow_source = traces[LinkId(subject, anchor, subject, loc)]
@@ -303,15 +302,17 @@ def assemble_channels(config: ExperimentConfig) -> ChannelSet:
     return ChannelSet(traces.values())
 
 
-def _available_epochs(config: ExperimentConfig, channels: ChannelSet) -> int:
-    """Epochs covered by every source trace that running ``config`` reads.
+def _available_epochs(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
+                      channels: ChannelSet) -> int:
+    """Epochs covered by every source trace a run of ``subject`` against ``interferers`` reads.
 
-    Only the configured victim's and interferers' links count, so the other
-    interferers a shared channel set also covers never move the window. An
-    overlaid channel is as long as the shorter of its base and its donor,
-    both source links, so it never lowers the bound.
+    Only that pair's links count, so the other interferers a shared channel
+    set also covers never move the window. An overlaid channel is as long as
+    the shorter of its base and its donor, both source links, so it never
+    lowers the bound.
     """
-    return min(channels.trace(link).n_samples for link in required_source_links(config))
+    return min(channels.trace(link).n_samples
+               for link in required_source_links(config, subject, interferers))
 
 
 @dataclass(frozen=True)
@@ -400,18 +401,19 @@ def _wrap(a: np.ndarray, cycle: float) -> np.ndarray:
     return a + cycle * (a < 0)
 
 
-def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.ndarray],
+def _interference_weights(config: ExperimentConfig, subject: int,
+                          interferers: tuple[int, ...], offsets: Mapping[int, np.ndarray],
                           ) -> np.ndarray:
     """Per-epoch interference weights, indexed [interferer, kind, sensor, epoch].
 
-    Each is the power-weighted overlap of one of ``config.interferers`` with a
-    victim sensor's broadcast (kind 0) or forward (kind 1) sub-interval, for
-    the superframe ``offsets`` of each subject (see ``_draw_offsets``). One
+    Each is the power-weighted overlap of one of ``interferers`` with the broadcast
+    (kind 0) or forward (kind 1) sub-interval of a sensor of ``subject``, for the
+    superframe ``offsets`` of each subject (see ``_draw_offsets``). One
     pass per foreign transmission covers every sub-interval, in transmission
     order, over the epochs where the active periods can meet; every other
     epoch's weights are exactly +0.0, the bytes the full pass gives there.
     """
-    victim, mac = config.victim, config.mac
+    victim, mac = config.wban(subject), config.mac
     cycle = mac.cycle_ms
     v_layout = superframe_layout(victim, mac)
     # One row per victim receive sub-interval: every broadcast, then every forward.
@@ -421,13 +423,13 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
     # Far more than the few ulps of 2 cycle by which a computed delta can
     # miss its exact value; MacConfig keeps the cycle finite.
     margin = 1e-9 * cycle
-    weights = np.zeros((len(config.interferers), len(sub_intervals), config.epochs))
-    for weighted, interferer in zip(weights, config.interferers):
-        i_layout = superframe_layout(interferer, mac)
+    weights = np.zeros((len(interferers), len(sub_intervals), config.epochs))
+    for weighted, interferer in zip(weights, interferers):
+        i_layout = superframe_layout(config.wban(interferer), mac)
         i_end = max(rel_b + dur_b for rel_b, dur_b, _ in i_layout.transmissions)
         # Both offsets lie in [0, cycle) and both relative starts in [0, slot),
         # so every delta lies in (-2 cycle, 2 cycle), where _wrap is exact.
-        delta_base = offsets[interferer.subject] - offsets[victim.subject]
+        delta_base = offsets[interferer] - offsets[subject]
         # The interferer's active period starts gap after the victim's. When
         # v_end + margin <= gap <= cycle - i_end - margin, the exact delta of
         # every pair lies in [dur_a + margin, cycle - dur_b - margin], since
@@ -450,7 +452,7 @@ def _interference_weights(config: ExperimentConfig, offsets: Mapping[int, np.nda
             weighted_met += ((overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a)
                              * node.tx_power_mw)
         weighted[:, meet] = weighted_met
-    return weights.reshape(len(config.interferers), 2, len(victim.sensors), config.epochs)
+    return weights.reshape(len(interferers), 2, len(victim.sensors), config.epochs)
 
 
 def _linear_gains(channels: ChannelSet, links, window: slice) -> np.ndarray:
@@ -468,10 +470,12 @@ def _noise_plus_interference(noise_mw: float, foe_gains, weights: np.ndarray, rx
     return noise_mw + total
 
 
-def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.ndarray,
-                 start_index: int, rep: int) -> RunResult:
-    """One run: a (sensors, epochs) SINR block per scheme, then its curves and summary."""
-    victim, subject, epochs = config.victim, config.victim_subject, config.epochs
+def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
+                 channels: ChannelSet, weights: np.ndarray, start_index: int,
+                 rep: int) -> RunResult:
+    """One run of ``subject`` against ``interferers``: a (sensors, epochs) SINR block
+    per scheme, then its curves and summary."""
+    victim, epochs = config.wban(subject), config.epochs
     window = slice(start_index, start_index + epochs)
     receivers = _device_locations(victim)  # the hub, then the relays
     p_sensor = np.array([[sensor.tx_power_mw] for sensor in victim.sensors])
@@ -490,7 +494,7 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.nda
                      for relay in victim.relays]
         foe_gains = [[_linear_gains(channels, [LinkId(u, config.interferer_source_location,
                                                       subject, rx)], window)
-                      for rx in receivers] for u in config.interferer_subjects]
+                      for rx in receivers] for u in interferers]
         noise_mw = config.noise.noise_mw
         den_broadcast = [_noise_plus_interference(noise_mw, foe_gains, weights, rx, 0)
                          for rx in range(len(receivers))]
@@ -520,18 +524,17 @@ def _execute_run(config: ExperimentConfig, channels: ChannelSet, weights: np.nda
         quantities[scheme] = (_quantile_or_nan(outage, 0.01), _quantile_or_nan(outage, 0.10),
                               float(np.mean([level_crossing_rate(r, ref_db) for r in rows])))
 
-    combination, label = _combination_id(subject, config.interferer_subjects)
+    combination, label = _combination_id(subject, interferers)
     gain10 = quantities["coop"][1] - quantities["single"][1]
     summary = [SummaryRow(combination, subject, label, rep, scheme, thr1, thr10, gain10, ref)
                for scheme, (thr1, thr10, ref) in quantities.items()]
-    return RunResult(subject, config.interferer_subjects, rep, start_index,
-                     sinr_db, curves, summary)
+    return RunResult(subject, interferers, rep, start_index, sinr_db, curves, summary)
 
 
-def _run_combination(config: ExperimentConfig, channels: ChannelSet,
-                     offsets: Mapping[int, np.ndarray], repetitions: int,
-                     draw_starts: bool) -> list[RunResult]:
-    """The first ``repetitions`` runs of the configured victim against its interferers.
+def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
+                     channels: ChannelSet, offsets: Mapping[int, np.ndarray],
+                     repetitions: int, draw_starts: bool) -> list[RunResult]:
+    """The first ``repetitions`` runs of ``subject`` against ``interferers``.
 
     Run ``rep`` starts at ``start_indices[rep]`` if that is set, else at a
     start drawn from the "start", victim, interferer, rep stream if
@@ -540,7 +543,7 @@ def _run_combination(config: ExperimentConfig, channels: ChannelSet,
     weights are computed once for all of them.
     """
     epochs = config.epochs
-    available = _available_epochs(config, channels)
+    available = _available_epochs(config, subject, interferers, channels)
     usable = available - epochs
     if usable < 0:
         raise ConfigError(f"epochs: each run needs {epochs} epochs but the channel "
@@ -553,22 +556,24 @@ def _run_combination(config: ExperimentConfig, channels: ChannelSet,
                                   f"[{start}, {start + epochs}) but the channel traces "
                                   f"cover {available} epochs")
     elif draw_starts:
-        (interferer,) = config.interferer_subjects
-        starts = [int(substream(config.master_seed, "start", config.victim_subject,
-                                interferer, rep).integers(0, usable + 1))
+        (interferer,) = interferers
+        starts = [int(substream(config.master_seed, "start", subject, interferer, rep)
+                      .integers(0, usable + 1))
                   for rep in range(repetitions)]
     else:
         starts = [0] * repetitions
-    weights = _interference_weights(config, offsets)
-    return [_execute_run(config, channels, weights, start, rep)
+    weights = _interference_weights(config, subject, interferers, offsets)
+    return [_execute_run(config, subject, interferers, channels, weights, start, rep)
             for rep, start in enumerate(starts)]
 
 
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one deterministic run, from ``start_indices[0]`` if that is set, else 0."""
-    channels = assemble_channels(config)
-    offsets = _draw_offsets(config, (config.victim_subject, *config.interferer_subjects))
-    (result,) = _run_combination(config, channels, offsets, 1, draw_starts=False)
+    subject, interferers = config.victim_subject, config.interferer_subjects
+    channels = assemble_channels(config, subject, interferers)
+    offsets = _draw_offsets(config, (subject, *interferers))
+    (result,) = _run_combination(config, subject, interferers, channels, offsets, 1,
+                                 draw_starts=False)
     return result
 
 
@@ -605,13 +610,10 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     runs: list[RunResult] = []
     offsets = _draw_offsets(config, dict.fromkeys(s for v, foes in pairs for s in (v, *foes)))
     for victim, foes in pairs:
-        channels = assemble_channels(replace(config, victim_subject=victim,
-                                             interferer_subjects=foes))
+        channels = assemble_channels(config, victim, foes)
         for interferer in foes:
-            results = _run_combination(replace(config, victim_subject=victim,
-                                               interferer_subjects=(interferer,)),
-                                       channels, offsets, config.repetitions,
-                                       draw_starts=True)
+            results = _run_combination(config, victim, (interferer,), channels, offsets,
+                                       config.repetitions, draw_starts=True)
             runs.extend(results)
             pair_rows = [row for result in results for row in result.summary]
             rows.extend(pair_rows)

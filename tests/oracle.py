@@ -291,19 +291,20 @@ def interference_weights_reference(config, offsets=None,
     superframe offsets in [0, cycle); by default they come from each
     subject's "offsets" stream, as in the engine.
     """
-    victim, mac, epochs = config.victim, config.mac, config.epochs
+    victim, mac, epochs = config.wban(config.victim_subject), config.mac, config.epochs
+    interferers = tuple(config.wban(s) for s in config.interferer_subjects)
     cycle = mac.cycle_ms
     if offsets is None:
         offsets = {w.subject: substream(config.master_seed, "offsets", w.subject)
                    .uniform(0.0, cycle, epochs)
-                   for w in (victim, *config.interferers)}
+                   for w in (victim, *interferers)}
     v_layout = superframe_layout(victim, mac)
     v_intervals = {}
     for i in range(len(victim.sensors)):
         v_intervals[(i, "broadcast")] = v_layout.broadcast[i]
         v_intervals[(i, "forward")] = v_layout.forward[i]
     weights: dict[tuple[int, int, str], np.ndarray] = {}
-    for interferer in config.interferers:
+    for interferer in interferers:
         i_layout = superframe_layout(interferer, mac)
         delta_base = offsets[interferer.subject] - offsets[victim.subject]
         for (i, kind), (rel_a, dur_a) in v_intervals.items():
@@ -324,7 +325,7 @@ def sinr_series_reference(config, channels: ChannelSet, start_index: int,
     at a receiver adds the interferers in ``config.interferer_subjects``
     order, from zeros, with the weights of ``interference_weights_reference``.
     """
-    victim, epochs = config.victim, config.epochs
+    victim, epochs = config.wban(config.victim_subject), config.epochs
     window = slice(start_index, start_index + epochs)
     subject, hub_loc = victim.subject, victim.hub.location
     anchor = config.interferer_source_location

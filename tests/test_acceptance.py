@@ -101,7 +101,7 @@ def test_channel_composition_identities():
     identity_exact = np.array_equal(identity.samples, measured.samples)
 
     config = load_config(DEFAULT_CONFIG)
-    channels = assemble_channels(config)
+    channels = assemble_channels(config, config.victim_subject, config.interferer_subjects)
     base_link = LinkId.parse("2:LH->1:LH")
     source = config.channels.trace(base_link, channel_seed(config))
     passthrough = np.array_equal(channels.trace(base_link).samples, source.samples)
@@ -175,7 +175,7 @@ _GRID_ALLOWANCE_DB = 0.02
 
 def test_interference_free_outage_matches_the_closed_form():
     config = replace(load_config(DEFAULT_CONFIG), interferer_subjects=())
-    (sensor,) = config.victim.sensors
+    (sensor,) = config.wban(config.victim_subject).sensors
     on_body = config.channels.on_body
     mean = sensor.tx_power_dbm + on_body.mean_gain_db - config.noise.noise_floor_dbm
     sigma = on_body.shadow_sigma_db

@@ -35,7 +35,22 @@ channels:
     inter_body: {mean_gain_db: -70.0, shadow_sigma_db: 6.0, coherence_time_ms: 500.0}
 """
 
-CSV_CONFIG = CONFIG.split("channels:")[0] + "channels: {source: csv, csv_dir: traces}\n"
+# Simulate runs 1 against 2; sweep runs all six ordered pairs of three bodies.
+THREE_BODY_SWEEP = CONFIG.replace("victim: 1\n", """  - subject: 3
+    hub: {location: C}
+    relays: [{location: LH}, {location: RH}]
+    sensors: [{location: HD}]
+victim: 1
+sweep: {victims: [1, 2, 3], interferers: [1, 2, 3]}
+""")
+
+
+def csv_twin(text):
+    """The config with its synthetic channel section read from the CSVs in traces/."""
+    return text.split("channels:")[0] + "channels: {source: csv, csv_dir: traces}\n"
+
+
+CSV_CONFIG = csv_twin(CONFIG)
 
 RUN_FILES = {"outage_single.csv", "outage_coop.csv",
              "lcr_single.csv", "lcr_coop.csv", "summary.csv"}
@@ -164,13 +179,15 @@ def test_gen_traces_requires_synthetic_source(tmp_path, capsys):
     assert "synthetic" in capsys.readouterr().err
 
 
-def test_generated_traces_reproduce_the_synthetic_run(tmp_path):
-    config = write_config(tmp_path)
+@pytest.mark.parametrize("command,text", [("simulate", CONFIG), ("sweep", THREE_BODY_SWEEP)])
+def test_generated_traces_reproduce_the_synthetic_run(tmp_path, command, text):
+    # gen-traces writes every link that simulate or a sweep pair reads.
+    config = write_config(tmp_path, text)
     traces = tmp_path / "traces"
     main(["gen-traces", "--config", config, "--out", str(traces), "--quiet"])
-    csv_config = write_config(tmp_path, CSV_CONFIG, name="csv_config.yaml")
-    main(["simulate", "--config", config, "--out", str(tmp_path / "synth"), "--quiet"])
-    main(["simulate", "--config", csv_config, "--out", str(tmp_path / "csv"), "--quiet"])
+    csv_config = write_config(tmp_path, csv_twin(text), name="csv_config.yaml")
+    main([command, "--config", config, "--out", str(tmp_path / "synth"), "--quiet"])
+    main([command, "--config", csv_config, "--out", str(tmp_path / "csv"), "--quiet"])
     assert tree_bytes(tmp_path / "synth") == tree_bytes(tmp_path / "csv")
 
 
@@ -311,7 +328,7 @@ def test_csv_runs_and_overlays_never_load_scipy(tmp_path):
     traces = tmp_path / "traces"
     traces.mkdir()
     rng = np.random.default_rng(0)
-    links = engine.required_source_links(load_config(config))
+    links = engine.source_links(load_config(config))
     for link in links:
         save_trace(ChannelTrace(link, 120.0, rng.normal(-60.0, 6.0, 200)),
                    traces / trace_filename(link))
@@ -338,23 +355,31 @@ def test_the_benchmark_tracer_hooks_are_live_and_restored(tmp_path, monkeypatch)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import tracing
 
+    config = write_config(tmp_path, THREE_BODY_SWEEP)
     tracer = tracing.Tracer()
     tracer.install()
     patched = list(tracer._patches)
+    seen = {}
     try:
-        rc = tracer.op(main, ["simulate", "--config", write_config(tmp_path),
-                              "--out", str(tmp_path / "out"), "--quiet"])
+        for command in ("simulate", "sweep", "gen-traces"):
+            tracer.reset()
+            rc = tracer.op(main, [command, "--config", config,
+                                  "--out", str(tmp_path / command), "--quiet"])
+            assert rc == 0
+            seen[command] = tracer.counts(), {span.name for span in tracer.spans}
     finally:
         tracer.uninstall()
-    assert rc == 0
     assert patched
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
-    # Each wrapper sits where the simulate path looks its function up.
-    counts = tracer.counts()
-    for name in ("metrics.series", "metrics.lcr_calls", "metrics.crossing_evals",
-                 "engine.assemble_calls", "channel.fetch_calls", "channel.generate_calls",
-                 "network.layout_calls", "network.overlap_calls", "cli.files_written"):
-        assert counts[name] > 0, name
-    spans = {span.name for span in tracer.spans}
-    assert {"config.load", "engine.run", "engine.assemble", "metrics.outage",
-            "metrics.quantile", "cli.write"} <= spans
+    # Each wrapper sits where the simulate and sweep paths look its function up.
+    for command in ("simulate", "sweep"):
+        counts, spans = seen[command]
+        for name in ("metrics.series", "metrics.lcr_calls", "metrics.crossing_evals",
+                     "engine.assemble_calls", "channel.fetch_calls", "channel.generate_calls",
+                     "network.layout_calls", "network.overlap_calls", "cli.files_written"):
+            assert counts[name] > 0, (command, name)
+        assert {"config.load", "engine.run", "engine.assemble", "metrics.outage",
+                "metrics.quantile", "cli.write"} <= spans, command
+    counts, spans = seen["gen-traces"]
+    assert counts["channel.fetch_calls"] == counts["channel.generate_calls"] > 0
+    assert {"config.load", "channel.save_trace"} <= spans

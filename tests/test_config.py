@@ -10,12 +10,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wbansim import cli
 from wbansim.channel import BodyLocation, LinkId
 from helpers import with_on_body_coherence
 from wbansim.cli import main
 from wbansim.config import load_config
-from wbansim.engine import (ConfigError, CsvChannelSource, SyntheticChannelSource, run,
-                            sweep)
+from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
+                            SyntheticChannelSource, run, sweep)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -104,6 +105,16 @@ def test_bad_values_are_named(tmp_path):
                                                         "{location: XX}")))
     with pytest.raises(ConfigError, match="epochs"):
         load_config(write_config(tmp_path, BASE.replace("epochs: 50", "epochs: many")))
+    # YAML reads on, off, yes and no as booleans: no number key takes them.
+    for old, new, message in [
+            ("{location: HD}", "{location: HD, tx_power_dbm: off}",
+             "wbans[0].sensors[0].tx_power_dbm: expected a number, got False"),
+            ("slot_len_ms: 60.0", "slot_len_ms: yes",
+             "mac.slot_len_ms: expected a number, got True"),
+            ("shadow_sigma_db: 6.0", "shadow_sigma_db: on",
+             "channels.synthetic.on_body.shadow_sigma_db: expected a number, got True")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(write_config(tmp_path, BASE.replace(old, new, 1)))
     for bad in ("shadow_sigma_db: -6.0, coherence_time_ms: 240.0",
                 "shadow_sigma_db: .inf, coherence_time_ms: 240.0",
                 "shadow_sigma_db: 6.0, coherence_time_ms: .inf"):
@@ -195,7 +206,7 @@ interferers: [2, 3]
     (BASE, "2:LH->1:LH", ""),
     (BASE, "2:HD->2:C", "sweep: {victims: [1, 2], interferers: [1, 2]}\n"),
     (BASE, "1:LH->2:LH", "sweep: {victims: [2], interferers: [1]}\n"),
-    # Read by the loaded config, not by the config that sweep derives for a pair.
+    # Read by simulate's pair, not by any sweep pair.
     (THREE_BODIES, "3:LH->1:LH", ""),
     (BASE, "1:HD->1:C", "sweep: {victims: [2], interferers: [1]}\n")])
 def test_an_override_that_simulate_or_a_sweep_pair_reads_loads_and_runs(
@@ -205,6 +216,48 @@ def test_an_override_that_simulate_or_a_sweep_pair_reads_loads_and_runs(
     assert config.channels.overrides[link].mean_gain_db == -40.0
     run(config)
     sweep(config)
+
+
+THREE_BODY_SWEEP = THREE_BODIES + "sweep: {victims: [1, 2, 3], interferers: [1, 2, 3]}\n"
+
+
+def test_a_loaded_config_is_the_only_one_built(tmp_path, monkeypatch):
+    built = []
+    post_init = ExperimentConfig.__post_init__
+    monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    config = load_config(write_config(tmp_path, THREE_BODY_SWEEP))
+    assert built == [config]
+
+    def refuse(self):
+        raise AssertionError("an ExperimentConfig was built after load")
+
+    # The commands run every pair from the loaded config and check nothing again.
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", refuse)
+    monkeypatch.setattr(cli, "load_config", lambda path, seed: config)
+    for command in ("simulate", "sweep", "gen-traces"):
+        assert main([command, "--config", "loaded.yaml", "--out", str(tmp_path / command),
+                     "--quiet"]) == 0
+
+
+def test_a_sweep_pair_runs_as_simulate_of_that_pair(tmp_path):
+    starts = (0, 123)
+    swept = sweep(load_config(write_config(
+        tmp_path, THREE_BODY_SWEEP + f"repetitions: 2\nstart_indices: {list(starts)}\n")))
+    assert len(swept.runs) == 6 * len(starts)
+    for result in swept.runs:
+        (foe,) = result.interferer_subjects
+        start = starts[result.rep]
+        text = THREE_BODY_SWEEP.replace("victim: 1\ninterferers: [2, 3]\n",
+                                        f"victim: {result.victim_subject}\n"
+                                        f"interferers: [{foe}]\n")
+        alone = run(load_config(write_config(tmp_path, text + f"start_indices: [{start}]\n",
+                                             "pair.yaml")))
+        assert alone.start_index == result.start_index == start
+        for scheme, block in result.sinr_db.items():
+            assert block.tobytes() == alone.sinr_db[scheme].tobytes()
+            for kind, curve in result.curves[scheme].items():
+                assert curve.values.tobytes() == alone.curves[scheme][kind].values.tobytes()
 
 
 def test_mute_power_spelling(tmp_path):

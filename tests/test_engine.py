@@ -35,6 +35,11 @@ def base_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def simulate_pair(config):
+    """The (victim, interferers) pair that simulate runs."""
+    return config.victim_subject, config.interferer_subjects
+
+
 def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     return SyntheticChannelSource(duration_ms=120.0 * n,
                                   on_body=SyntheticChannelParams(on_db, 0.0, 240.0),
@@ -84,7 +89,7 @@ def test_radio_config_lookup():
 # -------------------------------------------------------------- trace sourcing
 
 def test_required_source_links():
-    links = {str(l) for l in required_source_links(base_config())}
+    links = {str(l) for l in required_source_links(base_config(), 1, (2,))}
     assert links == {"1:HD->1:C", "1:HD->1:LH", "1:HD->1:RH",
                      "1:LH->1:C", "1:RH->1:C", "1:LH->1:RH",
                      "2:LH->1:LH"}
@@ -98,7 +103,7 @@ def test_assemble_overlays_interference_channels(tmp_path):
         save_trace(ChannelTrace(LinkId.parse(text), 120.0, np.full(8, gain)),
                    tmp_path / f"t{k}.csv")
     config = base_config(channels=CsvChannelSource(tmp_path), epochs=8)
-    channels = assemble_channels(config)
+    channels = assemble_channels(config, *simulate_pair(config))
 
     base = channels.trace(LinkId.parse("2:LH->1:LH"))
     np.testing.assert_array_equal(base.samples, np.full(8, -72.0))  # pass-through
@@ -113,25 +118,26 @@ def test_assemble_overlays_interference_channels(tmp_path):
 
 
 def test_csv_source_reads_each_file_once(tmp_path, monkeypatch):
-    links = required_source_links(base_config())
+    links = required_source_links(base_config(), 1, (2,))
     for k, link in enumerate(links):
         save_trace(ChannelTrace(link, 120.0, np.full(8, -60.0 - k)), tmp_path / f"t{k}.csv")
     calls = []
     monkeypatch.setattr(engine, "load_trace",
                         lambda *args: calls.append(args) or load_trace(*args))
-    channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path), epochs=8))
+    channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path), epochs=8),
+                                 1, (2,))
     assert len(calls) == len(links)
     for k, link in enumerate(links):
         np.testing.assert_array_equal(channels.trace(link).samples, np.full(8, -60.0 - k))
 
 
 def test_assemble_downsamples_to_epoch_period(tmp_path):
-    links = [str(l) for l in required_source_links(base_config())]
+    links = [str(l) for l in required_source_links(base_config(), 1, (2,))]
     for k, text in enumerate(links):
         save_trace(ChannelTrace(LinkId.parse(text), 40.0, np.arange(24.0)),
                    tmp_path / f"t{k}.csv")
     channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path),
-                                             epochs=8))
+                                             epochs=8), 1, (2,))
     trace = channels.trace(LinkId.parse("1:HD->1:C"))
     assert trace.sample_period_ms == 120.0
     np.testing.assert_array_equal(trace.samples, np.arange(0.0, 24.0, 3.0))
@@ -143,19 +149,20 @@ def test_assemble_needs_a_distance_for_the_anchor_pairs():
         base_config(interferer_source_location=BodyLocation.RIGHT_HIP)
     radio = RadioConfig(link_distances_m={("C", "RH"): 0.3, ("LH", "RH"): 0.3})
     channels = assemble_channels(
-        base_config(interferer_source_location=BodyLocation.RIGHT_HIP, radio=radio))
+        base_config(interferer_source_location=BodyLocation.RIGHT_HIP, radio=radio), 1, (2,))
     assert channels.trace(LinkId.parse("2:RH->1:C")).n_samples == 200
 
 
 def test_missing_trace_is_reported(tmp_path):
     config = base_config(channels=CsvChannelSource(tmp_path))
     with pytest.raises(Exception, match="no channel trace"):
-        assemble_channels(config)
+        assemble_channels(config, *simulate_pair(config))
     # Every missing link is named in one error.
-    present, *missing = required_source_links(config)
+    present, *missing = required_source_links(config, *simulate_pair(config))
     save_trace(ChannelTrace(present, 120.0, np.full(8, -60.0)), tmp_path / "t.csv")
     with pytest.raises(MissingLinkError) as error:
-        assemble_channels(replace(config, channels=CsvChannelSource(tmp_path)))
+        assemble_channels(replace(config, channels=CsvChannelSource(tmp_path)),
+                          *simulate_pair(config))
     named = str(error.value)
     assert all(f"link {link} in" in named for link in missing)
     assert f"link {present} in" not in named
@@ -169,15 +176,15 @@ def test_run_matches_per_epoch_reference():
     result = run(config)
     # Column e of every SINR block is grid epoch 5 + e.
     assert result.start_index == 5
-    channels = assemble_channels(config)
+    channels = assemble_channels(config, *simulate_pair(config))
     cycle = config.mac.cycle_ms
     offsets = {s: substream(config.master_seed, "offsets", s)
                .uniform(0.0, cycle, config.epochs) for s in (1, 2)}
     for e in range(config.epochs):
         schedules = [build_schedule(config.wban(s), config.mac, offsets[s][e])
                      for s in (1, 2)]
-        decisions = evaluate_superframe(config.victim, schedules, channels,
-                                        config.noise, epoch=5 + e,
+        decisions = evaluate_superframe(config.wban(config.victim_subject), schedules,
+                                        channels, config.noise, epoch=5 + e,
                                         anchor=config.interferer_source_location)
         for d in decisions:
             i = d.sensor_index
@@ -193,7 +200,7 @@ _POWER = st.one_of(st.just(-math.inf), _FINITE_POWER)
 
 def _assert_weights_equal(config, got, want):
     """The engine's [interferer, kind, sensor, epoch] array holds the reference's rows."""
-    n_sensors = len(config.victim.sensors)
+    n_sensors = len(config.wban(config.victim_subject).sensors)
     assert got.shape == (len(config.interferer_subjects), 2, n_sensors, config.epochs)
     assert len(want) == got[:, :, :, 0].size
     for k, u in enumerate(config.interferer_subjects):
@@ -219,7 +226,8 @@ def test_interference_weights_equal_the_per_interval_reference(
     config = base_config(wbans=wbans, mac=MacConfig(n_coexisting, 60.0), epochs=epochs,
                          interferer_subjects=(2, 3)[:n_interferers], master_seed=seed)
     offsets = engine._draw_offsets(config, (1, 2, 3))
-    _assert_weights_equal(config, engine._interference_weights(config, offsets),
+    _assert_weights_equal(config,
+                          engine._interference_weights(config, *simulate_pair(config), offsets),
                           interference_weights_reference(config))
 
 
@@ -278,7 +286,8 @@ def test_interference_weights_at_the_edges_of_the_skipped_gaps(
     foe_offsets = _fold(victim_offsets + np.tile(gaps, 3), cycle)
     config = base_config(wbans=(victim, interferer), mac=mac, epochs=victim_offsets.size)
     offsets = {1: victim_offsets, 2: foe_offsets}
-    _assert_weights_equal(config, engine._interference_weights(config, offsets),
+    _assert_weights_equal(config,
+                          engine._interference_weights(config, *simulate_pair(config), offsets),
                           interference_weights_reference(config, offsets))
 
 
@@ -291,7 +300,7 @@ def test_overlaps_are_computed_only_in_epochs_where_the_slots_meet(monkeypatch):
         config = base_config(mac=MacConfig(n_coexisting, 15.0), epochs=400)
         offsets = engine._draw_offsets(config, (1, 2))
         columns.clear()
-        engine._interference_weights(config, offsets)
+        engine._interference_weights(config, *simulate_pair(config), offsets)
         # Active periods [0, slot) and [gap, gap + slot) meet, up to a margin.
         cycle, slot = config.mac.cycle_ms, config.mac.slot_len_ms
         gap = (offsets[2] - offsets[1]) % cycle
@@ -364,7 +373,8 @@ def test_run_series_equal_the_per_sensor_reference(n_sensors, n_interferers, epo
                          epochs=epochs, start_indices=(start,), master_seed=seed,
                          channels=SyntheticChannelSource(duration_ms=120.0 * 60))
     result = run(config)
-    want = sinr_series_reference(config, assemble_channels(config), start)
+    want = sinr_series_reference(config, assemble_channels(config, *simulate_pair(config)),
+                                 start)
     assert set(want) == set(range(n_sensors))
     assert result.start_index == start
     for scheme, block in result.sinr_db.items():
@@ -444,8 +454,9 @@ def test_cooperation_never_hurts():
 def test_a_run_converts_each_link_window_once(monkeypatch):
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)),
                                 make_wban(2)))
-    available = engine._available_epochs(config, assemble_channels(config))
-    monkeypatch.setattr(engine, "_available_epochs", lambda config, channels: available)
+    available = engine._available_epochs(config, *simulate_pair(config),
+                                         assemble_channels(config, *simulate_pair(config)))
+    monkeypatch.setattr(engine, "_available_epochs", lambda *args: available)
     looked_up = Counter()
     trace = ChannelSet.trace
     monkeypatch.setattr(ChannelSet, "trace",
@@ -536,7 +547,7 @@ def test_a_sweep_checks_every_window_before_any_run(monkeypatch):
     started = []
     execute = engine._execute_run
     monkeypatch.setattr(engine, "_execute_run",
-                        lambda *args: started.append(args[3]) or execute(*args))
+                        lambda *args: started.append(args[5]) or execute(*args))
     with pytest.raises(ConfigError, match=r"^start_indices\[1\]: a run from epoch 195"):
         sweep(base_config(epochs=10, repetitions=2, start_indices=(0, 195)))
     assert started == []
@@ -547,7 +558,7 @@ def test_a_sweep_checks_every_window_before_any_run(monkeypatch):
 def test_csv_round_trip_reproduces_synthetic_run(tmp_path):
     config = base_config()
     seed = engine.channel_seed(config)
-    for k, link in enumerate(required_source_links(config)):
+    for k, link in enumerate(required_source_links(config, *simulate_pair(config))):
         save_trace(config.channels.trace(link, seed), tmp_path / f"t{k}.csv")
     from_csv = run(replace(config, channels=CsvChannelSource(tmp_path)))
     from_synth = run(config)
@@ -559,7 +570,7 @@ def test_a_trace_period_within_the_downsample_tolerance_runs(tmp_path):
     # downsample takes 120.00000000001 ms as stride 1; its trace must join the 120 ms set.
     config = base_config()
     seed = engine.channel_seed(config)
-    links = required_source_links(config)
+    links = required_source_links(config, *simulate_pair(config))
     for name, first_period in (("exact", 120.0), ("near", 120.00000000001)):
         (tmp_path / name).mkdir()
         for k, link in enumerate(links):
@@ -568,7 +579,7 @@ def test_a_trace_period_within_the_downsample_tolerance_runs(tmp_path):
                        tmp_path / name / f"t{k}.csv")
     exact, near = (replace(config, channels=CsvChannelSource(tmp_path / name))
                    for name in ("exact", "near"))
-    channels = assemble_channels(near)
+    channels = assemble_channels(near, *simulate_pair(near))
     assert channels.trace(links[0]).sample_period_ms == 120.0
     # A trace already at the epoch period is used as it is, not copied.
     assert channels.trace(links[1]) is near.channels.trace(links[1], seed)
@@ -655,8 +666,7 @@ def test_sweep_does_each_job_once_at_the_level_where_it_varies(monkeypatch):
         assert len(fetched) == len(set(fetched))
         assert set(fetched) == {
             link for v in subjects for link in required_source_links(
-                replace(config, victim_subject=v,
-                        interferer_subjects=tuple(u for u in subjects if u != v)))}
+                config, v, tuple(u for u in subjects if u != v))}
         overlaps.append(calls["overlap"])
     assert overlaps[0] == overlaps[1] > 0
 
@@ -677,7 +687,7 @@ def test_a_pair_window_ignores_other_interferers_traces(tmp_path):
     config = base_config(wbans=(make_wban(1), make_wban(2), make_wban(3)),
                          interferer_subjects=(2, 3), repetitions=4)
     seed = engine.channel_seed(config)
-    for k, link in enumerate(required_source_links(config)):
+    for k, link in enumerate(required_source_links(config, *simulate_pair(config))):
         trace = config.channels.trace(link, seed)
         if link.tx_subject == 3:  # interferer 3's traces are shorter
             trace = ChannelTrace(link, trace.sample_period_ms, trace.samples[:60])
