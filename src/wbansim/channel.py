@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +34,7 @@ class TraceError(Exception):
 
 
 class MissingLinkError(TraceError):
-    """A channel set has no trace for a required link."""
+    """A channel source has no trace for a required link."""
 
 
 class FieldError(ValueError):
@@ -284,8 +283,9 @@ def downsample(trace: ChannelTrace, target_period_ms: float) -> ChannelTrace:
     ratio = target_period_ms / trace.sample_period_ms
     stride = round(ratio) if math.isfinite(ratio) else 0
     if stride < 1 or abs(ratio - stride) > 1e-9:
-        raise TraceError(f"cannot downsample period {trace.sample_period_ms} ms to "
-                         f"{target_period_ms} ms: ratio {ratio} is not a whole number")
+        raise TraceError(f"trace {trace.link}: cannot downsample period "
+                         f"{trace.sample_period_ms} ms to {target_period_ms} ms: "
+                         f"ratio {ratio} is not a whole number")
     return ChannelTrace(trace.link, target_period_ms, trace.samples[::stride])
 
 
@@ -358,24 +358,3 @@ def generate_synthetic(params: SyntheticChannelParams, link: LinkId, duration_ms
     deviations = lfilter([1.0], [1.0, -rho], shocks)
     return ChannelTrace(link, sample_period_ms, params.mean_gain_db + deviations)
 
-
-class ChannelSet:
-    """Immutable collection of equal-period traces indexed by link."""
-
-    def __init__(self, traces: Iterable[ChannelTrace]):
-        self._traces: dict[LinkId, ChannelTrace] = {}
-        for trace in traces:
-            if trace.link in self._traces:
-                raise TraceError(f"duplicate trace for link {trace.link}")
-            self._traces[trace.link] = trace
-        if not self._traces:
-            raise TraceError("channel set needs at least one trace")
-        periods = {t.sample_period_ms for t in self._traces.values()}
-        if len(periods) != 1:
-            raise TraceError(f"channel set mixes sample periods: {sorted(periods)}")
-
-    def trace(self, link: LinkId) -> ChannelTrace:
-        try:
-            return self._traces[link]
-        except KeyError:
-            raise MissingLinkError(f"no channel trace for link {link}") from None

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId, MissingLinkError,
+from .channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkError,
                       SyntheticChannelParams, TraceError, downsample, extract_shadowing,
                       generate_synthetic, load_trace, overlay)
 from .metrics import (MetricsCurve, MetricsError, SinrSeries, empirical_outage,
@@ -262,8 +262,23 @@ def channel_seed(config: ExperimentConfig) -> int:
     return derive_seed(config.master_seed, "channels")
 
 
+@dataclass(frozen=True, eq=False)
+class VictimChannels:
+    """One victim's channel gains in dB by link role, receivers ordered hub, relay 1, relay 2.
+
+    ``sensors[receiver, sensor, epoch]`` and ``relays[relay, epoch]`` (toward
+    the hub) are cut to the shortest on-body source trace, the donors of
+    shadowing included. ``foes[u][receiver, epoch]`` holds interferer ``u``'s
+    channels, cut to the shortest of its base trace and its overlays.
+    """
+
+    sensors: np.ndarray
+    relays: np.ndarray
+    foes: Mapping[int, np.ndarray]
+
+
 def assemble_channels(config: ExperimentConfig, subject: int,
-                      interferers: tuple[int, ...]) -> ChannelSet:
+                      interferers: tuple[int, ...]) -> VictimChannels:
     """Fetch, decimate and overlay every trace ``subject`` against ``interferers`` needs.
 
     On-body victim traces are used directly. Interference channels are
@@ -274,6 +289,7 @@ def assemble_channels(config: ExperimentConfig, subject: int,
     location trace for the other device locations. Every link the source
     lacks is named in one MissingLinkError.
     """
+    victim = config.wban(subject)
     anchor = config.interferer_source_location
     seed = channel_seed(config)
 
@@ -288,31 +304,27 @@ def assemble_channels(config: ExperimentConfig, subject: int,
     if missing:
         raise MissingLinkError("; ".join(missing))
 
+    receivers = _device_locations(victim)
+    n = min(trace.n_samples for link, trace in traces.items() if link.is_intra)
+
+    def on_body(tx: BodyLocation, rx: BodyLocation) -> np.ndarray:
+        return traces[LinkId(subject, tx, subject, rx)].samples[:n]
+
+    sensors = np.array([[on_body(sensor.location, rx) for sensor in victim.sensors]
+                        for rx in receivers])
+    relays = np.array([on_body(relay.location, receivers[0]) for relay in victim.relays])
+    foes = {}
     for interferer in interferers:
         base = traces[LinkId(interferer, anchor, subject, anchor)]
-        for loc in _device_locations(config.wban(subject)):
-            if loc == anchor:
-                continue
-            shadow_source = traces[LinkId(subject, anchor, subject, loc)]
-            shadowing = extract_shadowing(shadow_source,
-                                          config.radio.distance_m(anchor, loc),
-                                          config.radio.frequency_hz)
-            out_link = LinkId(interferer, anchor, subject, loc)
-            traces[out_link] = overlay(base, shadowing, out_link)
-    return ChannelSet(traces.values())
-
-
-def _available_epochs(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
-                      channels: ChannelSet) -> int:
-    """Epochs covered by every source trace a run of ``subject`` against ``interferers`` reads.
-
-    Only that pair's links count, so the other interferers a shared channel
-    set also covers never move the window. An overlaid channel is as long as
-    the shorter of its base and its donor, both source links, so it never
-    lowers the bound.
-    """
-    return min(channels.trace(link).n_samples
-               for link in required_source_links(config, subject, interferers))
+        rows = [base if loc == anchor else
+                overlay(base, extract_shadowing(traces[LinkId(subject, anchor, subject, loc)],
+                                                config.radio.distance_m(anchor, loc),
+                                                config.radio.frequency_hz),
+                        LinkId(interferer, anchor, subject, loc))
+                for loc in receivers]
+        m = min(base.n_samples, *(row.n_samples for row in rows))
+        foes[interferer] = np.array([row.samples[:m] for row in rows])
+    return VictimChannels(sensors, relays, foes)
 
 
 @dataclass(frozen=True)
@@ -455,11 +467,6 @@ def _interference_weights(config: ExperimentConfig, subject: int,
     return weights.reshape(len(interferers), 2, len(victim.sensors), config.epochs)
 
 
-def _linear_gains(channels: ChannelSet, links, window: slice) -> np.ndarray:
-    """One row per link: its gains over ``window`` in linear power."""
-    return 10.0 ** (np.array([channels.trace(link).samples[window] for link in links]) / 10.0)
-
-
 def _noise_plus_interference(noise_mw: float, foe_gains, weights: np.ndarray, rx: int,
                              kind: int) -> np.ndarray:
     """Per sensor and epoch, noise plus the interferers' power, added in order, at
@@ -471,33 +478,28 @@ def _noise_plus_interference(noise_mw: float, foe_gains, weights: np.ndarray, rx
 
 
 def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
-                 channels: ChannelSet, weights: np.ndarray, start_index: int,
+                 channels: VictimChannels, weights: np.ndarray, start_index: int,
                  rep: int) -> RunResult:
     """One run of ``subject`` against ``interferers``: a (sensors, epochs) SINR block
     per scheme, then its curves and summary."""
     victim, epochs = config.wban(subject), config.epochs
     window = slice(start_index, start_index + epochs)
-    receivers = _device_locations(victim)  # the hub, then the relays
     p_sensor = np.array([[sensor.tx_power_mw] for sensor in victim.sensors])
 
     # Out-of-range values are found below, by block, and named.
     with np.errstate(all="ignore"):
-        # Gains by link role: from the sensors to each receiver, a (sensors, epochs)
-        # block; from each relay to the hub and each interferer to each receiver, a row.
-        # Blocks no larger than these, alive until the run returns, reuse the heap
-        # as one sensor's rows did; bigger or shorter-lived ones page fault more.
-        from_sensors = [_linear_gains(channels, [LinkId(subject, sensor.location, subject, rx)
-                                                 for sensor in victim.sensors], window)
-                        for rx in receivers]
-        relay_hub = [_linear_gains(channels, [LinkId(subject, relay.location, subject,
-                                                     receivers[0])], window)
-                     for relay in victim.relays]
-        foe_gains = [[_linear_gains(channels, [LinkId(u, config.interferer_source_location,
-                                                      subject, rx)], window)
-                      for rx in receivers] for u in interferers]
+        # Gains in mW by link role: from the sensors to each receiver, a (sensors,
+        # epochs) block; from each relay to the hub and each interferer to each
+        # receiver, a row. Blocks no larger than these, alive until the run returns,
+        # reuse the heap as one sensor's rows did; bigger or shorter-lived ones page
+        # fault more.
+        from_sensors = [10.0 ** (block[:, window] / 10.0) for block in channels.sensors]
+        relay_hub = [10.0 ** (row[window] / 10.0) for row in channels.relays]
+        foe_gains = [[10.0 ** (row[window] / 10.0) for row in channels.foes[u]]
+                     for u in interferers]
         noise_mw = config.noise.noise_mw
         den_broadcast = [_noise_plus_interference(noise_mw, foe_gains, weights, rx, 0)
-                         for rx in range(len(receivers))]
+                         for rx in range(len(from_sensors))]
         den_hub_forward = _noise_plus_interference(noise_mw, foe_gains, weights, 0, 1)
         nu_direct, *nu_sr = [(p_sensor * gains) / den
                              for gains, den in zip(from_sensors, den_broadcast)]
@@ -532,7 +534,7 @@ def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int,
 
 
 def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
-                     channels: ChannelSet, offsets: Mapping[int, np.ndarray],
+                     channels: VictimChannels, offsets: Mapping[int, np.ndarray],
                      repetitions: int, draw_starts: bool) -> list[RunResult]:
     """The first ``repetitions`` runs of ``subject`` against ``interferers``.
 
@@ -543,7 +545,10 @@ def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[
     weights are computed once for all of them.
     """
     epochs = config.epochs
-    available = _available_epochs(config, subject, interferers, channels)
+    # Every trace the pair reads covers these epochs: the on-body ones and
+    # each of its interferers' bases and overlays.
+    available = min([channels.sensors.shape[-1],
+                     *(channels.foes[u].shape[-1] for u in interferers)])
     usable = available - epochs
     if usable < 0:
         raise ConfigError(f"epochs: each run needs {epochs} epochs but the channel "

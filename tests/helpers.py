@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wbansim.channel import BodyLocation, ChannelSet, ChannelTrace, LinkId
+from wbansim.channel import BodyLocation, ChannelTrace, LinkId
 from wbansim.engine import ConfigError, ExperimentConfig, SyntheticChannelSource
 from wbansim.metrics import MetricsCurve, MetricsError
 from wbansim.network import NodeSpec, WbanConfig
@@ -29,9 +29,10 @@ def make_wban(subject=1, sensor_locs=(HD,), sensor_power=0.0, relay_power=0.0,
 
 
 def constant_set(gains, n=4, period_ms=120.0):
-    """Channel set of flat traces; gains maps link strings to dB values."""
-    return ChannelSet(ChannelTrace(LinkId.parse(text), period_ms, np.full(n, gain))
-                      for text, gain in gains.items())
+    """Flat traces by link; gains maps link strings to dB values."""
+    traces = (ChannelTrace(LinkId.parse(text), period_ms, np.full(n, gain))
+              for text, gain in gains.items())
+    return {trace.link: trace for trace in traces}
 
 
 def with_on_body_coherence(config: ExperimentConfig, coherence_time_ms: float,

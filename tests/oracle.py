@@ -4,7 +4,9 @@ It places every network's superframe at a drawn offset, finds the foreign
 transmissions overlapping each victim receive interval on the circular
 cycle, and scores one sensor packet at a time with scalar SINR and max-min
 relay selection. It shares with the engine only the superframe layout and
-the circular overlap length.
+the circular overlap length, and it reads the channels from its own
+assembly: every trace a run reads, by link, built from the source with
+``downsample``, ``extract_shadowing`` and ``overlay``.
 
 It also keeps the per-threshold definition of the level crossing rate that
 the one-pass kernel in ``wbansim.metrics`` is checked against, the
@@ -28,13 +30,54 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
-                             SyntheticChannelParams, TraceError)
+from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, SyntheticChannelParams,
+                             TraceError, downsample, extract_shadowing, overlay)
 from wbansim.metrics import SinrSeries
 from wbansim.network import (MacConfig, NodeSpec, WbanConfig, overlap_lengths,
                              superframe_layout)
 from wbansim.relaying import NoiseModel
-from wbansim.seeding import substream
+from wbansim.seeding import derive_seed, substream
+
+
+# ------------------------------------------------------------------ channels
+
+def assemble_reference(config, subject: int, interferers: Sequence[int],
+                       ) -> dict[LinkId, ChannelTrace]:
+    """Every trace a run of ``subject`` against ``interferers`` reads, by link.
+
+    Each source link (the victim's on-body hops, the anchor links that
+    donate shadowing, and each interferer's base link to the victim's
+    anchor location) is fetched with the "channels" seed and decimated to
+    the cycle. Each interferer's channel toward a receiver other than the
+    anchor is its base with the donor's shadowing overlaid, under the
+    interferer's link to that receiver.
+    """
+    victim = config.wban(subject)
+    anchor = config.interferer_source_location
+    seed = derive_seed(config.master_seed, "channels")
+    receivers = [victim.hub.location] + [relay.location for relay in victim.relays]
+    traces: dict[LinkId, ChannelTrace] = {}
+
+    def fetch(tx_subject, tx_loc, rx_loc) -> ChannelTrace:
+        link = LinkId(tx_subject, tx_loc, subject, rx_loc)
+        if link not in traces:
+            traces[link] = downsample(config.channels.trace(link, seed), config.mac.cycle_ms)
+        return traces[link]
+
+    for sensor in victim.sensors:
+        for rx in receivers:
+            fetch(subject, sensor.location, rx)
+    for relay in victim.relays:
+        fetch(subject, relay.location, victim.hub.location)
+    donors = {rx: fetch(subject, anchor, rx) for rx in receivers if rx != anchor}
+    for u in interferers:
+        base = fetch(u, anchor, anchor)
+        for rx, donor in donors.items():
+            shadowing = extract_shadowing(donor, config.radio.distance_m(anchor, rx),
+                                          config.radio.frequency_hz)
+            link = LinkId(u, anchor, subject, rx)
+            traces[link] = overlay(base, shadowing, link)
+    return traces
 
 
 # ------------------------------------------------------------------ schedule
@@ -199,7 +242,7 @@ class RelayDecision:
 
 
 def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
-                        channels: ChannelSet, noise: NoiseModel, epoch: int,
+                        channels: dict[LinkId, ChannelTrace], noise: NoiseModel, epoch: int,
                         anchor: BodyLocation = BodyLocation.LEFT_HIP,
                         ) -> list[RelayDecision]:
     """Evaluate every sensor packet of one network in one superframe.
@@ -222,7 +265,7 @@ def evaluate_superframe(wban: WbanConfig, schedules: Sequence[SlotSchedule],
     subject, hub_loc = wban.subject, wban.hub.location
 
     def gain_db(link):
-        return float(channels.trace(link).samples[epoch])
+        return float(channels[link].samples[epoch])
 
     def gain(tx_loc, rx_loc):
         return gain_db(LinkId(subject, tx_loc, subject, rx_loc))
@@ -317,7 +360,7 @@ def interference_weights_reference(config, offsets=None,
     return weights
 
 
-def sinr_series_reference(config, channels: ChannelSet, start_index: int,
+def sinr_series_reference(config, channels: dict[LinkId, ChannelTrace], start_index: int,
                           ) -> dict[int, dict[str, np.ndarray]]:
     """Per-sensor SINR in dB, {sensor: {"single", "coop"}}, one sensor at a time.
 
@@ -334,7 +377,7 @@ def sinr_series_reference(config, channels: ChannelSet, start_index: int,
 
     def linear_gain(link: LinkId) -> np.ndarray:
         if link not in gains:
-            gains[link] = 10.0 ** (channels.trace(link).samples[window] / 10.0)
+            gains[link] = 10.0 ** (channels[link].samples[window] / 10.0)
         return gains[link]
 
     def link_gain(tx_loc: BodyLocation, rx_loc: BodyLocation) -> np.ndarray:

@@ -6,9 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracle import load_trace_reference, save_trace_reference, synthetic_samples_reference
-from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
-                             MissingLinkError, SyntheticChannelParams, TraceError,
-                             downsample, extract_shadowing, fspl_db,
+from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, SyntheticChannelParams,
+                             TraceError, downsample, extract_shadowing, fspl_db,
                              generate_synthetic, load_trace, overlay, save_trace)
 
 LINK = LinkId.parse("1:HD->1:C")
@@ -224,6 +223,10 @@ def test_downsample_identity_and_errors():
     assert downsample(trace, 120.0) is trace
     with pytest.raises(TraceError, match="whole number"):
         downsample(make_trace([1.0, 2.0], period_ms=15.0), 100.0)
+    # The error names the trace's link.
+    with pytest.raises(TraceError, match=r"^trace 1:LH->1:C: cannot downsample period 240\.0 "
+                                         r"ms to 120\.0 ms: ratio 0\.5 is not a whole number$"):
+        downsample(make_trace([1.0], period_ms=240.0, link=LinkId.parse("1:LH->1:C")), 120.0)
     with pytest.raises(TraceError, match="whole number"):
         downsample(trace, 60.0)  # upsampling is out of scope
     # 120 / 5e-324 overflows to inf, which round() cannot convert.
@@ -348,21 +351,3 @@ def test_synthetic_param_validation():
     with pytest.raises(ValueError):
         synthetic(duration_ms=60.0)  # shorter than one sample period
 
-
-# --------------------------------------------------------------- channel sets
-
-def test_channel_set_lookup_and_errors():
-    traces = [make_trace([1.0, 2.0]),
-              make_trace([3.0, 4.0], link=LinkId.parse("1:HD->1:LH"))]
-    channels = ChannelSet(traces)
-    assert channels.trace(LINK).sample_period_ms == 120.0
-    assert channels.trace(LINK).samples[1] == 2.0
-    with pytest.raises(MissingLinkError, match="1:HD->1:RH"):
-        channels.trace(LinkId.parse("1:HD->1:RH"))
-    with pytest.raises(TraceError, match="duplicate"):
-        ChannelSet([traces[0], make_trace([9.0])])
-    with pytest.raises(TraceError, match="mixes sample periods"):
-        ChannelSet([traces[0], make_trace([1.0], period_ms=60.0,
-                                          link=LinkId.parse("1:HD->1:LH"))])
-    with pytest.raises(TraceError, match="at least one"):
-        ChannelSet([])

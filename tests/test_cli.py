@@ -201,7 +201,7 @@ def test_a_trace_period_too_fine_to_downsample_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     assert capsys.readouterr().err.startswith(
-        "error: cannot downsample period 5e-324 ms to 120.0 ms: ratio inf")
+        "error: trace 1:HD->1:C: cannot downsample period 5e-324 ms to 120.0 ms: ratio inf")
 
 
 # -------------------------------------------------------------- overlay-traces
@@ -378,8 +378,9 @@ def test_the_benchmark_tracer_hooks_are_live_and_restored(tmp_path, monkeypatch)
                      "engine.assemble_calls", "channel.fetch_calls", "channel.generate_calls",
                      "network.layout_calls", "network.overlap_calls", "cli.files_written"):
             assert counts[name] > 0, (command, name)
-        assert {"config.load", "engine.run", "engine.assemble", "metrics.outage",
-                "metrics.quantile", "cli.write"} <= spans, command
+        assert {"config.load", "engine.run", "engine.assemble", "channel.downsample",
+                "channel.overlay", "metrics.outage", "metrics.quantile", "cli.write"} <= spans, \
+            command
     counts, spans = seen["gen-traces"]
     assert counts["channel.fetch_calls"] == counts["channel.generate_calls"] > 0
     assert {"config.load", "channel.save_trace"} <= spans

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HD, LW, make_wban
-from oracle import (build_schedule, evaluate_superframe, interference_weights_reference,
-                    sinr_series_reference)
+from oracle import (assemble_reference, build_schedule, evaluate_superframe,
+                    interference_weights_reference, sinr_series_reference)
 from wbansim import engine
-from wbansim.channel import (BodyLocation, ChannelSet, ChannelTrace, LinkId,
-                             MissingLinkError, SyntheticChannelParams, fspl_db,
-                             load_trace, save_trace)
+from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkError,
+                             SyntheticChannelParams, downsample, fspl_db, load_trace,
+                             save_trace)
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
@@ -105,16 +105,14 @@ def test_assemble_overlays_interference_channels(tmp_path):
     config = base_config(channels=CsvChannelSource(tmp_path), epochs=8)
     channels = assemble_channels(config, *simulate_pair(config))
 
-    base = channels.trace(LinkId.parse("2:LH->1:LH"))
-    np.testing.assert_array_equal(base.samples, np.full(8, -72.0))  # pass-through
-    to_chest = channels.trace(LinkId.parse("2:LH->1:C"))
-    np.testing.assert_allclose(
-        to_chest.samples, -72.0 + (-55.0 + fspl_db(0.40, 2.36e9)), rtol=1e-12)
-    to_rh = channels.trace(LinkId.parse("2:LH->1:RH"))
-    np.testing.assert_allclose(
-        to_rh.samples, -72.0 + (-52.0 + fspl_db(0.30, 2.36e9)), rtol=1e-12)
-    np.testing.assert_array_equal(
-        channels.trace(LinkId.parse("1:HD->1:C")).samples, np.full(8, -60.0))
+    # Receivers in the order hub (C), relay 1 (LH), relay 2 (RH).
+    to_chest, base, to_rh = channels.foes[2]
+    np.testing.assert_array_equal(base, np.full(8, -72.0))  # pass-through
+    np.testing.assert_allclose(to_chest, -72.0 + (-55.0 + fspl_db(0.40, 2.36e9)), rtol=1e-12)
+    np.testing.assert_allclose(to_rh, -72.0 + (-52.0 + fspl_db(0.30, 2.36e9)), rtol=1e-12)
+    np.testing.assert_array_equal(channels.sensors[:, 0],
+                                  np.full((3, 8), [[-60.0], [-50.0], [-40.0]]))
+    np.testing.assert_array_equal(channels.relays, np.full((2, 8), [[-55.0], [-70.0]]))
 
 
 def test_csv_source_reads_each_file_once(tmp_path, monkeypatch):
@@ -127,8 +125,12 @@ def test_csv_source_reads_each_file_once(tmp_path, monkeypatch):
     channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path), epochs=8),
                                  1, (2,))
     assert len(calls) == len(links)
-    for k, link in enumerate(links):
-        np.testing.assert_array_equal(channels.trace(link).samples, np.full(8, -60.0 - k))
+    # The files hold, in link order, the sensor's three hops, the relays' hops to
+    # the hub, the donor 1:LH->1:RH and the base 2:LH->1:LH.
+    np.testing.assert_array_equal(channels.sensors[:, 0], np.full((3, 8), [[-60.0], [-61.0],
+                                                                           [-62.0]]))
+    np.testing.assert_array_equal(channels.relays, np.full((2, 8), [[-63.0], [-64.0]]))
+    np.testing.assert_array_equal(channels.foes[2][1], np.full(8, -66.0))
 
 
 def test_assemble_downsamples_to_epoch_period(tmp_path):
@@ -138,9 +140,7 @@ def test_assemble_downsamples_to_epoch_period(tmp_path):
                    tmp_path / f"t{k}.csv")
     channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path),
                                              epochs=8), 1, (2,))
-    trace = channels.trace(LinkId.parse("1:HD->1:C"))
-    assert trace.sample_period_ms == 120.0
-    np.testing.assert_array_equal(trace.samples, np.arange(0.0, 24.0, 3.0))
+    np.testing.assert_array_equal(channels.sensors[0, 0], np.arange(0.0, 24.0, 3.0))
 
 
 def test_assemble_needs_a_distance_for_the_anchor_pairs():
@@ -150,7 +150,7 @@ def test_assemble_needs_a_distance_for_the_anchor_pairs():
     radio = RadioConfig(link_distances_m={("C", "RH"): 0.3, ("LH", "RH"): 0.3})
     channels = assemble_channels(
         base_config(interferer_source_location=BodyLocation.RIGHT_HIP, radio=radio), 1, (2,))
-    assert channels.trace(LinkId.parse("2:RH->1:C")).n_samples == 200
+    assert channels.foes[2].shape == (3, 200)
 
 
 def test_missing_trace_is_reported(tmp_path):
@@ -168,6 +168,68 @@ def test_missing_trace_is_reported(tmp_path):
     assert f"link {present} in" not in named
 
 
+def _assert_roles_equal_the_reference(config, subject, interferers):
+    """The role arrays hold the bytes of the reference's traces, each cut to its window."""
+    got = assemble_channels(config, subject, interferers)
+    want = assemble_reference(config, subject, interferers)
+    victim, anchor = config.wban(subject), config.interferer_source_location
+    receivers = [victim.hub.location] + [relay.location for relay in victim.relays]
+    n = min(trace.n_samples for link, trace in want.items() if link.is_intra)
+    assert got.sensors.shape == (3, len(victim.sensors), n)
+    assert got.relays.shape == (2, n)
+    for r, rx in enumerate(receivers):
+        for i, sensor in enumerate(victim.sensors):
+            link = LinkId(subject, sensor.location, subject, rx)
+            assert got.sensors[r, i].tobytes() == want[link].samples[:n].tobytes(), link
+    for k, relay in enumerate(victim.relays):
+        link = LinkId(subject, relay.location, subject, receivers[0])
+        assert got.relays[k].tobytes() == want[link].samples[:n].tobytes(), link
+    assert list(got.foes) == list(interferers)
+    for u in interferers:
+        m = min(trace.n_samples for link, trace in want.items() if link.tx_subject == u)
+        assert got.foes[u].shape == (3, m)
+        for r, rx in enumerate(receivers):
+            link = LinkId(u, anchor, subject, rx)
+            assert got.foes[u][r].tobytes() == want[link].samples[:m].tobytes(), link
+
+
+@pytest.mark.parametrize("anchor", [BodyLocation.LEFT_HIP, BodyLocation.CHEST, HD])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_role_arrays_equal_the_reference_assembly(tmp_path, anchor, seed):
+    # HD is a sensor's location and no receiver's: every interference channel is overlaid.
+    radio = RadioConfig(link_distances_m={("C", "LH"): 0.40, ("LH", "RH"): 0.30,
+                                          ("C", "RH"): 0.35, ("C", "HD"): 0.50,
+                                          ("HD", "LH"): 0.70, ("HD", "RH"): 0.75})
+    config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2), make_wban(3)),
+                         interferer_subjects=(2, 3), interferer_source_location=anchor,
+                         radio=radio, master_seed=seed)
+    _assert_roles_equal_the_reference(config, 1, (2, 3))
+    # The same traces from CSV files of unequal lengths.
+    rng = np.random.default_rng(seed)
+    for k, link in enumerate(engine.source_links(config)):
+        samples = config.channels.trace(link, engine.channel_seed(config)).samples
+        save_trace(ChannelTrace(link, 120.0, samples[:rng.integers(150, 201)]),
+                   tmp_path / f"t{k}.csv")
+    _assert_roles_equal_the_reference(replace(config, channels=CsvChannelSource(tmp_path)),
+                                      1, (2, 3))
+
+
+def test_a_short_donor_trace_bounds_the_window(tmp_path):
+    # The donor 1:LH->1:RH feeds only the overlays, yet its 100 epochs bound every run.
+    config = base_config(epochs=150)
+    seed = engine.channel_seed(config)
+    donor = LinkId.parse("1:LH->1:RH")
+    for k, link in enumerate(required_source_links(config, *simulate_pair(config))):
+        samples = config.channels.trace(link, seed).samples
+        save_trace(ChannelTrace(link, 120.0, samples[:100] if link == donor else samples),
+                   tmp_path / f"t{k}.csv")
+    csv_config = replace(config, channels=CsvChannelSource(tmp_path))
+    for interferers in ((2,), ()):
+        with pytest.raises(ConfigError, match=r"^epochs: each run needs 150 epochs but the "
+                                              r"channel traces cover 100$"):
+            run(replace(csv_config, interferer_subjects=interferers))
+
+
 # ----------------------------------------------------- vectorized vs reference
 
 def test_run_matches_per_epoch_reference():
@@ -176,7 +238,7 @@ def test_run_matches_per_epoch_reference():
     result = run(config)
     # Column e of every SINR block is grid epoch 5 + e.
     assert result.start_index == 5
-    channels = assemble_channels(config, *simulate_pair(config))
+    channels = assemble_reference(config, *simulate_pair(config))
     cycle = config.mac.cycle_ms
     offsets = {s: substream(config.master_seed, "offsets", s)
                .uniform(0.0, cycle, config.epochs) for s in (1, 2)}
@@ -373,7 +435,7 @@ def test_run_series_equal_the_per_sensor_reference(n_sensors, n_interferers, epo
                          epochs=epochs, start_indices=(start,), master_seed=seed,
                          channels=SyntheticChannelSource(duration_ms=120.0 * 60))
     result = run(config)
-    want = sinr_series_reference(config, assemble_channels(config, *simulate_pair(config)),
+    want = sinr_series_reference(config, assemble_reference(config, *simulate_pair(config)),
                                  start)
     assert set(want) == set(range(n_sensors))
     assert result.start_index == start
@@ -451,21 +513,21 @@ def test_cooperation_never_hurts():
     assert np.all(outage["coop"]["outage"].values <= outage["single"]["outage"].values)
 
 
-def test_a_run_converts_each_link_window_once(monkeypatch):
+def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)),
                                 make_wban(2)))
-    available = engine._available_epochs(config, *simulate_pair(config),
-                                         assemble_channels(config, *simulate_pair(config)))
-    monkeypatch.setattr(engine, "_available_epochs", lambda *args: available)
-    looked_up = Counter()
-    trace = ChannelSet.trace
-    monkeypatch.setattr(ChannelSet, "trace",
-                        lambda channels, link: looked_up.update([link])
-                        or trace(channels, link))
-    run(config)
-    # 9 sensor hops, 2 relay-to-hub hops, interference at the hub and both relays.
-    assert len(looked_up) == 14
-    assert set(looked_up.values()) == {1}
+    want = run(config)
+    pair = simulate_pair(config)
+    channels = assemble_channels(config, *pair)
+    weights = engine._interference_weights(config, *pair, engine._draw_offsets(config, (1, 2)))
+
+    def no_link(*args):
+        raise AssertionError(f"a run built the link {args}")
+
+    monkeypatch.setattr(engine, "LinkId", no_link)
+    got = engine._execute_run(config, *pair, channels, weights, 0, 0)
+    for scheme, block in want.sinr_db.items():
+        assert got.sinr_db[scheme].tobytes() == block.tobytes()
 
 
 # ------------------------------------------------------------ run-level output
@@ -579,10 +641,10 @@ def test_a_trace_period_within_the_downsample_tolerance_runs(tmp_path):
                        tmp_path / name / f"t{k}.csv")
     exact, near = (replace(config, channels=CsvChannelSource(tmp_path / name))
                    for name in ("exact", "near"))
-    channels = assemble_channels(near, *simulate_pair(near))
-    assert channels.trace(links[0]).sample_period_ms == 120.0
+    assert downsample(near.channels.trace(links[0], seed), 120.0).sample_period_ms == 120.0
     # A trace already at the epoch period is used as it is, not copied.
-    assert channels.trace(links[1]) is near.channels.trace(links[1], seed)
+    on_period = near.channels.trace(links[1], seed)
+    assert downsample(on_period, 120.0) is on_period
     want, got = run(exact), run(near)
     for scheme in ("single", "coop"):
         assert got.sinr_db[scheme].tobytes() == want.sinr_db[scheme].tobytes()

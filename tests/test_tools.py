@@ -15,7 +15,8 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
-from bench_pairs import parse_seeds, regression, verdict  # noqa: E402
+from bench_pairs import (pair_values, parse_seeds, regression, run_order,  # noqa: E402
+                         verdict)
 
 # Ten base runs whose quartiles are 1.0225 and 1.0675: a spread of 0.045.
 BASE = [1.00 + 0.01 * k for k in range(10)]
@@ -73,6 +74,21 @@ def test_a_base_spread_past_the_bound_is_unresolved():
     faster = [BASE[0] - 0.01 * (k + 1) for k in range(10)]
     assert regression(BASE, faster, "lower", 0.02) == "no worse"
     assert regression(BASE, faster[:9] + [BASE[0]], "lower", 0.02) == "unresolved"
+
+
+def test_each_pair_runs_x_y_y_x_and_the_opening_side_alternates():
+    assert run_order(0) == ("base", "change", "change", "base")
+    assert run_order(1) == ("change", "base", "base", "change")
+    assert run_order(2) == run_order(0)
+    for k in range(4):
+        assert sorted(run_order(k)) == ["base", "base", "change", "change"]
+
+
+def test_a_sides_pair_value_is_the_mean_of_its_two_runs():
+    metrics = [{"name": "wall_s"}, {"name": "peak_rss_mb"}]
+    runs = [{"metrics": {"wall_s": {"value": 1.0}, "peak_rss_mb": {"value": 100.0}}},
+            {"metrics": {"wall_s": {"value": 1.5}, "peak_rss_mb": {"value": 102.0}}}]
+    assert pair_values(runs, metrics) == {"wall_s": 1.25, "peak_rss_mb": 101.0}
 
 
 def test_seed_ranges():

@@ -3,19 +3,22 @@
     python3 tools/bench_pairs.py --base <checkout> --change <checkout> --workload W --seeds A..B
 
 For each seed from A to B, runs ``perfbench/run.py --workload W --seed S
---trace 0`` of both checkouts, each as its own process with the
-``run_seconds`` their ``BENCHMARK.json`` declares, and alternates which side
-runs first. It prints every pair's end-to-end values, then each side's median
-and quartiles per metric, the number of pairs the change wins (ties count for
-neither side), and whether the gain rule holds for that metric: the change
-wins at least nine tenths of the pairs, its median is better than the base's
-by more than the distance between the base's quartiles, and no more of its
-operations fail. Beside it stands the no-regression verdict under the metric's
-``bound``: "worse" when the change's median is worse than the base's by more
-than that fraction of the base median, else "unresolved" when the base's
-quartile spread exceeds that much and not every change run beats every base
-run, else "no worse". SIGTERM ends the running ``perfbench/run.py`` process
-before the script exits.
+--trace 0`` of both checkouts, each run its own process with the
+``run_seconds`` their ``BENCHMARK.json`` declares, four times in the order
+X Y Y X: each side runs once in an outer and once in an inner position, and
+the side X that opens the pair alternates from seed to seed. A side's value
+in a pair is the mean of its two runs. It prints every pair's end-to-end
+values, then each side's median and quartiles per metric, the number of
+pairs the change wins (ties count for neither side), and whether the gain
+rule holds for that metric: the change wins at least nine tenths of the
+pairs, its median is better than the base's by more than the distance
+between the base's quartiles, and no more of its operations fail. Beside it
+stands the no-regression verdict under the metric's ``bound``: "worse" when
+the change's median is worse than the base's by more than that fraction of
+the base median, else "unresolved" when the base's quartile spread exceeds
+that much and not every change value beats every base value, else "no
+worse". SIGTERM ends the running ``perfbench/run.py`` process before the
+script exits.
 """
 
 from __future__ import annotations
@@ -75,6 +78,18 @@ def regression(base: list[float], change: list[float], better: str, bound: float
     return "no worse"
 
 
+def run_order(k: int) -> tuple[str, str, str, str]:
+    """The sides of pair ``k`` in running order: X Y Y X, with X base in even pairs."""
+    first, second = SIDES if k % 2 == 0 else SIDES[::-1]
+    return first, second, second, first
+
+
+def pair_values(runs: list[dict], metrics: list[dict]) -> dict[str, float]:
+    """Each metric's mean over one side's runs of a pair."""
+    return {m["name"]: statistics.fmean(r["metrics"][m["name"]]["value"] for r in runs)
+            for m in metrics}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="parent checkout")
@@ -99,20 +114,23 @@ def main(argv=None) -> int:
     correct = {side: True for side in SIDES}
     print("pair seed first " + " ".join(f"{m['name']}(base,change)" for m in metrics))
     for k, seed in enumerate(args.seeds):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        order = run_order(k)
+        runs = {side: [] for side in SIDES}
         for side in order:
             result = run_perfbench(roots[side], args.workload, seed, seconds, trace=0)
             failed[side] += result["failed"]
             correct[side] = correct[side] and result["correct"]
-            for m in metrics:
-                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+            runs[side].append(result)
+        for side in SIDES:
+            for name, value in pair_values(runs[side], metrics).items():
+                values[side][name].append(value)
         print(f"{k + 1:4d} {seed:4d} {order[0]:6s}" + "".join(
             f" {values['base'][m['name']][-1]:.4g},{values['change'][m['name']][-1]:.4g}"
             for m in metrics), flush=True)
 
     seeds = f"{args.seeds[0]}..{args.seeds[-1]}"
     print(f"\n{args.workload}: {len(args.seeds)} pairs, seeds {seeds}, "
-          f"{seconds:g} s per run; failed operations base {failed['base']}, change "
+          f"{seconds:g} s per run, 2 per side and pair; failed operations base {failed['base']}, change "
           f"{failed['change']}; every run correct: base {correct['base']}, "
           f"change {correct['change']}")
     print(f"{'metric':14s} {'unit':5s} {'base median [q1, q3]':28s} "
