@@ -15,11 +15,10 @@ simulation.
 from __future__ import annotations
 
 import enum
+import io
 import math
-import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +180,14 @@ def load_trace(path) -> ChannelTrace:
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        text = path.read_text()
     except OSError as exc:
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
+    head, _, data = text.partition("\n")
+    # A printable first line holds no other line break, so it is the first of
+    # text.splitlines(); only a file that goes to the row scan is split.
+    plain_head = bool(text) and head.isprintable()
+    lines = [head] if plain_head else text.splitlines()
     if not lines:
         raise TraceError(f"{path}:1: empty file, expected a header line")
     header = _HEADER_RE.match(lines[0].strip())
@@ -197,35 +201,29 @@ def load_trace(path) -> ChannelTrace:
     if not (math.isfinite(period) and period > 0):
         raise TraceError(f"{path}:1: period_ms must be positive, got {header.group('period')}")
 
-    gains = _grid_gains(lines, period)
+    gains = _read_rows(data, period) if plain_head else None
     if gains is None:
-        gains = _scan_rows(path, lines, period)
+        gains = _scan_rows(path, text.splitlines(), period)
     return ChannelTrace(link, period, gains)
 
 
-def _grid_gains(lines, period: float):
-    """The gains of a well-formed data section in one array parse, else None.
+def _read_rows(data: str, period: float):
+    """The gains of a data section read by numpy's C reader, else None.
 
-    Blank rows are skipped and every other row must hold exactly one comma.
-    numpy converts a str field with Python's ``float()``, so this accepts
-    what the row scan accepts; any doubt (a bad field, an off-grid or NaN
+    Only a section of the characters ``save_trace`` writes is read: there the
+    reader splits rows at line feeds, as ``splitlines`` does, and parses a
+    field as ``float()`` does. Any doubt (a reader error, no rows, an off-grid
     timestamp, a non-finite gain) is left to the row scan, which names the
     first bad row.
     """
-    rows = list(filter(str.strip, lines[1:]))
-    fields = ",".join(rows).split(",")
-    well_formed = (len(fields) == 2 * len(rows)
-                   and all(map(operator.contains, rows, repeat(","))))
-    del rows
-    if not well_formed:
+    if data.encode().translate(None, b"0123456789.e+-,\n") or not data.strip():
         return None
-    try:
-        values = np.array(fields, dtype=np.float64)
+    try:  # the unpacking fails unless the rows hold two fields
+        times, gains = np.loadtxt(io.StringIO(data), delimiter=",", comments=None,
+                                  dtype=np.float64, ndmin=2).T
     except ValueError:
         return None
-    del fields
-    times, gains = values[0::2], values[1::2]
-    # The row scan's operations, element by element, so a NaN fails here too.
+    # The row scan's operations, element by element.
     on_grid = np.abs(times - np.arange(times.size) * period) <= 1e-6 * period
     if not (on_grid.all() and np.isfinite(gains).all()):
         return None
@@ -263,11 +261,10 @@ def save_trace(trace: ChannelTrace, path) -> None:
     """Write a trace in the CSV format understood by :func:`load_trace`."""
     period = float(trace.sample_period_ms)
     # float(i) * period, as Python computes i * period: the same timestamps
-    # for every i below 2**53.
-    times = (np.arange(trace.n_samples) * period).tolist()
-    rows = map(",".join, zip(map(repr, times), map(repr, trace.samples.tolist())))
+    # for every i below 2**53. One format call writes every row.
+    cells = np.column_stack((np.arange(trace.n_samples) * period, trace.samples))
     Path(path).write_text(f"link={trace.link},period_ms={period!r}\n"
-                          + "\n".join(rows) + "\n")
+                          + ("%r,%r\n" * trace.n_samples) % tuple(cells.ravel().tolist()))
 
 
 def downsample(trace: ChannelTrace, target_period_ms: float) -> ChannelTrace:

@@ -239,6 +239,18 @@ def test_overlay_traces_rejects_period_mismatch(tmp_path, capsys):
     assert "sample periods" in capsys.readouterr().err
 
 
+def test_a_header_only_trace_exits_2_with_no_other_output(tmp_path, capsys):
+    base = tmp_path / "base.csv"
+    base.write_text("link=2:LH->1:LH,period_ms=120.0\n")
+    save_trace(ChannelTrace(LinkId.parse("1:LH->1:C"), 120.0, np.array([-50.0])),
+               tmp_path / "donor.csv")
+    rc = main(["overlay-traces", "--part1", str(base),
+               "--shadowing-from", str(tmp_path / "donor.csv"),
+               "--distance-m", "0.4", "--out-file", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {base}:2: no data rows\n")
+
+
 def test_overlay_traces_takes_no_seed(tmp_path, capsys):
     # overlay-traces draws nothing at random, so a seed would be ignored.
     with pytest.raises(SystemExit) as exit_info:

@@ -1,5 +1,6 @@
-"""The gain rule, the no-regression verdict and seed ranges of tools/bench_pairs.py, and
-how the benchmark tools end their child on SIGTERM."""
+"""The gain rule, the no-regression verdict and seed ranges of tools/bench_pairs.py, how
+the benchmark tools end their child on SIGTERM, and what tools/bench_record.py records of a
+checkout outside git."""
 
 import argparse
 import json
@@ -17,6 +18,7 @@ sys.path.insert(0, str(TOOLS))
 
 from bench_pairs import (pair_values, parse_seeds, regression, run_order,  # noqa: E402
                          verdict)
+from bench_record import record  # noqa: E402
 
 # Ten base runs whose quartiles are 1.0225 and 1.0675: a spread of 0.045.
 BASE = [1.00 + 0.01 * k for k in range(10)]
@@ -149,3 +151,25 @@ def test_sigterm_ends_the_running_benchmark_child(tmp_path, script, args):
                 os.kill(child, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+# Stands in for perfbench/run.py: one correct result with one end-to-end metric.
+STUB_RESULT = """
+import json
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_a_checkout_outside_git_records_an_unknown_commit_and_dirtiness(tmp_path,
+                                                                         monkeypatch):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RESULT)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    # git looks for a repository no higher than tmp_path, which holds none.
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    result = record(tmp_path, 1)
+    assert result["git_commit"] == "unknown"
+    assert result["git_dirty"] is None
+    assert json.loads(json.dumps(result))["git_dirty"] is None

@@ -9,8 +9,9 @@ each with seeds 1..N and the declared ``run_seconds``. Each run is its own
 process. The file, written at the root of the repository this script sits
 in, holds per workload the median of every metric over the runs, the
 end-to-end values of each run, the attempted and failed operation counts,
-and whether every run was correct; plus the checkout's git commit and the
-host's processor count and CPU model. Runs alternate between workloads, so
+and whether every run was correct; plus the checkout's git commit
+("unknown") and whether tracked files differ from it (null) when the
+checkout is no git work tree, and the host's processor count and CPU model. Runs alternate between workloads, so
 a slow spell of the host spreads over all of them. SIGTERM ends the running
 ``perfbench/run.py`` process before the script exits.
 """
@@ -30,9 +31,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git(root: Path, *args: str) -> str:
+def _git(root: Path, *args: str) -> str | None:
+    """The output of a git command in ``root``, or None when git fails there."""
     proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else ""
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _cpu_model() -> str:
@@ -92,8 +94,9 @@ def record(root: Path, runs: int) -> dict:
         for m, summary in entry["end_to_end"].items():
             summary["runs"] = [r["metrics"][m]["value"] for r in by_trace[0]]
         workloads[name] = entry
+    status = _git(root, "status", "--porcelain", "--untracked-files=no")
     return {"git_commit": _git(root, "rev-parse", "HEAD") or "unknown",
-            "git_dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
+            "git_dirty": None if status is None else bool(status),
             "host": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
                      "python": platform.python_version()},
             "command": "python3 perfbench/run.py --workload W --seed S "
