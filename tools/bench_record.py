@@ -9,11 +9,12 @@ each with seeds 1..N and the declared ``run_seconds``. Each run is its own
 process. The file, written at the root of the repository this script sits
 in, holds per workload the median of every metric over the runs, the
 end-to-end values of each run, the attempted and failed operation counts,
-and whether every run was correct; plus the checkout's git commit
-("unknown") and whether tracked files differ from it (null) when the
-checkout is no git work tree, and the host's processor count and CPU model. Runs alternate between workloads, so
-a slow spell of the host spreads over all of them. SIGTERM ends the running
-``perfbench/run.py`` process before the script exits.
+and whether every run was correct; plus the checkout's git commit and
+whether its tracked files differ from it ("unknown" and null outside a git
+work tree), and the host's processor count and CPU model. Runs alternate
+between workloads, so a slow spell of the host spreads over all of them.
+SIGTERM ends the running ``perfbench/run.py`` process before the script
+exits.
 """
 
 from __future__ import annotations
