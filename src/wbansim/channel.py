@@ -2,8 +2,8 @@
 
 Channel gains are carried in dB throughout (so ``10**(g/10)`` is the linear
 power gain). Trace manipulation (downsampling, shadowing extraction,
-overlaying) is exact additive arithmetic in the dB domain; conversion to
-linear power happens only where SINR is computed.
+overlaying) is exact additive arithmetic in the dB domain; the engine converts
+to linear power once, when it assembles a victim's channels for its runs.
 
 Traces can be ingested from CSV files, e.g. measurement campaigns sampled
 at 15 ms (on-body) or 40 ms (body-to-body), or synthesised with a

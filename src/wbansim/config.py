@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import yaml
 
 from .channel import BodyLocation, FieldError, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
-                     SyntheticChannelSource, _distance_key, source_links)
+                     SyntheticChannelSource, _anchor_pairs, _distance_key, source_links)
 from .metrics import threshold_grid
 from .network import MacConfig, NodeSpec, WbanConfig
 from .relaying import NoiseModel
@@ -93,17 +94,23 @@ def _parse_link(value, key: str) -> LinkId:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _parse_distances(value, key: str) -> dict[tuple[str, str], float]:
-    """Pair distances like ``{C-LH: 0.4}`` merged over the class defaults."""
-    distances = dict(RadioConfig().link_distances_m)
+def _parse_distances(value, key: str, anchor: BodyLocation) -> dict[tuple[str, str], float]:
+    """Pair distances like ``{C-LH: 0.4}`` merged over the class defaults; each pair
+    is written once and is one that interference from ``anchor`` reads."""
+    read, written = _anchor_pairs(anchor), {}
     for pair_text, metres in _as_mapping(value, key).items():
         name = f"{key}.{pair_text}"
         parts = str(pair_text).split("-")
         if len(parts) != 2:
             raise ConfigError(f"{name}: expected keys like 'LH-RH'")
-        a, b = (_parse_location(part, name) for part in parts)
-        distances[_distance_key(a, b)] = _as_positive(metres, name)
-    return distances
+        pair = _distance_key(*(_parse_location(part, name) for part in parts))
+        if pair in written:
+            raise ConfigError(f"{name}: the pair {'-'.join(pair)} is written twice")
+        if pair not in read:
+            raise ConfigError(f"{name}: interference from source_location {anchor} reads "
+                              f"only {', '.join(map('-'.join, read))}")
+        written[pair] = _as_positive(metres, name)
+    return {**RadioConfig().link_distances_m, **written}
 
 
 class _Section:
@@ -212,9 +219,12 @@ def _channels(section: _Section, config_dir: Path):
     on_body = _shadow(synthetic.section("on_body", required=True))
     inter_body = _shadow(synthetic.section("inter_body", required=True))
     overrides = synthetic.section("overrides")
-    by_link = {}
+    by_link, keys = {}, {}
     for link_text in overrides.raw:
         link = _parse_link(link_text, overrides.name(link_text))
+        if keys.setdefault(str(link), link_text) != link_text:
+            raise ConfigError(f"{overrides.name(link_text)}: the link {link} is overridden "
+                              f"twice, also by {overrides.name(keys[str(link)])}")
         by_link[str(link)] = _shadow(overrides.section(link_text),
                                      on_body if link.is_intra else inter_body)
     return synthetic.build(
@@ -270,6 +280,8 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     noise, radio = top.section("noise"), top.section("radio")
     interference, sweep = top.section("interference"), top.section("sweep")
     metrics = top.section("metrics")
+    anchor = interference.get("source_location", _parse_location)
+    anchor = ExperimentConfig.interferer_source_location if anchor is _ABSENT else anchor
     channels = _channels(top.section("channels", required=True), path.parent)
     seed = top.get("seed", _as_int)
     config = top.build(
@@ -283,14 +295,15 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                           noise_floor_dbm=noise.get("noise_floor_dbm", _as_float)),
         radio=radio.build(RadioConfig,
                           frequency_hz=radio.get("frequency_hz", _as_positive),
-                          link_distances_m=radio.get("link_distances_m", _parse_distances)),
+                          link_distances_m=radio.get("link_distances_m",
+                                                     partial(_parse_distances, anchor=anchor))),
         channels=channels,
         master_seed=seed if seed_override is None else seed_override,
         repetitions=top.get("repetitions", _as_int),
         start_indices=top.get("start_indices", _as_start_indices),
         thresholds_db=_thresholds(metrics),
         lcr_ref_threshold_db=metrics.get("lcr_ref_threshold_db", _as_float),
-        interferer_source_location=interference.get("source_location", _parse_location),
+        interferer_source_location=anchor,
         sweep_victims=sweep.get("victims", _as_ints),
         sweep_interferers=sweep.get("interferers", _as_ints))
     _check_overrides(config)

@@ -107,6 +107,11 @@ def _distance_key(a: BodyLocation, b: BodyLocation) -> tuple[str, str]:
     return tuple(sorted((a.value, b.value)))
 
 
+def _anchor_pairs(anchor: BodyLocation) -> list[tuple[str, str]]:
+    """The sorted distance keys from ``anchor`` to each other coordinator location."""
+    return sorted(_distance_key(anchor, loc) for loc in COORDINATOR_LOCATIONS - {anchor})
+
+
 @dataclass(frozen=True, eq=False)
 class RadioConfig:
     """Carrier frequency and inter-device distances for shadowing extraction."""
@@ -178,9 +183,8 @@ class ExperimentConfig:
         # coordinator locations, by overlay onto the anchor's on-body traces.
         if self.interferer_subjects or sweep_pairs(self):
             anchor = self.interferer_source_location
-            missing = sorted("-".join(_distance_key(anchor, loc))
-                             for loc in COORDINATOR_LOCATIONS - {anchor}
-                             if _distance_key(anchor, loc) not in self.radio.link_distances_m)
+            missing = ["-".join(pair) for pair in _anchor_pairs(anchor)
+                       if pair not in self.radio.link_distances_m]
             if missing:
                 raise ConfigError(
                     f"radio.link_distances_m: no distance for the pair(s) {', '.join(missing)} "
@@ -264,12 +268,12 @@ def channel_seed(config: ExperimentConfig) -> int:
 
 @dataclass(frozen=True, eq=False)
 class VictimChannels:
-    """One victim's channel gains in dB by link role, receivers ordered hub, relay 1, relay 2.
+    """One victim's channels in mW by link role, receivers ordered hub, relay 1, relay 2.
 
-    ``sensors[receiver, sensor, epoch]`` and ``relays[relay, epoch]`` (toward
-    the hub) are cut to the shortest on-body source trace, the donors of
-    shadowing included. ``foes[u][receiver, epoch]`` holds interferer ``u``'s
-    channels, cut to the shortest of its base trace and its overlays.
+    ``sensors[receiver, sensor, epoch]`` and ``relays[relay, epoch]`` (at the hub)
+    are received powers, cut to the shortest on-body source trace, donors of shadowing
+    included. ``foes[u][receiver, epoch]`` holds interferer ``u``'s path gains, whose
+    powers are in the weights, cut to the shortest of its base trace and its overlays.
     """
 
     sensors: np.ndarray
@@ -287,7 +291,7 @@ def assemble_channels(config: ExperimentConfig, subject: int,
     through unchanged for the anchor location itself, and is overlaid
     with the shadowing extracted from the victim's on-body anchor-to-
     location trace for the other device locations. Every link the source
-    lacks is named in one MissingLinkError.
+    lacks is named in one MissingLinkError. It returns the gains in mW.
     """
     victim = config.wban(subject)
     anchor = config.interferer_source_location
@@ -324,6 +328,13 @@ def assemble_channels(config: ExperimentConfig, subject: int,
                 for loc in receivers]
         m = min(base.n_samples, *(row.n_samples for row in rows))
         foes[interferer] = np.array([row.samples[:m] for row in rows])
+    # In place, 10 ** (dB / 10) times the transmit power for sensors and relays; a
+    # power beyond float range is left to the run, which names its sensor.
+    with np.errstate(all="ignore"):
+        for gains in (sensors, relays, *foes.values()):
+            np.power(10.0, np.divide(gains, 10.0, out=gains), out=gains)
+        sensors *= [[sensor.tx_power_mw] for sensor in victim.sensors]
+        relays *= [[relay.tx_power_mw] for relay in victim.relays]
     return VictimChannels(sensors, relays, foes)
 
 
@@ -467,44 +478,28 @@ def _interference_weights(config: ExperimentConfig, subject: int,
     return weights.reshape(len(interferers), 2, len(victim.sensors), config.epochs)
 
 
-def _noise_plus_interference(noise_mw: float, foe_gains, weights: np.ndarray, rx: int,
-                             kind: int) -> np.ndarray:
-    """Per sensor and epoch, noise plus the interferers' power, added in order, at
-    receiver ``rx`` (0 the hub, then the relays) in sub-interval ``kind`` of ``weights``."""
-    total = np.zeros(weights.shape[2:])
-    for gains, foe_weights in zip(foe_gains, weights):
-        total += gains[rx] * foe_weights[kind]
-    return noise_mw + total
-
-
 def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
                  channels: VictimChannels, weights: np.ndarray, start_index: int,
                  rep: int) -> RunResult:
     """One run of ``subject`` against ``interferers``: a (sensors, epochs) SINR block
     per scheme, then its curves and summary."""
-    victim, epochs = config.wban(subject), config.epochs
+    epochs = config.epochs
     window = slice(start_index, start_index + epochs)
-    p_sensor = np.array([[sensor.tx_power_mw] for sensor in victim.sensors])
+    received = channels.sensors[:, :, window]
 
     # Out-of-range values are found below, by block, and named.
     with np.errstate(all="ignore"):
-        # Gains in mW by link role: from the sensors to each receiver, a (sensors,
-        # epochs) block; from each relay to the hub and each interferer to each
-        # receiver, a row. Blocks no larger than these, alive until the run returns,
-        # reuse the heap as one sensor's rows did; bigger or shorter-lived ones page
-        # fault more.
-        from_sensors = [10.0 ** (block[:, window] / 10.0) for block in channels.sensors]
-        relay_hub = [10.0 ** (row[window] / 10.0) for row in channels.relays]
-        foe_gains = [[10.0 ** (row[window] / 10.0) for row in channels.foes[u]]
-                     for u in interferers]
+        # The interferers' power, added in order: at each receiver while the
+        # sensors broadcast, and at the hub while the relays forward.
+        broadcast = np.zeros(received.shape)
+        forward = np.zeros(received.shape[1:])
+        for u, foe_weights in zip(interferers, weights):
+            gains = channels.foes[u][:, window]
+            broadcast += gains[:, None] * foe_weights[0]
+            forward += gains[0] * foe_weights[1]
         noise_mw = config.noise.noise_mw
-        den_broadcast = [_noise_plus_interference(noise_mw, foe_gains, weights, rx, 0)
-                         for rx in range(len(from_sensors))]
-        den_hub_forward = _noise_plus_interference(noise_mw, foe_gains, weights, 0, 1)
-        nu_direct, *nu_sr = [(p_sensor * gains) / den
-                             for gains, den in zip(from_sensors, den_broadcast)]
-        nu_rh = [(relay.tx_power_mw * gains) / den_hub_forward
-                 for relay, gains in zip(victim.relays, relay_hub)]
+        nu_direct, *nu_sr = received / (noise_mw + broadcast)
+        nu_rh = channels.relays[:, None, window] / (noise_mw + forward)
         coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
         sinr_db = {"single": 10.0 * np.log10(nu_direct), "coop": 10.0 * np.log10(coop)}
     for scheme, block in sinr_db.items():

@@ -103,8 +103,9 @@ def test_channel_composition_identities():
     config = load_config(DEFAULT_CONFIG)
     channels = assemble_channels(config, config.victim_subject, config.interferer_subjects)
     source = config.channels.trace(LinkId.parse("2:LH->1:LH"), channel_seed(config))
-    # Relay 1 sits at the anchor, LH: receivers are ordered hub, relay 1, relay 2.
-    passthrough = np.array_equal(channels.foes[2][1], source.samples)
+    # Relay 1 sits at the anchor, LH: receivers are ordered hub, relay 1, relay 2. The
+    # gains are in mW, by the expression that assembly converts with.
+    passthrough = np.array_equal(channels.foes[2][1], 10.0 ** (source.samples / 10.0))
 
     ok = max_err <= 1e-12 and identity_exact and passthrough
     report(ok, "channel composition",

@@ -218,6 +218,15 @@ def test_an_override_that_simulate_or_a_sweep_pair_reads_loads_and_runs(
     sweep(config)
 
 
+def test_two_spellings_of_one_overridden_link_fail_at_load(tmp_path):
+    text = BASE + ('    overrides: {"1:HD->1:C": {mean_gain_db: -40.0}, '
+                   '"1:hd->1:c": {mean_gain_db: -45.0}}\n')
+    with pytest.raises(ConfigError, match=re.escape(
+            "channels.synthetic.overrides.1:hd->1:c: the link 1:HD->1:C is overridden twice, "
+            "also by channels.synthetic.overrides.1:HD->1:C")):
+        load_config(write_config(tmp_path, text))
+
+
 THREE_BODY_SWEEP = THREE_BODIES + "sweep: {victims: [1, 2, 3], interferers: [1, 2, 3]}\n"
 
 
@@ -326,6 +335,31 @@ def test_an_anchor_without_distances_fails_at_load(tmp_path, anchor, pairs):
     with pytest.raises(ConfigError, match=re.escape("radio.link_distances_m")):
         load_config(write_config(tmp_path, text.replace("interferers: [2]\n", "")
                                  + "sweep:\n  interferers: [2]\n"))
+
+
+@pytest.mark.parametrize("interference,distances,key,problem", [
+    ("", "C-LH: 0.40\n    LH-C: 0.9", "LH-C", "the pair C-LH is written twice"),
+    ("", "C-C: 0.1", "C-C", "interference from source_location LH reads only C-LH, LH-RH"),
+    ("interference: {source_location: LH}\n", "HD-RW: 0.2", "HD-RW",
+     "interference from source_location LH reads only C-LH, LH-RH"),
+    # The default config's LH-RH, written with a chest anchor, which reads C-LH and C-RH.
+    ("interference: {source_location: C}\n", "C-RH: 0.35\n    LH-RH: 0.30", "LH-RH",
+     "interference from source_location C reads only C-LH, C-RH"),
+])
+def test_a_distance_written_twice_or_that_nothing_reads_fails_at_load(
+        tmp_path, interference, distances, key, problem):
+    text = BASE + interference + f"radio:\n  link_distances_m:\n    {distances}\n"
+    message = f"radio.link_distances_m.{key}: {problem}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(write_config(tmp_path, text))
+
+
+def test_unwritten_default_distances_are_never_rejected(tmp_path):
+    # A chest anchor reads C-LH and C-RH; the class default LH-RH, not written, loads.
+    config = load_config(write_config(tmp_path, BASE + "interference: {source_location: C}\n"
+                                      "radio:\n  link_distances_m: {C-RH: 0.35}\n"))
+    assert dict(config.radio.link_distances_m) == {("C", "LH"): 0.40, ("LH", "RH"): 0.30,
+                                                   ("C", "RH"): 0.35}
 
 
 def test_relaying_is_not_a_section(tmp_path):

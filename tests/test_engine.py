@@ -40,6 +40,11 @@ def simulate_pair(config):
     return config.victim_subject, config.interferer_subjects
 
 
+def mw(gains_db):
+    """Gains in dB as linear power, by the expression that assembly converts with."""
+    return 10.0 ** (gains_db / 10.0)
+
+
 def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     return SyntheticChannelSource(duration_ms=120.0 * n,
                                   on_body=SyntheticChannelParams(on_db, 0.0, 240.0),
@@ -105,14 +110,16 @@ def test_assemble_overlays_interference_channels(tmp_path):
     config = base_config(channels=CsvChannelSource(tmp_path), epochs=8)
     channels = assemble_channels(config, *simulate_pair(config))
 
-    # Receivers in the order hub (C), relay 1 (LH), relay 2 (RH).
+    # Receivers in the order hub (C), relay 1 (LH), relay 2 (RH), in mW; every
+    # node transmits at 0 dBm, 1 mW.
     to_chest, base, to_rh = channels.foes[2]
-    np.testing.assert_array_equal(base, np.full(8, -72.0))  # pass-through
-    np.testing.assert_allclose(to_chest, -72.0 + (-55.0 + fspl_db(0.40, 2.36e9)), rtol=1e-12)
-    np.testing.assert_allclose(to_rh, -72.0 + (-52.0 + fspl_db(0.30, 2.36e9)), rtol=1e-12)
+    np.testing.assert_array_equal(base, mw(np.full(8, -72.0)))  # pass-through
+    np.testing.assert_allclose(to_chest, mw(-72.0 + (-55.0 + fspl_db(0.40, 2.36e9))),
+                               rtol=1e-12)
+    np.testing.assert_allclose(to_rh, mw(-72.0 + (-52.0 + fspl_db(0.30, 2.36e9))), rtol=1e-12)
     np.testing.assert_array_equal(channels.sensors[:, 0],
-                                  np.full((3, 8), [[-60.0], [-50.0], [-40.0]]))
-    np.testing.assert_array_equal(channels.relays, np.full((2, 8), [[-55.0], [-70.0]]))
+                                  mw(np.full((3, 8), [[-60.0], [-50.0], [-40.0]])))
+    np.testing.assert_array_equal(channels.relays, mw(np.full((2, 8), [[-55.0], [-70.0]])))
 
 
 def test_csv_source_reads_each_file_once(tmp_path, monkeypatch):
@@ -127,10 +134,10 @@ def test_csv_source_reads_each_file_once(tmp_path, monkeypatch):
     assert len(calls) == len(links)
     # The files hold, in link order, the sensor's three hops, the relays' hops to
     # the hub, the donor 1:LH->1:RH and the base 2:LH->1:LH.
-    np.testing.assert_array_equal(channels.sensors[:, 0], np.full((3, 8), [[-60.0], [-61.0],
-                                                                           [-62.0]]))
-    np.testing.assert_array_equal(channels.relays, np.full((2, 8), [[-63.0], [-64.0]]))
-    np.testing.assert_array_equal(channels.foes[2][1], np.full(8, -66.0))
+    np.testing.assert_array_equal(channels.sensors[:, 0],
+                                  mw(np.full((3, 8), [[-60.0], [-61.0], [-62.0]])))
+    np.testing.assert_array_equal(channels.relays, mw(np.full((2, 8), [[-63.0], [-64.0]])))
+    np.testing.assert_array_equal(channels.foes[2][1], mw(np.full(8, -66.0)))
 
 
 def test_assemble_downsamples_to_epoch_period(tmp_path):
@@ -140,7 +147,7 @@ def test_assemble_downsamples_to_epoch_period(tmp_path):
                    tmp_path / f"t{k}.csv")
     channels = assemble_channels(base_config(channels=CsvChannelSource(tmp_path),
                                              epochs=8), 1, (2,))
-    np.testing.assert_array_equal(channels.sensors[0, 0], np.arange(0.0, 24.0, 3.0))
+    np.testing.assert_array_equal(channels.sensors[0, 0], mw(np.arange(0.0, 24.0, 3.0)))
 
 
 def test_assemble_needs_a_distance_for_the_anchor_pairs():
@@ -169,7 +176,8 @@ def test_missing_trace_is_reported(tmp_path):
 
 
 def _assert_roles_equal_the_reference(config, subject, interferers):
-    """The role arrays hold the bytes of the reference's traces, each cut to its window."""
+    """The role arrays hold the bytes of the reference's traces, each cut to its window and
+    converted to mW: a received power for the sensors and relays, a gain for the foes."""
     got = assemble_channels(config, subject, interferers)
     want = assemble_reference(config, subject, interferers)
     victim, anchor = config.wban(subject), config.interferer_source_location
@@ -180,17 +188,19 @@ def _assert_roles_equal_the_reference(config, subject, interferers):
     for r, rx in enumerate(receivers):
         for i, sensor in enumerate(victim.sensors):
             link = LinkId(subject, sensor.location, subject, rx)
-            assert got.sensors[r, i].tobytes() == want[link].samples[:n].tobytes(), link
+            power = sensor.tx_power_mw * mw(want[link].samples[:n])
+            assert got.sensors[r, i].tobytes() == power.tobytes(), link
     for k, relay in enumerate(victim.relays):
         link = LinkId(subject, relay.location, subject, receivers[0])
-        assert got.relays[k].tobytes() == want[link].samples[:n].tobytes(), link
+        power = relay.tx_power_mw * mw(want[link].samples[:n])
+        assert got.relays[k].tobytes() == power.tobytes(), link
     assert list(got.foes) == list(interferers)
     for u in interferers:
         m = min(trace.n_samples for link, trace in want.items() if link.tx_subject == u)
         assert got.foes[u].shape == (3, m)
         for r, rx in enumerate(receivers):
             link = LinkId(u, anchor, subject, rx)
-            assert got.foes[u][r].tobytes() == want[link].samples[:m].tobytes(), link
+            assert got.foes[u][r].tobytes() == mw(want[link].samples[:m]).tobytes(), link
 
 
 @pytest.mark.parametrize("anchor", [BodyLocation.LEFT_HIP, BodyLocation.CHEST, HD])
@@ -200,7 +210,9 @@ def test_role_arrays_equal_the_reference_assembly(tmp_path, anchor, seed):
     radio = RadioConfig(link_distances_m={("C", "LH"): 0.40, ("LH", "RH"): 0.30,
                                           ("C", "RH"): 0.35, ("C", "HD"): 0.50,
                                           ("HD", "LH"): 0.70, ("HD", "RH"): 0.75})
-    config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2), make_wban(3)),
+    # Powers other than 1 mW, so that a sensor's and a relay's count.
+    victim = make_wban(1, sensor_locs=(HD, LW), sensor_power=3.0, relay_power=-2.0)
+    config = base_config(wbans=(victim, make_wban(2), make_wban(3)),
                          interferer_subjects=(2, 3), interferer_source_location=anchor,
                          radio=radio, master_seed=seed)
     _assert_roles_equal_the_reference(config, 1, (2, 3))
@@ -528,6 +540,24 @@ def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
     got = engine._execute_run(config, *pair, channels, weights, 0, 0)
     for scheme, block in want.sinr_db.items():
         assert got.sinr_db[scheme].tobytes() == block.tobytes()
+
+    # Hand-built channels in mW, receivers hub, relay 1, relay 2, read as they are. The
+    # noise is 1e-10 mW, and interferer 2's weights are 1 mW while the sensor broadcasts
+    # and 2 mW while the relays forward:
+    #   direct   2e-9 / (1e-10 + 1e-10 * 1) = 10,
+    #   relay 1  min(8e-9 / (1e-10 + 3e-10 * 1), 9e-9 / (1e-10 + 1e-10 * 2)) = min(20, 30),
+    #   relay 2  min(6e-9 / (1e-10 + 1e-10 * 1), 3e-9 / (1e-10 + 1e-10 * 2)) = min(30, 10),
+    # so single reads 10 dB and coop 10 log10(20) dB in every epoch.
+    config, epochs = base_config(), base_config().epochs
+    by_role = engine.VictimChannels(
+        sensors=np.full((3, 1, epochs), [[[2e-9]], [[8e-9]], [[6e-9]]]),
+        relays=np.full((2, epochs), [[9e-9], [3e-9]]),
+        foes={2: np.full((3, epochs), [[1e-10], [3e-10], [1e-10]])})
+    weights = np.full((1, 2, 1, epochs), [[[[1.0]], [[2.0]]]])
+    got = engine._execute_run(config, 1, (2,), by_role, weights, 0, 0)
+    np.testing.assert_allclose(got.sinr_db["single"], np.full((1, epochs), 10.0), rtol=1e-12)
+    np.testing.assert_allclose(got.sinr_db["coop"], np.full((1, epochs), 10.0 * math.log10(20.0)),
+                               rtol=1e-12)
 
 
 # ------------------------------------------------------------ run-level output

@@ -1,6 +1,6 @@
 """The gain rule, the no-regression verdict and seed ranges of tools/bench_pairs.py, how
 the benchmark tools end their child on SIGTERM, and what tools/bench_record.py records of a
-checkout outside git."""
+checkout outside git and of a run that is not correct."""
 
 import argparse
 import json
@@ -159,6 +159,31 @@ import json
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
 """
+
+
+# Stands in for perfbench/run.py: a run that is not correct, says why on stderr, and exits 0.
+STUB_INCORRECT = """
+import json, sys
+print("[w] correct=False attempted=1 failed=0", file=sys.stderr)
+print("  problem: layer self times do not add up", file=sys.stderr)
+print(json.dumps({"correct": False, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_a_run_that_is_not_correct_keeps_its_problem_lines(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_INCORRECT)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    entry = record(tmp_path, 2)["workloads"]["w"]
+    assert entry["correct"] is False
+    assert entry["problems"] == [
+        {"seed": seed, "trace": trace, "problems": ["layer self times do not add up"]}
+        for trace in (0, 1) for seed in (1, 2)]
+    # A correct run leaves no entry.
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RESULT)
+    assert record(tmp_path, 1)["workloads"]["w"]["problems"] == []
 
 
 def test_a_checkout_outside_git_records_an_unknown_commit_and_dirtiness(tmp_path,

@@ -9,12 +9,13 @@ each with seeds 1..N and the declared ``run_seconds``. Each run is its own
 process. The file, written at the root of the repository this script sits
 in, holds per workload the median of every metric over the runs, the
 end-to-end values of each run, the attempted and failed operation counts,
-and whether every run was correct; plus the checkout's git commit and
-whether its tracked files differ from it ("unknown" and null outside a git
-work tree), and the host's processor count and CPU model. Runs alternate
-between workloads, so a slow spell of the host spreads over all of them.
-SIGTERM ends the running ``perfbench/run.py`` process before the script
-exits.
+whether every run was correct and, for each run that was not, its seed,
+trace flag and the ``problem:`` lines it printed to stderr; plus the
+checkout's git commit and whether its tracked files differ from it
+("unknown" and null outside a git work tree), and the host's processor
+count and CPU model. Runs alternate between workloads, so a slow spell of
+the host spreads over all of them. SIGTERM ends the running
+``perfbench/run.py`` process before the script exits.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     result = json.loads(proc.stdout.splitlines()[-1])
     print(f"{workload} --seed {seed} --trace {trace}: correct={result['correct']} "
           f"attempted={result['attempted']} failed={result['failed']}", file=sys.stderr)
+    # The JSON line carries no reason; a run that is not correct says why on stderr.
+    result["problems"] = [line.split("problem: ", 1)[1] for line in proc.stderr.splitlines()
+                          if line.lstrip().startswith("problem: ")]
     return result
 
 
@@ -85,7 +89,10 @@ def record(root: Path, runs: int) -> dict:
     for name, by_trace in results.items():
         entry = {"correct": all(r["correct"] for rs in by_trace.values() for r in rs),
                  "attempted": sum(r["attempted"] for rs in by_trace.values() for r in rs),
-                 "failed": sum(r["failed"] for rs in by_trace.values() for r in rs)}
+                 "failed": sum(r["failed"] for rs in by_trace.values() for r in rs),
+                 "problems": [{"seed": seed, "trace": trace, "problems": r["problems"]}
+                              for trace, rs in by_trace.items()
+                              for seed, r in enumerate(rs, start=1) if not r["correct"]]}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
             metrics = by_trace[trace][0]["metrics"]
             entry[key] = {m: {"median": statistics.median(r["metrics"][m]["value"]
