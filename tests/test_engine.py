@@ -548,7 +548,8 @@ def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
     #   relay 1  min(8e-9 / (1e-10 + 3e-10 * 1), 9e-9 / (1e-10 + 1e-10 * 2)) = min(20, 30),
     #   relay 2  min(6e-9 / (1e-10 + 1e-10 * 1), 3e-9 / (1e-10 + 1e-10 * 2)) = min(30, 10),
     # so single reads 10 dB and coop 10 log10(20) dB in every epoch.
-    config, epochs = base_config(), base_config().epochs
+    config = base_config()
+    epochs = config.epochs
     by_role = engine.VictimChannels(
         sensors=np.full((3, 1, epochs), [[[2e-9]], [[8e-9]], [[6e-9]]]),
         relays=np.full((2, epochs), [[9e-9], [3e-9]]),
