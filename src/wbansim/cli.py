@@ -34,7 +34,7 @@ def trace_filename(link: LinkId) -> str:
 def _write_curves(result: engine.RunResult, out_dir: Path) -> None:
     """One curve CSV per scheme and curve kind of a run."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for scheme in ("single", "coop"):
+    for scheme in engine.SCHEMES:
         for kind in ("outage", "lcr"):
             metrics.write_curve_csv(result.curves[scheme][kind],
                                     out_dir / f"{kind}_{scheme}.csv",
@@ -43,36 +43,32 @@ def _write_curves(result: engine.RunResult, out_dir: Path) -> None:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config, args.seed)
-    result = engine.run(config)
+    results = engine.run(config)
     out_dir = Path(args.out)
-    _write_curves(result, out_dir)
-    engine.write_summary_csv(result.summary, out_dir / "summary.csv")
+    _write_curves(results.runs[0], out_dir)
+    engine.write_summary_csv(results.summary, out_dir / "summary.csv")
     if not args.quiet:
-        for row in result.summary:
-            print(f"{row.scheme}: thr@1%={row.thr_at_1pct_db:.2f} dB  "
-                  f"thr@10%={row.thr_at_10pct_db:.2f} dB  "
-                  f"gain@10%={row.gain_at_10pct_db:.2f} dB  "
-                  f"lcr@ref={row.lcr_at_ref_hz:.3f} Hz")
+        for row in zip(*(results.summary[k] for k in ("scheme", *engine.QUANTITIES))):
+            print("{}: thr@1%={:.2f} dB  thr@10%={:.2f} dB  gain@10%={:.2f} dB  "
+                  "lcr@ref={:.3f} Hz".format(*row))
         print(f"wrote {out_dir}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, args.seed)
-    result = engine.sweep(config)
+    results = engine.sweep(config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for run_result in result.runs:
-        _write_curves(run_result, out_dir / "runs" / run_result.summary[0].combination
+    for run_result in results.runs:
+        _write_curves(run_result, out_dir / "runs" / run_result.combination
                       / f"rep{run_result.rep}")
-    engine.write_summary_csv(result.rows, out_dir / "summary.csv")
-    engine.write_aggregate_csv(result.aggregates, out_dir / "aggregate.csv")
+    engine.write_summary_csv(results.summary, out_dir / "summary.csv")
+    engine.write_aggregate_csv(results.aggregate, out_dir / "aggregate.csv")
     if not args.quiet:
-        for agg in result.aggregates:
-            print(f"{agg.combination} {agg.scheme}: "
-                  f"thr@10%={agg.mean_thr_at_10pct_db:.2f}"
-                  f"±{agg.std_thr_at_10pct_db:.2f} dB  "
-                  f"gain@10%={agg.mean_gain_at_10pct_db:.2f} dB")
+        columns = ("combination", "scheme", "mean_thr_at_10pct_db", "std_thr_at_10pct_db",
+                   "mean_gain_at_10pct_db")
+        for row in zip(*(results.aggregate[k] for k in columns)):
+            print("{} {}: thr@10%={:.2f}±{:.2f} dB  gain@10%={:.2f} dB".format(*row))
         print(f"wrote {out_dir}")
     return 0
 

@@ -11,6 +11,7 @@ the offending key by its full dotted path.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -24,9 +25,30 @@ from .metrics import threshold_grid
 from .network import MacConfig, NodeSpec, WbanConfig
 from .relaying import NoiseModel
 
+
+class _UniqueKeys:
+    """A loader mixin that refuses a key its mapping repeats, naming the key and its
+    line. A key that overrides one merged in by ``<<`` is no repeat."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # the loader's own construct_mapping refuses it
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 # libyaml's parser where PyYAML was built with it: the same safe subset of
 # YAML, parsed several times faster than by the pure-Python reader.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = type("_YamlLoader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)),
+                    {})
 
 # What ``_Section.get`` returns for an absent key; ``build`` drops it, so
 # the target class's own default applies.

@@ -15,7 +15,7 @@ summary quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
@@ -338,47 +338,14 @@ def assemble_channels(config: ExperimentConfig, subject: int,
     return VictimChannels(sensors, relays, foes)
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    """Per-(run, scheme) summary quantities; NaN where not computable."""
-
-    combination: str
-    victim: int
-    interferer: str
-    rep: int
-    scheme: str
-    thr_at_1pct_db: float
-    thr_at_10pct_db: float
-    gain_at_10pct_db: float
-    lcr_at_ref_hz: float
-
-
-# The SummaryRow fields that AggregateRow averages over repetitions.
-_SUMMARY_QUANTITIES = ("thr_at_1pct_db", "thr_at_10pct_db", "gain_at_10pct_db",
-                       "lcr_at_ref_hz")
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Mean and spread of summary quantities across repetitions."""
-
-    combination: str
-    victim: int
-    interferer: str
-    scheme: str
-    mean_thr_at_1pct_db: float
-    std_thr_at_1pct_db: float
-    mean_thr_at_10pct_db: float
-    std_thr_at_10pct_db: float
-    mean_gain_at_10pct_db: float
-    std_gain_at_10pct_db: float
-    mean_lcr_at_ref_hz: float
-    std_lcr_at_ref_hz: float
+# A run's summary holds these quantities of these schemes, in this order on its axes.
+SCHEMES = ("single", "coop")
+QUANTITIES = ("thr_at_1pct_db", "thr_at_10pct_db", "gain_at_10pct_db", "lcr_at_ref_hz")
 
 
 @dataclass
 class RunResult:
-    """All outputs of one run: its SINR, curves and summaries."""
+    """All outputs of one run: its SINR, curves and summary quantities."""
 
     victim_subject: int
     interferer_subjects: tuple[int, ...]
@@ -387,7 +354,28 @@ class RunResult:
     # Per scheme, the SINR in dB of victim sensor i in epoch start_index + e at [i, e].
     sinr_db: dict[str, np.ndarray]
     curves: dict[str, dict[str, MetricsCurve]]
-    summary: list[SummaryRow]
+    # summary[s, q]: QUANTITIES[q] of SCHEMES[s], NaN where not computable.
+    summary: np.ndarray
+
+    @property
+    def combination(self) -> str:
+        return _combination_id(self.victim_subject, self.interferer_subjects)[0]
+
+
+@dataclass
+class Results:
+    """A command's runs and its two tables, each a dict of equal-length columns.
+
+    ``summary`` has one row per (run, scheme), in run order with single before
+    coop: combination, victim, interferer, rep, scheme and the QUANTITIES.
+    ``aggregate`` has one row per (pair, scheme): combination, victim,
+    interferer, scheme, then mean_<q> and std_<q> of each quantity over the
+    pair's repetitions, std the population deviation (ddof 0).
+    """
+
+    runs: list[RunResult]
+    summary: dict[str, np.ndarray]
+    aggregate: dict[str, np.ndarray]
 
 
 def _combination_id(victim: int, interferers: tuple[int, ...]) -> tuple[str, str]:
@@ -512,32 +500,29 @@ def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int,
                                f"float range in {bad} of {epochs} epochs")
 
     thresholds, ref_db = config.thresholds_db, config.lcr_ref_threshold_db
-    curves, quantities = {}, {}
+    curves, summary = {}, []
     for scheme, block in sinr_db.items():
         rows = [SinrSeries(values, config.epoch_period_ms, start_index) for values in block]
         outage = empirical_outage(block.ravel(), thresholds)
         lcr = np.mean([lcr_curve(row, thresholds).values for row in rows], axis=0)
         curves[scheme] = {"outage": outage, "lcr": MetricsCurve("lcr", thresholds, lcr)}
-        quantities[scheme] = (_quantile_or_nan(outage, 0.01), _quantile_or_nan(outage, 0.10),
-                              float(np.mean([level_crossing_rate(r, ref_db) for r in rows])))
-
-    combination, label = _combination_id(subject, interferers)
-    gain10 = quantities["coop"][1] - quantities["single"][1]
-    summary = [SummaryRow(combination, subject, label, rep, scheme, thr1, thr10, gain10, ref)
-               for scheme, (thr1, thr10, ref) in quantities.items()]
+        summary.append([_quantile_or_nan(outage, 0.01), _quantile_or_nan(outage, 0.10), 0.0,
+                        float(np.mean([level_crossing_rate(r, ref_db) for r in rows]))])
+    summary = np.array(summary)
+    # The gain at 10 % outage, coop's threshold less single's, in both rows.
+    summary[:, 2] = summary[1, 1] - summary[0, 1]
     return RunResult(subject, interferers, rep, start_index, sinr_db, curves, summary)
 
 
 def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
                      channels: VictimChannels, offsets: Mapping[int, np.ndarray],
-                     repetitions: int, draw_starts: bool) -> list[RunResult]:
-    """The first ``repetitions`` runs of ``subject`` against ``interferers``.
+                     starts) -> list[RunResult]:
+    """The runs of ``subject`` against ``interferers``, run ``rep`` from ``starts[rep]``.
 
-    Run ``rep`` starts at ``start_indices[rep]`` if that is set, else at a
-    start drawn from the "start", victim, interferer, rep stream if
-    ``draw_starts`` (one interferer only), else at 0. Every window is
-    checked against the traces before any run, and the interference
-    weights are computed once for all of them.
+    ``starts`` None draws ``config.repetitions`` starts, each from the "start",
+    victim, interferer, rep stream (one interferer only). Every window is
+    checked against the traces before any run, and the interference weights
+    are computed once for all of them.
     """
     epochs = config.epochs
     # Every trace the pair reads covers these epochs: the on-body ones and
@@ -548,33 +533,63 @@ def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[
     if usable < 0:
         raise ConfigError(f"epochs: each run needs {epochs} epochs but the channel "
                           f"traces cover {available}")
-    if config.start_indices is not None:
-        starts = config.start_indices[:repetitions]
-        for k, start in enumerate(starts):
-            if start > usable:
-                raise ConfigError(f"start_indices[{k}]: a run from epoch {start} needs "
-                                  f"[{start}, {start + epochs}) but the channel traces "
-                                  f"cover {available} epochs")
-    elif draw_starts:
+    if starts is None:
         (interferer,) = interferers
         starts = [int(substream(config.master_seed, "start", subject, interferer, rep)
                       .integers(0, usable + 1))
-                  for rep in range(repetitions)]
-    else:
-        starts = [0] * repetitions
+                  for rep in range(config.repetitions)]
+    for k, start in enumerate(starts):
+        if start > usable:
+            raise ConfigError(f"start_indices[{k}]: a run from epoch {start} needs "
+                              f"[{start}, {start + epochs}) but the channel traces "
+                              f"cover {available} epochs")
     weights = _interference_weights(config, subject, interferers, offsets)
     return [_execute_run(config, subject, interferers, channels, weights, start, rep)
             for rep, start in enumerate(starts)]
 
 
-def run(config: ExperimentConfig) -> RunResult:
-    """Execute one deterministic run, from ``start_indices[0]`` if that is set, else 0."""
-    subject, interferers = config.victim_subject, config.interferer_subjects
-    channels = assemble_channels(config, subject, interferers)
-    offsets = _draw_offsets(config, (subject, *interferers))
-    (result,) = _run_combination(config, subject, interferers, channels, offsets, 1,
-                                 draw_starts=False)
-    return result
+def _results(config: ExperimentConfig, plan, starts) -> Results:
+    """Run each victim of ``plan`` against each of its interferer tuples, one pair per
+    tuple, from ``starts`` (see ``_run_combination``), and tabulate the runs.
+
+    Superframe offsets are drawn once per subject, channels assembled once per
+    victim for all of its interferers, and interference weights computed once
+    per pair.
+    """
+    offsets = _draw_offsets(config, dict.fromkeys(s for victim, pairs in plan
+                                                  for foes in pairs for s in (victim, *foes)))
+    runs: list[RunResult] = []
+    for victim, pairs in plan:
+        channels = assemble_channels(config, victim, tuple(u for foes in pairs for u in foes))
+        for foes in pairs:
+            runs += _run_combination(config, victim, foes, channels, offsets, starts)
+
+    reps = runs[-1].rep + 1
+    keys = zip(*((*_combination_id(r.victim_subject, r.interferer_subjects),
+                  r.victim_subject, r.rep) for r in runs))
+    combination, interferer, victim, rep = (np.repeat(key, len(SCHEMES)) for key in keys)
+    quantities = np.array([r.summary for r in runs])  # [run, scheme, quantity]
+    summary = {"combination": combination, "victim": victim, "interferer": interferer,
+               "rep": rep, "scheme": np.tile(SCHEMES, len(runs)),
+               **dict(zip(QUANTITIES, quantities.reshape(-1, len(QUANTITIES)).T))}
+    # [pair, scheme, quantity, rep] with rep last and contiguous: one mean and one std
+    # over it give every cell the bytes of np.mean and np.std of its own repetitions.
+    by_rep = np.ascontiguousarray(
+        quantities.reshape(-1, reps, *quantities.shape[1:]).transpose(0, 2, 3, 1))
+    mean, std = by_rep.mean(axis=-1), by_rep.std(axis=-1)
+    aggregate = {key: summary[key][rep == 0]
+                 for key in ("combination", "victim", "interferer", "scheme")}
+    for q, name in enumerate(QUANTITIES):
+        aggregate[f"mean_{name}"] = mean[..., q].ravel()
+        aggregate[f"std_{name}"] = std[..., q].ravel()
+    return Results(runs, summary, aggregate)
+
+
+def run(config: ExperimentConfig) -> Results:
+    """The victim against all of its interferers together as one pair with one
+    repetition, from ``start_indices[0]`` if that is set, else 0 (see ``Results``)."""
+    pair = (config.victim_subject, [config.interferer_subjects])
+    return _results(config, [pair], (config.start_indices or (0,))[:1])
 
 
 def sweep_pairs(config: ExperimentConfig) -> list[tuple[int, tuple[int, ...]]]:
@@ -586,67 +601,29 @@ def sweep_pairs(config: ExperimentConfig) -> list[tuple[int, tuple[int, ...]]]:
     return [(v, foes) for v, foes in pairs if foes]
 
 
-@dataclass
-class SweepResult:
-    """Outputs of a combination sweep."""
-
-    rows: list[SummaryRow]
-    aggregates: list[AggregateRow]
-    runs: list[RunResult]
-
-
-def sweep(config: ExperimentConfig) -> SweepResult:
+def sweep(config: ExperimentConfig) -> Results:
     """Run the victim x interferer matrix with repetitions and aggregate.
 
-    The matrix is ``sweep_pairs``. Superframe offsets are drawn once per
-    subject, channels assembled once per victim, for all of its interferers,
-    and interference weights computed once per pair. Results are
-    deterministic in the master seed; standard deviations are population
-    deviations over the repetitions.
+    The matrix is ``sweep_pairs``, each victim against each of its interferers
+    alone. Repetition ``rep`` starts at ``start_indices[rep]`` if that is set,
+    else at a drawn start. The summary table holds every run, and the
+    aggregate table each pair's mean and population deviation over its
+    repetitions (see ``Results``). Results are deterministic in the master seed.
     """
     pairs = sweep_pairs(config)
-    rows: list[SummaryRow] = []
-    aggregates: list[AggregateRow] = []
-    runs: list[RunResult] = []
-    offsets = _draw_offsets(config, dict.fromkeys(s for v, foes in pairs for s in (v, *foes)))
-    for victim, foes in pairs:
-        channels = assemble_channels(config, victim, foes)
-        for interferer in foes:
-            results = _run_combination(config, victim, (interferer,), channels, offsets,
-                                       config.repetitions, draw_starts=True)
-            runs.extend(results)
-            pair_rows = [row for result in results for row in result.summary]
-            rows.extend(pair_rows)
-            combination, label = _combination_id(victim, (interferer,))
-            for scheme in ("single", "coop"):
-                scheme_rows = [r for r in pair_rows if r.scheme == scheme]
-                spread = {}
-                for name in _SUMMARY_QUANTITIES:
-                    column = np.array([getattr(r, name) for r in scheme_rows])
-                    spread[f"mean_{name}"] = float(np.mean(column))
-                    spread[f"std_{name}"] = float(np.std(column))
-                aggregates.append(AggregateRow(combination, victim, label, scheme, **spread))
-    if not runs:
+    if not pairs:
         raise ConfigError("sweep: empty combination matrix")
-    return SweepResult(rows, aggregates, runs)
+    starts = None if config.start_indices is None else config.start_indices[:config.repetitions]
+    return _results(config, [(v, [(u,) for u in foes]) for v, foes in pairs], starts)
 
 
-def _format_cell(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def _write_rows(row_type, rows, path) -> None:
-    """One CSV line per dataclass row, columns in field order under a header."""
-    columns = [f.name for f in fields(row_type)]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, c)) for c in columns))
+def _write_table(table: Mapping[str, np.ndarray], path) -> None:
+    """One CSV line per row under a header of the column names. Each cell is ``str``
+    of its element of the column's ``tolist()``, which for a float is its ``repr``."""
+    columns = [np.asarray(column).tolist() for column in table.values()]
+    lines = [",".join(table), *(",".join(map(str, row)) for row in zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    _write_rows(SummaryRow, rows, path)
-
-
-def write_aggregate_csv(rows: list[AggregateRow], path) -> None:
-    _write_rows(AggregateRow, rows, path)
+# The summary and aggregate tables are written under these two names.
+write_summary_csv = write_aggregate_csv = _write_table

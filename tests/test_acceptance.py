@@ -56,7 +56,7 @@ def test_relay_selection_matches_bruteforce_oracle():
 
 def test_cooperation_dominates_single_link_everywhere():
     config = load_config(DEFAULT_CONFIG)
-    result = run(config)
+    result = run(config).runs[0]
     packet_ok = bool(np.all(result.sinr_db["coop"] >= result.sinr_db["single"]))
     curve_ok = np.all(result.curves["coop"]["outage"].values
                       <= result.curves["single"]["outage"].values)
@@ -140,8 +140,8 @@ def test_coherence_time_trend():
     elapsed = time.perf_counter() - start
 
     def coop_gain(result):
-        (agg,) = [a for a in result.aggregates if a.scheme == "coop"]
-        return agg.mean_gain_at_10pct_db
+        (gain,) = result.aggregate["mean_gain_at_10pct_db"][result.aggregate["scheme"] == "coop"]
+        return gain
 
     g_fast, g_slow = coop_gain(fast), coop_gain(slow)
     in_band = 2.0 <= g_fast <= 10.0
@@ -195,9 +195,9 @@ def test_interference_free_outage_matches_the_closed_form():
     bound = {"single": _SD_MULTIPLE * sd["single"] + _GRID_ALLOWANCE_DB,
              "coop": _SD_MULTIPLE * sd["coop"] + _GRID_ALLOWANCE_DB,
              "gain": _SD_MULTIPLE * sd["gain"] + 2 * _GRID_ALLOWANCE_DB}
-    rows = {row.scheme: row for row in run(config).summary}
-    got = {"single": rows["single"].thr_at_10pct_db, "coop": rows["coop"].thr_at_10pct_db,
-           "gain": rows["coop"].gain_at_10pct_db}
+    table = run(config).summary
+    (single, coop), (_, gain) = table["thr_at_10pct_db"], table["gain_at_10pct_db"]
+    got = {"single": single, "coop": coop, "gain": gain}
     ok = all(abs(got[q] - want[q]) <= bound[q] for q in want)
     report(ok, "interference-free closed form", ", ".join(
         f"{q} {got[q]:.3f} dB vs {want[q]:.3f} ± {bound[q]:.3f} dB" for q in want))

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wbansim import cli
+from wbansim import cli, config as config_module
 from wbansim.channel import BodyLocation, LinkId
 from helpers import with_on_body_coherence
 from wbansim.cli import main
@@ -260,13 +260,14 @@ def test_a_sweep_pair_runs_as_simulate_of_that_pair(tmp_path):
         text = THREE_BODY_SWEEP.replace("victim: 1\ninterferers: [2, 3]\n",
                                         f"victim: {result.victim_subject}\n"
                                         f"interferers: [{foe}]\n")
-        alone = run(load_config(write_config(tmp_path, text + f"start_indices: [{start}]\n",
-                                             "pair.yaml")))
+        (alone,) = run(load_config(write_config(tmp_path, text + f"start_indices: [{start}]\n",
+                                                "pair.yaml"))).runs
         assert alone.start_index == result.start_index == start
         for scheme, block in result.sinr_db.items():
             assert block.tobytes() == alone.sinr_db[scheme].tobytes()
             for kind, curve in result.curves[scheme].items():
                 assert curve.values.tobytes() == alone.curves[scheme][kind].values.tobytes()
+        assert result.summary.tobytes() == alone.summary.tobytes()
 
 
 def test_mute_power_spelling(tmp_path):
@@ -580,3 +581,57 @@ def test_libyaml_and_python_loaders_agree_on_the_shipped_configs():
     for text in [DEFAULT_CONFIG.read_text(), *blocks]:
         assert (yaml.load(text, Loader=yaml.CSafeLoader)
                 == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+_LOADERS = [pytest.param(yaml.SafeLoader, id="python"),
+            pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                         marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                                  reason="PyYAML built without libyaml"))]
+
+
+def _unique_keys(monkeypatch, loader):
+    """Make load_config parse with ``loader`` under the repeated-key check."""
+    monkeypatch.setattr(config_module, "_YAML_LOADER",
+                        type("Loader", (config_module._UniqueKeys, loader), {}))
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+@pytest.mark.parametrize("text,key,repeat", [
+    # Top level: the last value would run, silently.
+    (BASE + "epochs: 60\n", "epochs", "epochs: 60"),
+    # Nested in a block mapping and in a flow mapping.
+    (BASE.replace("  slot_len_ms: 60.0\n", "  slot_len_ms: 60.0\n  n_coexisting: 3\n"),
+     "n_coexisting", "  n_coexisting: 3"),
+    (BASE.replace("on_body: {mean_gain_db: -55.0,",
+                  "on_body: {mean_gain_db: -55.0, mean_gain_db: -50.0,"),
+     "mean_gain_db", "    on_body: {mean_gain_db: -55.0, mean_gain_db: -50.0,"),
+], ids=["top-level", "nested-block", "nested-flow"])
+def test_a_repeated_key_fails_at_load_naming_the_key_and_its_line(tmp_path, monkeypatch,
+                                                                  loader, text, key, repeat):
+    _unique_keys(monkeypatch, loader)
+    line = next(n for n, row in enumerate(text.splitlines(), start=1) if row.startswith(repeat))
+    with pytest.raises(ConfigError, match=rf"invalid YAML: duplicate key '{key}'\n"
+                                          rf"  in .*, line {line}, column \d+"):
+        load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_a_key_that_overrides_a_merge_is_no_repeat(tmp_path, monkeypatch, loader):
+    _unique_keys(monkeypatch, loader)
+    text = BASE.replace("mac:\n  n_coexisting: 2\n  slot_len_ms: 60.0\n",
+                        "timing: &timing {n_coexisting: 4, slot_len_ms: 60.0}\n"
+                        "mac:\n  <<: *timing\n  n_coexisting: 2\n")
+    # The mapping's own key wins; the anchor's unread section is refused by name.
+    with pytest.raises(ConfigError, match="^top level: unknown key\\(s\\) timing$"):
+        load_config(write_config(tmp_path, text))
+    parsed = yaml.load(text, Loader=config_module._YAML_LOADER)
+    assert parsed["mac"] == {"n_coexisting": 2, "slot_len_ms": 60.0}
+
+
+def test_the_cli_exits_1_on_a_repeated_key(tmp_path, capsys):
+    path = write_config(tmp_path, BASE + "epochs: 60\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: invalid YAML: duplicate key 'epochs'")
+    assert f"line {len(BASE.splitlines()) + 1}, column 1" in err
+    assert not (tmp_path / "out").exists()

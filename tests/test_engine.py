@@ -247,7 +247,7 @@ def test_a_short_donor_trace_bounds_the_window(tmp_path):
 def test_run_matches_per_epoch_reference():
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2)),
                          epochs=30, start_indices=(5,), master_seed=11)
-    result = run(config)
+    result = run(config).runs[0]
     # Column e of every SINR block is grid epoch 5 + e.
     assert result.start_index == 5
     channels = assemble_reference(config, *simulate_pair(config))
@@ -407,7 +407,8 @@ def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_powe
     config = base_config(wbans=(victim, *foes), interferer_subjects=(2, 3)[:n_interferers],
                          epochs=50, channels=SyntheticChannelSource(duration_ms=120.0 * 60),
                          master_seed=seed)
-    result = run(config)
+    results = run(config)
+    (result,) = results.runs
     assert np.all(result.sinr_db["coop"] >= result.sinr_db["single"])
     outage = {s: result.curves[s]["outage"].values for s in ("single", "coop")}
     assert all(np.all((values >= 0.0) & (values <= 1.0)) for values in outage.values())
@@ -416,10 +417,10 @@ def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_powe
     for s in ("single", "coop"):
         lcr = result.curves[s]["lcr"].values
         assert np.all(np.isfinite(lcr) & (lcr >= 0.0))
-    assert all(math.isfinite(row.lcr_at_ref_hz) and row.lcr_at_ref_hz >= 0.0
-               for row in result.summary)
+    lcr_ref = results.summary["lcr_at_ref_hz"]
+    assert np.all(np.isfinite(lcr_ref) & (lcr_ref >= 0.0))
     mirrored = run(replace(config, wbans=(replace(victim, relays=victim.relays[::-1]),
-                                          *foes)))
+                                          *foes))).runs[0]
     for scheme, block in result.sinr_db.items():
         assert block.tobytes() == mirrored.sinr_db[scheme].tobytes()
 
@@ -446,7 +447,7 @@ def test_run_series_equal_the_per_sensor_reference(n_sensors, n_interferers, epo
     config = base_config(wbans=(victim, *foes), interferer_subjects=(2, 3)[:n_interferers],
                          epochs=epochs, start_indices=(start,), master_seed=seed,
                          channels=SyntheticChannelSource(duration_ms=120.0 * 60))
-    result = run(config)
+    result = run(config).runs[0]
     want = sinr_series_reference(config, assemble_reference(config, *simulate_pair(config)),
                                  start)
     assert set(want) == set(range(n_sensors))
@@ -475,8 +476,10 @@ def test_run_is_deterministic():
     config = base_config()
     a, b = run(config), run(config)
     for scheme in ("single", "coop"):
-        np.testing.assert_array_equal(a.sinr_db[scheme], b.sinr_db[scheme])
-    assert a.summary == b.summary
+        np.testing.assert_array_equal(a.runs[0].sinr_db[scheme], b.runs[0].sinr_db[scheme])
+    assert a.summary.keys() == b.summary.keys()
+    for name, column in a.summary.items():
+        np.testing.assert_array_equal(column, b.summary[name])
 
 
 @settings(max_examples=30, deadline=None)
@@ -501,25 +504,25 @@ def test_muted_interferer_equals_absent_interferer(n_sensors, n_others, position
                          master_seed=seed)
     without = run(config)
     muted_run = run(replace(config, interferer_subjects=with_muted))
-    for scheme, block in without.sinr_db.items():
-        assert block.tobytes() == muted_run.sinr_db[scheme].tobytes()
-    for scheme, curves in without.curves.items():
+    for scheme, block in without.runs[0].sinr_db.items():
+        assert block.tobytes() == muted_run.runs[0].sinr_db[scheme].tobytes()
+    for scheme, curves in without.runs[0].curves.items():
         for kind, curve in curves.items():
-            assert curve.values.tobytes() == muted_run.curves[scheme][kind].values.tobytes()
-    # repr, as summary.csv writes them, so that NaN cells compare equal.
-    for row, muted_row in zip(without.summary, muted_run.summary, strict=True):
-        assert ([repr(getattr(row, q)) for q in engine._SUMMARY_QUANTITIES]
-                == [repr(getattr(muted_row, q)) for q in engine._SUMMARY_QUANTITIES])
+            assert (curve.values.tobytes()
+                    == muted_run.runs[0].curves[scheme][kind].values.tobytes())
+    # The bytes of each quantity column, so that NaN cells compare equal.
+    for q in engine.QUANTITIES:
+        assert without.summary[q].tobytes() == muted_run.summary[q].tobytes()
 
 
 def test_muted_relays_reduce_coop_to_single():
     config = base_config(wbans=(make_wban(1, relay_power=-math.inf), make_wban(2)))
-    result = run(config)
+    result = run(config).runs[0]
     np.testing.assert_array_equal(result.sinr_db["coop"], result.sinr_db["single"])
 
 
 def test_cooperation_never_hurts():
-    result = run(base_config(epochs=150))
+    result = run(base_config(epochs=150)).runs[0]
     assert np.all(result.sinr_db["coop"] >= result.sinr_db["single"])
     outage = result.curves
     assert np.all(outage["coop"]["outage"].values <= outage["single"]["outage"].values)
@@ -528,7 +531,7 @@ def test_cooperation_never_hurts():
 def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)),
                                 make_wban(2)))
-    want = run(config)
+    want = run(config).runs[0]
     pair = simulate_pair(config)
     channels = assemble_channels(config, *pair)
     weights = engine._interference_weights(config, *pair, engine._draw_offsets(config, (1, 2)))
@@ -565,7 +568,8 @@ def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
 
 def test_flat_channels_give_flat_series():
     config = base_config(channels=flat_source(), interferer_subjects=())
-    result = run(config)
+    results = run(config)
+    (result,) = results.runs
     np.testing.assert_allclose(result.sinr_db["single"], 45.0, rtol=1e-12)
     np.testing.assert_allclose(result.sinr_db["coop"], 45.0, rtol=1e-12)
     curve = result.curves["single"]["outage"]
@@ -573,15 +577,14 @@ def test_flat_channels_give_flat_series():
     np.testing.assert_array_equal(curve.values[grid <= 44.5], 0.0)
     np.testing.assert_array_equal(curve.values[grid >= 45.5], 1.0)
     np.testing.assert_array_equal(result.curves["single"]["lcr"].values, 0.0)
-    for row in result.summary:
-        assert row.gain_at_10pct_db == 0.0
-        assert row.lcr_at_ref_hz == 0.0
+    np.testing.assert_array_equal(results.summary["gain_at_10pct_db"], [0.0, 0.0])
+    np.testing.assert_array_equal(results.summary["lcr_at_ref_hz"], [0.0, 0.0])
 
 
 def test_curves_aggregate_over_sensors():
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2)),
                          epochs=60)
-    result = run(config)
+    result = run(config).runs[0]
     pooled = result.curves["coop"]["outage"]
     # Pooled outage equals the mean of the two per-sensor curves (equal
     # sample counts), and the lcr curve is the per-sensor mean.
@@ -596,32 +599,34 @@ def test_curves_aggregate_over_sensors():
 
 
 def test_summary_rows_are_consistent_with_curves():
-    result = run(base_config(epochs=150))
-    rows = {row.scheme: row for row in result.summary}
-    assert set(rows) == {"single", "coop"}
-    for scheme, row in rows.items():
-        assert row.combination == "1x2"
-        assert (row.victim, row.interferer, row.rep) == (1, "2", 0)
-        expected = threshold_at_outage(result.curves[scheme]["outage"], 0.10)
-        assert row.thr_at_10pct_db == pytest.approx(expected, rel=1e-12)
-    assert rows["coop"].gain_at_10pct_db == pytest.approx(
-        rows["coop"].thr_at_10pct_db - rows["single"].thr_at_10pct_db, abs=1e-12)
-    assert rows["single"].gain_at_10pct_db == rows["coop"].gain_at_10pct_db
+    results = run(base_config(epochs=150))
+    table = results.summary
+    assert table["scheme"].tolist() == ["single", "coop"]
+    assert table["combination"].tolist() == ["1x2", "1x2"]
+    assert table["victim"].tolist() == [1, 1]
+    assert table["interferer"].tolist() == ["2", "2"]
+    assert table["rep"].tolist() == [0, 0]
+    for scheme, thr10 in zip(table["scheme"], table["thr_at_10pct_db"]):
+        expected = threshold_at_outage(results.runs[0].curves[scheme]["outage"], 0.10)
+        assert thr10 == pytest.approx(expected, rel=1e-12)
+    single, coop = table["thr_at_10pct_db"]
+    assert table["gain_at_10pct_db"][1] == pytest.approx(coop - single, abs=1e-12)
+    assert table["gain_at_10pct_db"][0] == table["gain_at_10pct_db"][1]
 
 
 def test_summary_nan_when_grid_misses_the_distribution():
     config = base_config(channels=flat_source(), interferer_subjects=(),
                          thresholds_db=np.linspace(46.0, 50.0, 9))
-    result = run(config)
-    for row in result.summary:
-        assert math.isnan(row.thr_at_10pct_db)
-        assert math.isnan(row.gain_at_10pct_db)
+    table = run(config).summary
+    assert np.all(np.isnan(table["thr_at_10pct_db"]))
+    assert np.all(np.isnan(table["gain_at_10pct_db"]))
 
 
 def test_run_takes_the_first_of_start_indices():
-    assert run(base_config(start_indices=(50,))).start_index == 50
-    assert run(base_config(repetitions=2, start_indices=(60, 0))).start_index == 60
-    assert run(base_config()).start_index == 0
+    assert [r.start_index for r in run(base_config(start_indices=(50,))).runs] == [50]
+    assert [r.start_index
+            for r in run(base_config(repetitions=2, start_indices=(60, 0))).runs] == [60]
+    assert [r.start_index for r in run(base_config()).runs] == [0]
 
 
 def test_run_window_bounds_are_checked():
@@ -633,7 +638,7 @@ def test_run_window_bounds_are_checked():
                                           r"needs \[161, 201\) but the channel traces "
                                           r"cover 200 epochs$"):
         run(base_config(start_indices=(161,)))
-    assert run(base_config(start_indices=(160,))).start_index == 160
+    assert run(base_config(start_indices=(160,))).runs[0].start_index == 160
 
 
 def test_a_sweep_checks_every_window_before_any_run(monkeypatch):
@@ -653,8 +658,8 @@ def test_csv_round_trip_reproduces_synthetic_run(tmp_path):
     seed = engine.channel_seed(config)
     for k, link in enumerate(required_source_links(config, *simulate_pair(config))):
         save_trace(config.channels.trace(link, seed), tmp_path / f"t{k}.csv")
-    from_csv = run(replace(config, channels=CsvChannelSource(tmp_path)))
-    from_synth = run(config)
+    from_csv = run(replace(config, channels=CsvChannelSource(tmp_path))).runs[0]
+    from_synth = run(config).runs[0]
     for scheme in ("single", "coop"):
         np.testing.assert_array_equal(from_csv.sinr_db[scheme], from_synth.sinr_db[scheme])
 
@@ -676,7 +681,7 @@ def test_a_trace_period_within_the_downsample_tolerance_runs(tmp_path):
     # A trace already at the epoch period is used as it is, not copied.
     on_period = near.channels.trace(links[1], seed)
     assert downsample(on_period, 120.0) is on_period
-    want, got = run(exact), run(near)
+    want, got = run(exact).runs[0], run(near).runs[0]
     for scheme in ("single", "coop"):
         assert got.sinr_db[scheme].tobytes() == want.sinr_db[scheme].tobytes()
         for kind in ("outage", "lcr"):
@@ -690,28 +695,29 @@ def test_sweep_fixed_start_repetitions_are_degenerate():
     config = base_config(repetitions=3, start_indices=(0, 0, 0))
     result = sweep(config)
     assert len(result.runs) == 3
-    assert len(result.rows) == 6
-    assert {agg.scheme for agg in result.aggregates} == {"single", "coop"}
-    for agg in result.aggregates:
-        assert agg.std_thr_at_10pct_db == 0.0
-        assert agg.std_gain_at_10pct_db == 0.0
-        rep0 = [r for r in result.rows if r.scheme == agg.scheme][0]
-        assert agg.mean_thr_at_10pct_db == rep0.thr_at_10pct_db
+    assert len(result.summary["scheme"]) == 6
+    aggregate = result.aggregate
+    assert aggregate["scheme"].tolist() == ["single", "coop"]
+    np.testing.assert_array_equal(aggregate["std_thr_at_10pct_db"], 0.0)
+    np.testing.assert_array_equal(aggregate["std_gain_at_10pct_db"], 0.0)
+    # The rep 0 rows, single then coop.
+    np.testing.assert_array_equal(aggregate["mean_thr_at_10pct_db"],
+                                  result.summary["thr_at_10pct_db"][:2])
 
 
 def test_sweep_matrix_and_worker_equivalence():
     config = base_config(sweep_victims=(1, 2), sweep_interferers=(1, 2),
                          repetitions=2)
     serial = sweep(config)
-    assert {r.combination for r in serial.rows} == {"1x2", "2x1"}
-    assert len(serial.rows) == 8
+    assert set(serial.summary["combination"].tolist()) == {"1x2", "2x1"}
+    assert len(serial.summary["combination"]) == 8
 
 
 def test_sweep_start_indices_drive_repetitions():
     same = sweep(base_config(repetitions=2, start_indices=(7, 7)))
-    assert same.rows[0].thr_at_10pct_db == same.rows[2].thr_at_10pct_db
+    assert same.summary["thr_at_10pct_db"][0] == same.summary["thr_at_10pct_db"][2]
     varied = sweep(base_config(repetitions=2, start_indices=(0, 80)))
-    assert varied.rows[0].thr_at_10pct_db != varied.rows[2].thr_at_10pct_db
+    assert varied.summary["thr_at_10pct_db"][0] != varied.summary["thr_at_10pct_db"][2]
     with pytest.raises(ConfigError, match="start_indices"):
         sweep(base_config(repetitions=3, start_indices=(0, 1)))
 
@@ -793,6 +799,8 @@ def test_a_pair_window_ignores_other_interferers_traces(tmp_path):
     starts = [r.start_index for r in alone.runs]
     assert [r.start_index for r in pair] == starts
     assert max(starts) > 60 - config.epochs  # beyond what interferer 3 allows
-    assert repr([r for r in both.rows if r.combination == "1x2"]) == repr(alone.rows)
+    pair_rows = both.summary["combination"] == "1x2"
+    for name, column in alone.summary.items():
+        assert repr(both.summary[name][pair_rows].tolist()) == repr(column.tolist())
     assert all(r.start_index <= 60 - config.epochs
                for r in both.runs if r.interferer_subjects == (3,))

@@ -1,6 +1,6 @@
-"""The gain rule, the no-regression verdict and seed ranges of tools/bench_pairs.py, how
-the benchmark tools end their child on SIGTERM, and what tools/bench_record.py records of a
-checkout outside git and of a run that is not correct."""
+"""The gain rule, the no-regression verdict, seed ranges and bytecode prefixes of
+tools/bench_pairs.py, how the benchmark tools end their child on SIGTERM, and what
+tools/bench_record.py records of a checkout outside git and of a run that is not correct."""
 
 import argparse
 import json
@@ -16,6 +16,7 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import (pair_values, parse_seeds, regression, run_order,  # noqa: E402
                          verdict)
 from bench_record import record  # noqa: E402
@@ -197,3 +198,52 @@ def test_a_checkout_outside_git_records_an_unknown_commit_and_dirtiness(tmp_path
     result = record(tmp_path, 1)
     assert result["git_commit"] == "unknown"
     assert result["git_dirty"] is None
+
+
+# Stands in for perfbench/run.py: it logs the bytecode prefix it runs under and whether
+# an earlier run of its side has marked that prefix, marks it, and prints a result.
+STUB_PREFIX = """
+import json, os
+from pathlib import Path
+prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+marker = Path(prefix, "stub-was-here") if prefix else None
+seen = marker is not None and marker.exists()
+if marker is not None:
+    marker.parent.mkdir(parents=True, exist_ok=True)
+    marker.touch()
+with Path(__file__).with_name("prefixes.log").open("a") as log:
+    log.write(json.dumps({"prefix": prefix, "seen": seen}) + "\\n")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_each_side_runs_under_its_own_fresh_bytecode_prefix(tmp_path, capsys):
+    roots = {}
+    for side in ("base", "change"):
+        root = roots[side] = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(STUB_PREFIX)
+        (root / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
+                             "bound": 0.25}]}))
+    assert bench_pairs.main(["--base", str(roots["base"]), "--change", str(roots["change"]),
+                             "--workload", "w", "--seeds", "1..2"]) == 0
+    capsys.readouterr()
+    logs = {side: [json.loads(line) for line in
+                   (root / "perfbench" / "prefixes.log").read_text().splitlines()]
+            for side, root in roots.items()}
+    prefixes = {}
+    for side, runs in logs.items():
+        # One prefix for all four of the side's runs: unmarked at the first, marked after.
+        assert len(runs) == 4
+        assert len({run["prefix"] for run in runs}) == 1
+        assert [run["seen"] for run in runs] == [False, True, True, True]
+        prefixes[side] = Path(runs[0]["prefix"])
+    assert prefixes["base"] != prefixes["change"]
+    for prefix in prefixes.values():
+        assert prefix.is_absolute()
+        assert not any(prefix.is_relative_to(root) for root in roots.values())
+        # The session removes what it made.
+        assert not prefix.exists()

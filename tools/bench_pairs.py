@@ -17,8 +17,11 @@ stands the no-regression verdict under the metric's ``bound``: "worse" when
 the change's median is worse than the base's by more than that fraction of
 the base median, else "unresolved" when the base's quartile spread exceeds
 that much and not every change value beats every base value, else "no
-worse". SIGTERM ends the running ``perfbench/run.py`` process before the
-script exits.
+worse". Each side compiles its bytecode into its own fresh
+``PYTHONPYCACHEPREFIX``, a directory that the session creates outside both
+checkouts and removes at its end, so whatever ``__pycache__`` a checkout holds
+warms neither side's cold starts. SIGTERM ends the running
+``perfbench/run.py`` process before the script exits.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import json
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -113,20 +117,24 @@ def main(argv=None) -> int:
     failed = {side: 0 for side in SIDES}
     correct = {side: True for side in SIDES}
     print("pair seed first " + " ".join(f"{m['name']}(base,change)" for m in metrics))
-    for k, seed in enumerate(args.seeds):
-        order = run_order(k)
-        runs = {side: [] for side in SIDES}
-        for side in order:
-            result = run_perfbench(roots[side], args.workload, seed, seconds, trace=0)
-            failed[side] += result["failed"]
-            correct[side] = correct[side] and result["correct"]
-            runs[side].append(result)
-        for side in SIDES:
-            for name, value in pair_values(runs[side], metrics).items():
-                values[side][name].append(value)
-        print(f"{k + 1:4d} {seed:4d} {order[0]:6s}" + "".join(
-            f" {values['base'][m['name']][-1]:.4g},{values['change'][m['name']][-1]:.4g}"
-            for m in metrics), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        # Not yet created: each side's first run starts from no bytecode at all.
+        prefixes = {side: str(Path(scratch) / side) for side in SIDES}
+        for k, seed in enumerate(args.seeds):
+            order = run_order(k)
+            runs = {side: [] for side in SIDES}
+            for side in order:
+                result = run_perfbench(roots[side], args.workload, seed, seconds, trace=0,
+                                       pycache_prefix=prefixes[side])
+                failed[side] += result["failed"]
+                correct[side] = correct[side] and result["correct"]
+                runs[side].append(result)
+            for side in SIDES:
+                for name, value in pair_values(runs[side], metrics).items():
+                    values[side][name].append(value)
+            print(f"{k + 1:4d} {seed:4d} {order[0]:6s}" + "".join(
+                f" {values['base'][m['name']][-1]:.4g},{values['change'][m['name']][-1]:.4g}"
+                for m in metrics), flush=True)
 
     seeds = f"{args.seeds[0]}..{args.seeds[-1]}"
     print(f"\n{args.workload}: {len(args.seeds)} pairs, seeds {seeds}, "

@@ -57,11 +57,18 @@ def end_children_on_sigterm() -> None:
     signal.signal(signal.SIGTERM, raise_exit)
 
 
-def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` process of the checkout at ``root``; its JSON result."""
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int,
+                  pycache_prefix: str | None = None) -> dict:
+    """One ``perfbench/run.py`` process of the checkout at ``root``; its JSON result.
+
+    A ``pycache_prefix`` becomes the process's ``PYTHONPYCACHEPREFIX``, which its
+    children inherit: Python then reads and writes bytecode there and nowhere else.
+    """
     command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    env = None if pycache_prefix is None else {**os.environ,
+                                               "PYTHONPYCACHEPREFIX": pycache_prefix}
+    proc = subprocess.run(command, cwd=root, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{workload} --seed {seed} --trace {trace} exited {proc.returncode}")
