@@ -16,12 +16,16 @@ that the engine's (sensors, epochs) blocks must match byte for byte, and
 the AR(1) shadowing recurrence, one step at a time, that
 ``generate_synthetic`` must match bit for bit. It reads and writes trace
 CSVs one row at a time: the bytes ``save_trace`` must write, and the
-samples or the first bad row's error that ``load_trace`` must give. Last,
-it states the interference-free model's outage in closed form.
+samples or the first bad row's error that ``load_trace`` must give. It
+states the interference-free model's outage in closed form. Last, it
+aggregates a summary.csv one (pair, scheme) group and one column at a time:
+the bytes aggregate.csv must hold.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -527,3 +531,30 @@ def load_trace_reference(path) -> ChannelTrace:
     if not gains:
         raise TraceError(f"{path}:2: no data rows")
     return ChannelTrace(link, period, np.array(gains))
+
+
+# The summary quantities that aggregate.csv spreads over repetitions, in column order.
+SUMMARY_QUANTITIES = ("thr_at_1pct_db", "thr_at_10pct_db", "gain_at_10pct_db",
+                      "lcr_at_ref_hz")
+
+
+def aggregate_reference(summary_csv: str) -> str:
+    """The text of aggregate.csv for the text of summary.csv.
+
+    Rows group by combination and scheme, in order of first appearance. Each
+    quantity's mean and population deviation (ddof 0) are ``np.mean`` and
+    ``np.std`` of that group's column alone, written as ``repr`` of the float.
+    """
+    groups: dict[tuple[str, str], list[dict]] = {}
+    for row in csv.DictReader(io.StringIO(summary_csv)):
+        groups.setdefault((row["combination"], row["scheme"]), []).append(row)
+    header = ["combination", "victim", "interferer", "scheme",
+              *(f"{stat}_{q}" for q in SUMMARY_QUANTITIES for stat in ("mean", "std"))]
+    lines = [",".join(header)]
+    for (combination, scheme), rows in groups.items():
+        cells = [combination, rows[0]["victim"], rows[0]["interferer"], scheme]
+        for q in SUMMARY_QUANTITIES:
+            column = np.array([float(row[q]) for row in rows])
+            cells += [repr(float(np.mean(column))), repr(float(np.std(column)))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

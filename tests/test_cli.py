@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -320,6 +321,34 @@ sweep:
     assert len(summary) == 1 + 2 * 2 * 2  # pairs x reps x schemes
 
 
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_the_stdout_lines_restate_the_summary_and_aggregate_files(tmp_path, capsys):
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    want = [f"{row['scheme']}: thr@1%={float(row['thr_at_1pct_db']):.2f} dB  "
+            f"thr@10%={float(row['thr_at_10pct_db']):.2f} dB  "
+            f"gain@10%={float(row['gain_at_10pct_db']):.2f} dB  "
+            f"lcr@ref={float(row['lcr_at_ref_hz']):.3f} Hz"
+            for row in _csv_rows(out / "summary.csv")]
+    assert capsys.readouterr().out.splitlines() == [*want, f"wrote {out}"]
+    assert len(want) == 2
+
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, THREE_BODY_SWEEP, "sweep.yaml")
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    want = [f"{row['combination']} {row['scheme']}: "
+            f"thr@10%={float(row['mean_thr_at_10pct_db']):.2f}"
+            f"±{float(row['std_thr_at_10pct_db']):.2f} dB  "
+            f"gain@10%={float(row['mean_gain_at_10pct_db']):.2f} dB"
+            for row in _csv_rows(out / "aggregate.csv")]
+    assert capsys.readouterr().out.splitlines() == [*want, f"wrote {out}"]
+    assert len(want) == 12
+
+
 # ----------------------------------------------------------------- cold start
 
 COLD_START = """
@@ -357,6 +386,50 @@ def test_csv_runs_and_overlays_never_load_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+# ------------------------------------------------- byte identity across processes
+
+# Runs every command in a fresh interpreter and prints one digest of the files they wrote.
+# It first checks that the SIMD groups it was asked to switch off are off: numpy ignores
+# a name it does not know without a word.
+ACROSS_PROCESSES = """
+import hashlib, os, sys
+from pathlib import Path
+from numpy._core import _multiarray_umath as umath
+off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+assert not [group for group in off if umath.__cpu_features__.get(group)], off
+from wbansim.cli import main
+config, out = sys.argv[1], Path(sys.argv[2])
+for command in ("simulate", "sweep", "gen-traces"):
+    assert main([command, "--config", config, "--out", str(out / command), "--quiet"]) == 0
+digest = hashlib.sha256()
+for path in sorted(p for p in out.rglob("*") if p.is_file()):
+    digest.update(str(path.relative_to(out)).encode() + b"\\0" + path.read_bytes())
+print(len(off), digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_process_hash_seed_or_simd_level(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    root = Path(__file__).resolve().parent.parent
+    config = write_config(tmp_path, THREE_BODY_SWEEP)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONHASHSEED", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+    setups = {"native": {}, "hash seed 0": {"PYTHONHASHSEED": "0"},
+              "hash seed 12345": {"PYTHONHASHSEED": "12345"},
+              "no SIMD dispatch": {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}}
+    digests = {}
+    for k, (name, extra) in enumerate(setups.items()):
+        proc = subprocess.run([sys.executable, "-c", ACROSS_PROCESSES, config,
+                               str(tmp_path / f"out{k}")],
+                              env={**env, **extra}, capture_output=True, text=True)
+        assert proc.returncode == 0, (name, proc.stderr)
+        off, digests[name] = proc.stdout.split()
+        assert int(off) == (len(__cpu_dispatch__) if "NPY_DISABLE_CPU_FEATURES" in extra else 0)
+    assert len(set(digests.values())) == 1, digests
 
 
 # ------------------------------------------------------------ benchmark hooks

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HD, LW, make_wban
-from oracle import (assemble_reference, build_schedule, evaluate_superframe,
-                    interference_weights_reference, sinr_series_reference)
+from oracle import (aggregate_reference, assemble_reference, build_schedule,
+                    evaluate_superframe, interference_weights_reference,
+                    sinr_series_reference)
 from wbansim import engine
 from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkError,
                              SyntheticChannelParams, downsample, fspl_db, load_trace,
@@ -703,6 +704,55 @@ def test_sweep_fixed_start_repetitions_are_degenerate():
     # The rep 0 rows, single then coop.
     np.testing.assert_array_equal(aggregate["mean_thr_at_10pct_db"],
                                   result.summary["thr_at_10pct_db"][:2])
+
+
+@pytest.mark.parametrize("repetitions,nan_cells", [(1, False), (3, False), (10, False),
+                                                     (3, True)])
+def test_aggregate_csv_has_the_bytes_of_the_per_column_reference(tmp_path, repetitions,
+                                                                  nan_cells):
+    config = base_config(wbans=(make_wban(1), make_wban(2), make_wban(3)), epochs=40,
+                         repetitions=repetitions, sweep_victims=(1, 2),
+                         sweep_interferers=(1, 2, 3))
+    if nan_cells:
+        # The grid of test_summary_nan_when_grid_misses_the_distribution: every
+        # packet lies below it, so the thresholds and gains read NaN.
+        config = replace(config, channels=flat_source(),
+                         thresholds_db=np.linspace(46.0, 50.0, 9))
+    results = sweep(config)
+    engine.write_summary_csv(results.summary, tmp_path / "summary.csv")
+    engine.write_aggregate_csv(results.aggregate, tmp_path / "aggregate.csv")
+    want = aggregate_reference((tmp_path / "summary.csv").read_text())
+    assert (tmp_path / "aggregate.csv").read_bytes() == want.encode()
+    assert len(results.aggregate["scheme"]) == 2 * 4
+    assert np.all(np.isnan(results.aggregate["mean_gain_at_10pct_db"])) == nan_cells
+
+
+# The pairwise summation of np.add.reduce changes its order of additions at 8 and
+# 128 elements, so the examples sit on both sides of each.
+@settings(max_examples=150, deadline=None)
+@given(reps=st.integers(1, 300), blocks=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 5.0, 1e6]), grid=st.booleans(),
+       nan_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+@example(reps=1, blocks=3, seed=0, scale=1.0, grid=False, nan_share=0.0)
+@example(reps=8, blocks=3, seed=1, scale=5.0, grid=False, nan_share=0.0)
+@example(reps=9, blocks=3, seed=2, scale=5.0, grid=True, nan_share=0.0)
+@example(reps=128, blocks=3, seed=3, scale=5.0, grid=False, nan_share=0.0)
+@example(reps=129, blocks=3, seed=4, scale=5.0, grid=False, nan_share=0.05)
+@example(reps=300, blocks=20, seed=5, scale=1e6, grid=False, nan_share=0.0)
+def test_batched_mean_and_std_over_the_last_axis_equal_the_1d_calls(reps, blocks, seed, scale,
+                                                                    grid, nan_share):
+    """The aggregate's one mean and one std over a contiguous last axis give every
+    block the bytes of np.mean and np.std of that block alone, NaN included."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(30.0, scale, (blocks, reps))
+    if grid:  # interpolated thresholds often repeat a grid point exactly
+        values = np.round(values * 2.0) / 2.0
+    values[rng.random(values.shape) < nan_share] = math.nan
+    batched = np.ascontiguousarray(values)
+    mean, std = batched.mean(axis=-1), batched.std(axis=-1)
+    for k, block in enumerate(values):
+        assert repr(float(mean[k])) == repr(float(np.mean(block)))
+        assert repr(float(std[k])) == repr(float(np.std(block)))
 
 
 def test_sweep_matrix_and_worker_equivalence():
