@@ -625,5 +625,5 @@ def _write_table(table: Mapping[str, np.ndarray], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# The summary and aggregate tables are written under these two names.
+# One writer under a name per output file, which perfbench/tracing.py wraps one by one.
 write_summary_csv = write_aggregate_csv = _write_table
