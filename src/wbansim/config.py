@@ -11,7 +11,6 @@ the offending key by its full dotted path.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -31,24 +30,23 @@ class _UniqueKeys:
     line. A key that overrides one merged in by ``<<`` is no repeat."""
 
     def construct_mapping(self, node, deep=False):
+        own = [key_node for key_node, _ in node.value
+               if key_node.tag != "tag:yaml.org,2002:merge"]
+        # It resolves the merges and builds every key, which the loop reads back.
+        mapping = super().construct_mapping(node, deep=deep)
         seen = set()
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue
+        for key_node in own:
             key = self.construct_object(key_node, deep=deep)
-            if not isinstance(key, Hashable):
-                continue  # the loader's own construct_mapping refuses it
             if key in seen:
                 raise yaml.constructor.ConstructorError(
-                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+                    None, None, f"duplicate key {key!r} on line {key_node.start_mark.line + 1}")
             seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+        return mapping
 
 
 # libyaml's parser where PyYAML was built with it: the same safe subset of
 # YAML, parsed several times faster than by the pure-Python reader.
-_YAML_LOADER = type("_YamlLoader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)),
-                    {})
+_YAML_LOADER = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 # What ``_Section.get`` returns for an absent key; ``build`` drops it, so
 # the target class's own default applies.

@@ -610,8 +610,8 @@ def test_a_repeated_key_fails_at_load_naming_the_key_and_its_line(tmp_path, monk
                                                                   loader, text, key, repeat):
     _unique_keys(monkeypatch, loader)
     line = next(n for n, row in enumerate(text.splitlines(), start=1) if row.startswith(repeat))
-    with pytest.raises(ConfigError, match=rf"invalid YAML: duplicate key '{key}'\n"
-                                          rf"  in .*, line {line}, column \d+"):
+    with pytest.raises(ConfigError, match=rf"invalid YAML: duplicate key '{key}' on line "
+                                          rf"{line}$"):
         load_config(write_config(tmp_path, text))
 
 
@@ -631,7 +631,7 @@ def test_a_key_that_overrides_a_merge_is_no_repeat(tmp_path, monkeypatch, loader
 def test_the_cli_exits_1_on_a_repeated_key(tmp_path, capsys):
     path = write_config(tmp_path, BASE + "epochs: 60\n")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}: invalid YAML: duplicate key 'epochs'")
-    assert f"line {len(BASE.splitlines()) + 1}, column 1" in err
+    line = len(BASE.splitlines()) + 1
+    assert capsys.readouterr().err == (f"config error: {path}: invalid YAML: duplicate key "
+                                       f"'epochs' on line {line}\n")
     assert not (tmp_path / "out").exists()

@@ -201,29 +201,32 @@ def test_a_checkout_outside_git_records_an_unknown_commit_and_dirtiness(tmp_path
 
 
 # Stands in for perfbench/run.py: it logs the bytecode prefix it runs under and whether
-# an earlier run of its side has marked that prefix, marks it, and prints a result.
+# the bytecode of a module beside it was already there, imports that module and prints a
+# result.
 STUB_PREFIX = """
-import json, os
+import importlib.util, json, os
 from pathlib import Path
-prefix = os.environ.get("PYTHONPYCACHEPREFIX")
-marker = Path(prefix, "stub-was-here") if prefix else None
-seen = marker is not None and marker.exists()
-if marker is not None:
-    marker.parent.mkdir(parents=True, exist_ok=True)
-    marker.touch()
-with Path(__file__).with_name("prefixes.log").open("a") as log:
-    log.write(json.dumps({"prefix": prefix, "seen": seen}) + "\\n")
+here = Path(__file__).resolve().parent
+cached = Path(importlib.util.cache_from_source(str(here / "stubmod.py")))
+warm = cached.exists()
+import stubmod
+with (here / "prefixes.log").open("a") as log:
+    log.write(json.dumps({"prefix": os.environ.get("PYTHONPYCACHEPREFIX"),
+                          "cached": str(cached), "warm": warm}) + "\\n")
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
 """
 
 
-def test_each_side_runs_under_its_own_fresh_bytecode_prefix(tmp_path, capsys):
+def test_each_side_runs_under_its_own_fresh_bytecode_prefix(tmp_path, capsys, monkeypatch):
+    # Bytecode must reach the prefix even where writing it is switched off.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     roots = {}
     for side in ("base", "change"):
         root = roots[side] = tmp_path / side
         (root / "perfbench").mkdir(parents=True)
         (root / "perfbench" / "run.py").write_text(STUB_PREFIX)
+        (root / "perfbench" / "stubmod.py").write_text("VALUE = 1\n")
         (root / "BENCHMARK.json").write_text(json.dumps(
             {"run_seconds": 1, "workloads": [{"name": "w"}],
              "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
@@ -231,19 +234,20 @@ def test_each_side_runs_under_its_own_fresh_bytecode_prefix(tmp_path, capsys):
     assert bench_pairs.main(["--base", str(roots["base"]), "--change", str(roots["change"]),
                              "--workload", "w", "--seeds", "1..2"]) == 0
     capsys.readouterr()
-    logs = {side: [json.loads(line) for line in
-                   (root / "perfbench" / "prefixes.log").read_text().splitlines()]
-            for side, root in roots.items()}
     prefixes = {}
-    for side, runs in logs.items():
-        # One prefix for all four of the side's runs: unmarked at the first, marked after.
+    for side, root in roots.items():
+        runs = [json.loads(line)
+                for line in (root / "perfbench" / "prefixes.log").read_text().splitlines()]
+        # One prefix for all four of the side's runs: the first compiles, the rest read.
         assert len(runs) == 4
         assert len({run["prefix"] for run in runs}) == 1
-        assert [run["seen"] for run in runs] == [False, True, True, True]
-        prefixes[side] = Path(runs[0]["prefix"])
+        assert [run["warm"] for run in runs] == [False, True, True, True]
+        prefix = prefixes[side] = Path(runs[0]["prefix"])
+        assert Path(runs[0]["cached"]).is_relative_to(prefix)
+        assert not (root / "perfbench" / "__pycache__").exists()
     assert prefixes["base"] != prefixes["change"]
     for prefix in prefixes.values():
         assert prefix.is_absolute()
         assert not any(prefix.is_relative_to(root) for root in roots.values())
-        # The session removes what it made.
+        # The session made it and removes it.
         assert not prefix.exists()

@@ -61,13 +61,17 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
                   pycache_prefix: str | None = None) -> dict:
     """One ``perfbench/run.py`` process of the checkout at ``root``; its JSON result.
 
-    A ``pycache_prefix`` becomes the process's ``PYTHONPYCACHEPREFIX``, which its
-    children inherit: Python then reads and writes bytecode there and nowhere else.
+    A ``pycache_prefix`` becomes the ``PYTHONPYCACHEPREFIX`` of the process and of
+    the children it starts: Python then reads and writes bytecode there and nowhere
+    else. ``PYTHONDONTWRITEBYTECODE`` is dropped for them, so that what one run
+    compiles into the prefix, the next run reads.
     """
     command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    env = None if pycache_prefix is None else {**os.environ,
-                                               "PYTHONPYCACHEPREFIX": pycache_prefix}
+    env = None
+    if pycache_prefix is not None:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPYCACHEPREFIX"] = pycache_prefix
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
