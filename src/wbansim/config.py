@@ -32,7 +32,8 @@ class _UniqueKeys:
     def construct_mapping(self, node, deep=False):
         own = [key_node for key_node, _ in node.value
                if key_node.tag != "tag:yaml.org,2002:merge"]
-        # It resolves the merges and builds every key, which the loop reads back.
+        # The base loader resolves the merges and builds every key; the loop reads
+        # those keys back from its cache.
         mapping = super().construct_mapping(node, deep=deep)
         seen = set()
         for key_node in own:
