@@ -267,7 +267,7 @@ def _thresholds(metrics: _Section):
 
 def _check_overrides(config: ExperimentConfig) -> None:
     """Reject a synthetic override of a link that neither simulate nor a sweep pair fetches."""
-    if not isinstance(config.channels, SyntheticChannelSource):
+    if not (isinstance(config.channels, SyntheticChannelSource) and config.channels.overrides):
         return
     read = {str(link) for link in source_links(config)}
     for text in config.channels.overrides:
@@ -279,7 +279,9 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Load and validate an experiment configuration file."""
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        # From the open file, so that a syntax error's mark names it.
+        with path.open() as stream:
+            raw = yaml.load(stream, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -317,14 +317,16 @@ def assemble_channels(config: ExperimentConfig, subject: int,
     sensors = np.array([[on_body(sensor.location, rx) for sensor in victim.sensors]
                         for rx in receivers])
     relays = np.array([on_body(relay.location, receivers[0]) for relay in victim.relays])
+    # Each non-anchor receiver's donor shadowing, shared by every interferer.
+    donors = {loc: extract_shadowing(traces[LinkId(subject, anchor, subject, loc)],
+                                     config.radio.distance_m(anchor, loc),
+                                     config.radio.frequency_hz)
+              for loc in receivers if loc != anchor} if interferers else {}
     foes = {}
     for interferer in interferers:
         base = traces[LinkId(interferer, anchor, subject, anchor)]
         rows = [base if loc == anchor else
-                overlay(base, extract_shadowing(traces[LinkId(subject, anchor, subject, loc)],
-                                                config.radio.distance_m(anchor, loc),
-                                                config.radio.frequency_hz),
-                        LinkId(interferer, anchor, subject, loc))
+                overlay(base, donors[loc], LinkId(interferer, anchor, subject, loc))
                 for loc in receivers]
         m = min(base.n_samples, *(row.n_samples for row in rows))
         foes[interferer] = np.array([row.samples[:m] for row in rows])
@@ -345,14 +347,12 @@ QUANTITIES = ("thr_at_1pct_db", "thr_at_10pct_db", "gain_at_10pct_db", "lcr_at_r
 
 @dataclass
 class RunResult:
-    """All outputs of one run: its SINR, curves and summary quantities."""
+    """What a run keeps: its keys, curves and summary quantities."""
 
     victim_subject: int
     interferer_subjects: tuple[int, ...]
     rep: int
     start_index: int
-    # Per scheme, the SINR in dB of victim sensor i in epoch start_index + e at [i, e].
-    sinr_db: dict[str, np.ndarray]
     curves: dict[str, dict[str, MetricsCurve]]
     # summary[s, q]: QUANTITIES[q] of SCHEMES[s], NaN where not computable.
     summary: np.ndarray
@@ -466,11 +466,12 @@ def _interference_weights(config: ExperimentConfig, subject: int,
     return weights.reshape(len(interferers), 2, len(victim.sensors), config.epochs)
 
 
-def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
-                 channels: VictimChannels, weights: np.ndarray, start_index: int,
-                 rep: int) -> RunResult:
-    """One run of ``subject`` against ``interferers``: a (sensors, epochs) SINR block
-    per scheme, then its curves and summary."""
+def _sinr_db(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
+             channels: VictimChannels, weights: np.ndarray, start_index: int,
+             ) -> dict[str, np.ndarray]:
+    """Per scheme, the SINR in dB of victim sensor i in epoch start_index + e at [i, e]
+    of a run of ``subject`` against ``interferers``; a sensor whose SINR leaves float
+    range is named in a MetricsError."""
     epochs = config.epochs
     window = slice(start_index, start_index + epochs)
     received = channels.sensors[:, :, window]
@@ -489,8 +490,8 @@ def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int,
         nu_direct, *nu_sr = received / (noise_mw + broadcast)
         nu_rh = channels.relays[:, None, window] / (noise_mw + forward)
         coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
-        sinr_db = {"single": 10.0 * np.log10(nu_direct), "coop": 10.0 * np.log10(coop)}
-    for scheme, block in sinr_db.items():
+        blocks = {"single": 10.0 * np.log10(nu_direct), "coop": 10.0 * np.log10(coop)}
+    for scheme, block in blocks.items():
         finite = np.isfinite(block)
         if not finite.all():
             j = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -498,10 +499,18 @@ def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int,
             bad = epochs - np.count_nonzero(finite[j])
             raise MetricsError(f"wbans[{k}].sensors[{j}]: the {scheme} SINR is beyond "
                                f"float range in {bad} of {epochs} epochs")
+    return blocks
 
+
+def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
+                 channels: VictimChannels, weights: np.ndarray, start_index: int,
+                 rep: int) -> RunResult:
+    """One run of ``subject`` against ``interferers``: its curves and summary from the
+    SINR blocks of ``_sinr_db``, which end with the run."""
     thresholds, ref_db = config.thresholds_db, config.lcr_ref_threshold_db
     curves, summary = {}, []
-    for scheme, block in sinr_db.items():
+    for scheme, block in _sinr_db(config, subject, interferers, channels, weights,
+                                  start_index).items():
         rows = [SinrSeries(values, config.epoch_period_ms, start_index) for values in block]
         outage = empirical_outage(block.ravel(), thresholds)
         lcr = np.mean([lcr_curve(row, thresholds).values for row in rows], axis=0)
@@ -511,7 +520,7 @@ def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int,
     summary = np.array(summary)
     # The gain at 10 % outage, coop's threshold less single's, in both rows.
     summary[:, 2] = summary[1, 1] - summary[0, 1]
-    return RunResult(subject, interferers, rep, start_index, sinr_db, curves, summary)
+    return RunResult(subject, interferers, rep, start_index, curves, summary)
 
 
 def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from wbansim import engine
 from wbansim.channel import BodyLocation, ChannelTrace, LinkId
 from wbansim.engine import ConfigError, ExperimentConfig, SyntheticChannelSource
 from wbansim.metrics import MetricsCurve, MetricsError
@@ -54,6 +55,19 @@ def with_on_body_coherence(config: ExperimentConfig, coherence_time_ms: float,
                                          coherence_time_ms=coherence_time_ms),
                          overrides=overrides)
     return replace(config, channels=new_source)
+
+
+def sinr_blocks(config: ExperimentConfig, start: int | None = None) -> dict[str, np.ndarray]:
+    """Per scheme, the (sensors, epochs) SINR block in dB that simulate of ``config``
+    scores from epoch ``start`` (by default simulate's own start), built from the
+    engine's steps as a run builds it; no run keeps its blocks."""
+    if start is None:
+        start = (config.start_indices or (0,))[0]
+    pair = (config.victim_subject, config.interferer_subjects)
+    offsets = engine._draw_offsets(config, (pair[0], *pair[1]))
+    weights = engine._interference_weights(config, *pair, offsets)
+    return engine._sinr_db(config, *pair, engine.assemble_channels(config, *pair), weights,
+                           start)
 
 
 _CURVE_HEADER_RE = re.compile(

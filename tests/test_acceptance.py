@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from helpers import with_on_body_coherence
+from helpers import sinr_blocks, with_on_body_coherence
 from oracle import (closed_form_quantile, compute_sinr, outage_coop_closed_form,
                     outage_single_closed_form, select_relay)
 from wbansim.channel import (LinkId, SyntheticChannelParams, extract_shadowing,
@@ -56,8 +56,8 @@ def test_relay_selection_matches_bruteforce_oracle():
 
 def test_cooperation_dominates_single_link_everywhere():
     config = load_config(DEFAULT_CONFIG)
-    result = run(config).runs[0]
-    packet_ok = bool(np.all(result.sinr_db["coop"] >= result.sinr_db["single"]))
+    result, blocks = run(config).runs[0], sinr_blocks(config)
+    packet_ok = bool(np.all(blocks["coop"] >= blocks["single"]))
     curve_ok = np.all(result.curves["coop"]["outage"].values
                       <= result.curves["single"]["outage"].values)
     ok = packet_ok and curve_ok

@@ -10,9 +10,9 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wbansim import cli, config as config_module
+from wbansim import cli, config as config_module, engine
 from wbansim.channel import BodyLocation, LinkId
-from helpers import with_on_body_coherence
+from helpers import sinr_blocks, with_on_body_coherence
 from wbansim.cli import main
 from wbansim.config import load_config
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
@@ -249,22 +249,33 @@ def test_a_loaded_config_is_the_only_one_built(tmp_path, monkeypatch):
                      "--quiet"]) == 0
 
 
-def test_a_sweep_pair_runs_as_simulate_of_that_pair(tmp_path):
+def test_a_sweep_pair_runs_as_simulate_of_that_pair(tmp_path, monkeypatch):
     starts = (0, 123)
+    # The blocks each sweep run scores, by victim, interferers and start.
+    swept_blocks, score = {}, engine._sinr_db
+
+    def scored(*args):
+        swept_blocks[args[1], args[2], args[5]] = blocks = score(*args)
+        return blocks
+
+    monkeypatch.setattr(engine, "_sinr_db", scored)
     swept = sweep(load_config(write_config(
         tmp_path, THREE_BODY_SWEEP + f"repetitions: 2\nstart_indices: {list(starts)}\n")))
-    assert len(swept.runs) == 6 * len(starts)
+    monkeypatch.undo()
+    assert len(swept.runs) == len(swept_blocks) == 6 * len(starts)
     for result in swept.runs:
         (foe,) = result.interferer_subjects
         start = starts[result.rep]
         text = THREE_BODY_SWEEP.replace("victim: 1\ninterferers: [2, 3]\n",
                                         f"victim: {result.victim_subject}\n"
                                         f"interferers: [{foe}]\n")
-        (alone,) = run(load_config(write_config(tmp_path, text + f"start_indices: [{start}]\n",
-                                                "pair.yaml"))).runs
+        pair = load_config(write_config(tmp_path, text + f"start_indices: [{start}]\n",
+                                        "pair.yaml"))
+        (alone,) = run(pair).runs
         assert alone.start_index == result.start_index == start
-        for scheme, block in result.sinr_db.items():
-            assert block.tobytes() == alone.sinr_db[scheme].tobytes()
+        blocks = swept_blocks[result.victim_subject, (foe,), start]
+        for scheme, block in sinr_blocks(pair).items():
+            assert blocks[scheme].tobytes() == block.tobytes()
             for kind, curve in result.curves[scheme].items():
                 assert curve.values.tobytes() == alone.curves[scheme][kind].values.tobytes()
         assert result.summary.tobytes() == alone.summary.tobytes()
@@ -634,4 +645,24 @@ def test_the_cli_exits_1_on_a_repeated_key(tmp_path, capsys):
     line = len(BASE.splitlines()) + 1
     assert capsys.readouterr().err == (f"config error: {path}: invalid YAML: duplicate key "
                                        f"'epochs' on line {line}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_a_yaml_syntax_error_names_the_config_file(tmp_path, monkeypatch, loader):
+    _unique_keys(monkeypatch, loader)
+    path = write_config(tmp_path, "epochs: [1, 2\n")
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    message = str(raised.value)
+    assert message.startswith(f"{path}: invalid YAML: ")
+    assert f'in "{path}", line 1, column 9' in message
+    assert "<unicode string>" not in message
+
+
+def test_the_cli_exits_1_naming_a_config_it_cannot_parse_or_read(tmp_path, capsys):
+    path = write_config(tmp_path, "epochs: [1, 2\n")
+    for config in (path, tmp_path / "absent.yaml", tmp_path):
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"{config}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import HD, LW, make_wban
+from helpers import HD, LW, make_wban, sinr_blocks
 from oracle import (aggregate_reference, assemble_reference, build_schedule,
                     evaluate_superframe, interference_weights_reference,
                     sinr_series_reference)
@@ -18,7 +19,7 @@ from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkErro
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
-from wbansim.metrics import SinrSeries, lcr_curve, threshold_at_outage
+from wbansim.metrics import SinrSeries, empirical_outage, lcr_curve, threshold_at_outage
 from wbansim.network import MacConfig, superframe_layout
 from wbansim.seeding import substream
 
@@ -248,9 +249,9 @@ def test_a_short_donor_trace_bounds_the_window(tmp_path):
 def test_run_matches_per_epoch_reference():
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2)),
                          epochs=30, start_indices=(5,), master_seed=11)
-    result = run(config).runs[0]
+    assert run(config).runs[0].start_index == 5
     # Column e of every SINR block is grid epoch 5 + e.
-    assert result.start_index == 5
+    blocks = sinr_blocks(config)
     channels = assemble_reference(config, *simulate_pair(config))
     cycle = config.mac.cycle_ms
     offsets = {s: substream(config.master_seed, "offsets", s)
@@ -264,9 +265,9 @@ def test_run_matches_per_epoch_reference():
         for d in decisions:
             i = d.sensor_index
             np.testing.assert_allclose(
-                10.0 ** (result.sinr_db["single"][i, e] / 10.0), d.single, rtol=1e-9)
+                10.0 ** (blocks["single"][i, e] / 10.0), d.single, rtol=1e-9)
             np.testing.assert_allclose(
-                10.0 ** (result.sinr_db["coop"][i, e] / 10.0), d.cooperative, rtol=1e-9)
+                10.0 ** (blocks["coop"][i, e] / 10.0), d.cooperative, rtol=1e-9)
 
 
 _FINITE_POWER = st.floats(-30.0, 10.0)
@@ -410,7 +411,8 @@ def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_powe
                          master_seed=seed)
     results = run(config)
     (result,) = results.runs
-    assert np.all(result.sinr_db["coop"] >= result.sinr_db["single"])
+    blocks = sinr_blocks(config)
+    assert np.all(blocks["coop"] >= blocks["single"])
     outage = {s: result.curves[s]["outage"].values for s in ("single", "coop")}
     assert all(np.all((values >= 0.0) & (values <= 1.0)) for values in outage.values())
     assert all(np.all(np.diff(values) >= 0.0) for values in outage.values())
@@ -420,10 +422,10 @@ def test_run_level_invariants(n_sensors, n_interferers, seed, victim_sensor_powe
         assert np.all(np.isfinite(lcr) & (lcr >= 0.0))
     lcr_ref = results.summary["lcr_at_ref_hz"]
     assert np.all(np.isfinite(lcr_ref) & (lcr_ref >= 0.0))
-    mirrored = run(replace(config, wbans=(replace(victim, relays=victim.relays[::-1]),
-                                          *foes))).runs[0]
-    for scheme, block in result.sinr_db.items():
-        assert block.tobytes() == mirrored.sinr_db[scheme].tobytes()
+    mirrored = sinr_blocks(replace(config, wbans=(replace(victim, relays=victim.relays[::-1]),
+                                                  *foes)))
+    for scheme, block in blocks.items():
+        assert block.tobytes() == mirrored[scheme].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,10 +455,29 @@ def test_run_series_equal_the_per_sensor_reference(n_sensors, n_interferers, epo
                                  start)
     assert set(want) == set(range(n_sensors))
     assert result.start_index == start
-    for scheme, block in result.sinr_db.items():
+    for scheme, block in sinr_blocks(config).items():
         assert block.shape == (n_sensors, epochs)
         for i, row in enumerate(block):
             assert row.tobytes() == want[i][scheme].tobytes(), (i, scheme)
+
+
+@pytest.mark.parametrize("config", [
+    base_config(),
+    base_config(interferer_subjects=(), start_indices=(37,)),
+    base_config(wbans=(make_wban(1, sensor_locs=(HD, LW)), make_wban(2), make_wban(3)),
+                interferer_subjects=(3, 2), start_indices=(12,), master_seed=8),
+], ids=["one-interferer", "no-interferer", "two-sensors-two-interferers"])
+def test_the_sinr_helper_gives_the_blocks_run_scores(config):
+    """The tests that read SINR blocks take them from ``sinr_blocks``: its blocks
+    give run's outage and LCR curves byte for byte, rows in sensor order."""
+    (result,) = run(config).runs
+    for scheme, block in sinr_blocks(config).items():
+        grid = config.thresholds_db
+        outage = empirical_outage(block.ravel(), grid)
+        lcr = np.mean([lcr_curve(SinrSeries(row, 120.0, result.start_index), grid).values
+                       for row in block], axis=0)
+        assert outage.values.tobytes() == result.curves[scheme]["outage"].values.tobytes()
+        assert lcr.tobytes() == result.curves[scheme]["lcr"].values.tobytes()
 
 
 def _wrap_cases(cycle):
@@ -476,8 +497,11 @@ def test_wrap_equals_remainder_on_two_cycles_each_side(data, cycle):
 def test_run_is_deterministic():
     config = base_config()
     a, b = run(config), run(config)
+    blocks = sinr_blocks(config), sinr_blocks(config)
     for scheme in ("single", "coop"):
-        np.testing.assert_array_equal(a.runs[0].sinr_db[scheme], b.runs[0].sinr_db[scheme])
+        np.testing.assert_array_equal(blocks[0][scheme], blocks[1][scheme])
+        for kind, curve in a.runs[0].curves[scheme].items():
+            np.testing.assert_array_equal(curve.values, b.runs[0].curves[scheme][kind].values)
     assert a.summary.keys() == b.summary.keys()
     for name, column in a.summary.items():
         np.testing.assert_array_equal(column, b.summary[name])
@@ -503,10 +527,11 @@ def test_muted_interferer_equals_absent_interferer(n_sensors, n_others, position
     config = base_config(wbans=(victim, *others, muted), interferer_subjects=present,
                          epochs=50, channels=SyntheticChannelSource(duration_ms=120.0 * 60),
                          master_seed=seed)
-    without = run(config)
-    muted_run = run(replace(config, interferer_subjects=with_muted))
-    for scheme, block in without.runs[0].sinr_db.items():
-        assert block.tobytes() == muted_run.runs[0].sinr_db[scheme].tobytes()
+    muted_config = replace(config, interferer_subjects=with_muted)
+    without, muted_run = run(config), run(muted_config)
+    muted_blocks = sinr_blocks(muted_config)
+    for scheme, block in sinr_blocks(config).items():
+        assert block.tobytes() == muted_blocks[scheme].tobytes()
     for scheme, curves in without.runs[0].curves.items():
         for kind, curve in curves.items():
             assert (curve.values.tobytes()
@@ -517,22 +542,23 @@ def test_muted_interferer_equals_absent_interferer(n_sensors, n_others, position
 
 
 def test_muted_relays_reduce_coop_to_single():
-    config = base_config(wbans=(make_wban(1, relay_power=-math.inf), make_wban(2)))
-    result = run(config).runs[0]
-    np.testing.assert_array_equal(result.sinr_db["coop"], result.sinr_db["single"])
+    blocks = sinr_blocks(base_config(wbans=(make_wban(1, relay_power=-math.inf),
+                                            make_wban(2))))
+    np.testing.assert_array_equal(blocks["coop"], blocks["single"])
 
 
 def test_cooperation_never_hurts():
-    result = run(base_config(epochs=150)).runs[0]
-    assert np.all(result.sinr_db["coop"] >= result.sinr_db["single"])
-    outage = result.curves
+    config = base_config(epochs=150)
+    blocks = sinr_blocks(config)
+    assert np.all(blocks["coop"] >= blocks["single"])
+    outage = run(config).runs[0].curves
     assert np.all(outage["coop"]["outage"].values <= outage["single"]["outage"].values)
 
 
 def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
     config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)),
                                 make_wban(2)))
-    want = run(config).runs[0]
+    want, want_blocks = run(config).runs[0], sinr_blocks(config)
     pair = simulate_pair(config)
     channels = assemble_channels(config, *pair)
     weights = engine._interference_weights(config, *pair, engine._draw_offsets(config, (1, 2)))
@@ -542,8 +568,9 @@ def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
 
     monkeypatch.setattr(engine, "LinkId", no_link)
     got = engine._execute_run(config, *pair, channels, weights, 0, 0)
-    for scheme, block in want.sinr_db.items():
-        assert got.sinr_db[scheme].tobytes() == block.tobytes()
+    assert got.summary.tobytes() == want.summary.tobytes()
+    for scheme, block in engine._sinr_db(config, *pair, channels, weights, 0).items():
+        assert block.tobytes() == want_blocks[scheme].tobytes()
 
     # Hand-built channels in mW, receivers hub, relay 1, relay 2, read as they are. The
     # noise is 1e-10 mW, and interferer 2's weights are 1 mW while the sensor broadcasts
@@ -559,9 +586,9 @@ def test_a_run_reads_its_gains_by_role_and_builds_no_link(monkeypatch):
         relays=np.full((2, epochs), [[9e-9], [3e-9]]),
         foes={2: np.full((3, epochs), [[1e-10], [3e-10], [1e-10]])})
     weights = np.full((1, 2, 1, epochs), [[[[1.0]], [[2.0]]]])
-    got = engine._execute_run(config, 1, (2,), by_role, weights, 0, 0)
-    np.testing.assert_allclose(got.sinr_db["single"], np.full((1, epochs), 10.0), rtol=1e-12)
-    np.testing.assert_allclose(got.sinr_db["coop"], np.full((1, epochs), 10.0 * math.log10(20.0)),
+    got = engine._sinr_db(config, 1, (2,), by_role, weights, 0)
+    np.testing.assert_allclose(got["single"], np.full((1, epochs), 10.0), rtol=1e-12)
+    np.testing.assert_allclose(got["coop"], np.full((1, epochs), 10.0 * math.log10(20.0)),
                                rtol=1e-12)
 
 
@@ -571,8 +598,9 @@ def test_flat_channels_give_flat_series():
     config = base_config(channels=flat_source(), interferer_subjects=())
     results = run(config)
     (result,) = results.runs
-    np.testing.assert_allclose(result.sinr_db["single"], 45.0, rtol=1e-12)
-    np.testing.assert_allclose(result.sinr_db["coop"], 45.0, rtol=1e-12)
+    blocks = sinr_blocks(config)
+    np.testing.assert_allclose(blocks["single"], 45.0, rtol=1e-12)
+    np.testing.assert_allclose(blocks["coop"], 45.0, rtol=1e-12)
     curve = result.curves["single"]["outage"]
     grid = curve.thresholds_db
     np.testing.assert_array_equal(curve.values[grid <= 44.5], 0.0)
@@ -589,7 +617,7 @@ def test_curves_aggregate_over_sensors():
     pooled = result.curves["coop"]["outage"]
     # Pooled outage equals the mean of the two per-sensor curves (equal
     # sample counts), and the lcr curve is the per-sensor mean.
-    coop = result.sinr_db["coop"]
+    coop = sinr_blocks(config)["coop"]
     per_sensor = [np.searchsorted(np.sort(coop[i]), pooled.thresholds_db, side="left") / 60.0
                   for i in (0, 1)]
     np.testing.assert_allclose(pooled.values, np.mean(per_sensor, axis=0), atol=1e-12)
@@ -659,10 +687,10 @@ def test_csv_round_trip_reproduces_synthetic_run(tmp_path):
     seed = engine.channel_seed(config)
     for k, link in enumerate(required_source_links(config, *simulate_pair(config))):
         save_trace(config.channels.trace(link, seed), tmp_path / f"t{k}.csv")
-    from_csv = run(replace(config, channels=CsvChannelSource(tmp_path))).runs[0]
-    from_synth = run(config).runs[0]
+    from_csv = sinr_blocks(replace(config, channels=CsvChannelSource(tmp_path)))
+    from_synth = sinr_blocks(config)
     for scheme in ("single", "coop"):
-        np.testing.assert_array_equal(from_csv.sinr_db[scheme], from_synth.sinr_db[scheme])
+        np.testing.assert_array_equal(from_csv[scheme], from_synth[scheme])
 
 
 def test_a_trace_period_within_the_downsample_tolerance_runs(tmp_path):
@@ -683,8 +711,9 @@ def test_a_trace_period_within_the_downsample_tolerance_runs(tmp_path):
     on_period = near.channels.trace(links[1], seed)
     assert downsample(on_period, 120.0) is on_period
     want, got = run(exact).runs[0], run(near).runs[0]
+    want_blocks, got_blocks = sinr_blocks(exact), sinr_blocks(near)
     for scheme in ("single", "coop"):
-        assert got.sinr_db[scheme].tobytes() == want.sinr_db[scheme].tobytes()
+        assert got_blocks[scheme].tobytes() == want_blocks[scheme].tobytes()
         for kind in ("outage", "lcr"):
             assert (got.curves[scheme][kind].values.tobytes()
                     == want.curves[scheme][kind].values.tobytes())
@@ -753,6 +782,29 @@ def test_batched_mean_and_std_over_the_last_axis_equal_the_1d_calls(reps, blocks
     for k, block in enumerate(values):
         assert repr(float(mean[k])) == repr(float(np.mean(block)))
         assert repr(float(std[k])) == repr(float(np.std(block)))
+
+
+def test_a_sweeps_peak_memory_does_not_grow_with_its_runs():
+    """Ten more repetitions raise a sweep's traced peak by less than one run's SINR
+    blocks, 2 schemes x 3 sensors x 4000 epochs x 8 B = 192 000 B: a run's blocks
+    end with the run, and what it keeps, 4 curves of 161 points and its summary,
+    is about 7 kB. A sweep that kept every run's blocks would grow by ten."""
+    sensors, epochs = 3, 4000
+    config = base_config(wbans=(make_wban(1, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)),
+                                make_wban(2)),
+                         epochs=epochs, channels=SyntheticChannelSource(duration_ms=120.0 * 5000))
+    one_run_blocks = 2 * sensors * epochs * 8
+
+    def peak(repetitions):
+        tracemalloc.start()
+        try:
+            sweep(replace(config, repetitions=repetitions))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep(config)  # imports and caches of the first sweep stay outside both peaks
+    assert peak(12) - peak(2) < one_run_blocks
 
 
 def test_sweep_matrix_and_worker_equivalence():
