@@ -664,5 +664,5 @@ def test_the_cli_exits_1_naming_a_config_it_cannot_parse_or_read(tmp_path, capsy
     path = write_config(tmp_path, "epochs: [1, 2\n")
     for config in (path, tmp_path / "absent.yaml", tmp_path):
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-        assert f"{config}" in capsys.readouterr().err
+        assert str(config) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -471,10 +471,10 @@ def test_the_sinr_helper_gives_the_blocks_run_scores(config):
     """The tests that read SINR blocks take them from ``sinr_blocks``: its blocks
     give run's outage and LCR curves byte for byte, rows in sensor order."""
     (result,) = run(config).runs
+    grid, period = config.thresholds_db, config.epoch_period_ms
     for scheme, block in sinr_blocks(config).items():
-        grid = config.thresholds_db
         outage = empirical_outage(block.ravel(), grid)
-        lcr = np.mean([lcr_curve(SinrSeries(row, 120.0, result.start_index), grid).values
+        lcr = np.mean([lcr_curve(SinrSeries(row, period, result.start_index), grid).values
                        for row in block], axis=0)
         assert outage.values.tobytes() == result.curves[scheme]["outage"].values.tobytes()
         assert lcr.tobytes() == result.curves[scheme]["lcr"].values.tobytes()
