@@ -511,12 +511,11 @@ def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int,
     curves, summary = {}, []
     for scheme, block in _sinr_db(config, subject, interferers, channels, weights,
                                   start_index).items():
-        rows = [SinrSeries(values, config.epoch_period_ms, start_index) for values in block]
+        series = SinrSeries(block, config.epoch_period_ms, start_index)
         outage = empirical_outage(block.ravel(), thresholds)
-        lcr = np.mean([lcr_curve(row, thresholds).values for row in rows], axis=0)
-        curves[scheme] = {"outage": outage, "lcr": MetricsCurve("lcr", thresholds, lcr)}
+        curves[scheme] = {"outage": outage, "lcr": lcr_curve(series, thresholds)}
         summary.append([_quantile_or_nan(outage, 0.01), _quantile_or_nan(outage, 0.10), 0.0,
-                        float(np.mean([level_crossing_rate(r, ref_db) for r in rows]))])
+                        level_crossing_rate(series, ref_db)])
     summary = np.array(summary)
     # The gain at 10 % outage, coop's threshold less single's, in both rows.
     summary[:, 2] = summary[1, 1] - summary[0, 1]

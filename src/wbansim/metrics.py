@@ -22,7 +22,13 @@ class MetricsError(Exception):
 
 @dataclass(frozen=True)
 class SinrSeries:
-    """Per-packet SINR samples in dB, one per ``period_ms`` from grid index ``start_index``."""
+    """Per-packet SINR samples in dB, one per ``period_ms`` from grid index ``start_index``.
+
+    ``values_db`` is one series or a run's (sensors, epochs) block, one row
+    per sensor. A block's level crossing rate is the mean over its sensors of
+    each sensor's rate by the span rule of level_crossing_rate, from one pass
+    over the block.
+    """
 
     values_db: np.ndarray
     period_ms: float
@@ -131,7 +137,8 @@ def _first_steps(high: np.ndarray, low: np.ndarray, cells: np.ndarray, size: int
     that reaches it, at the first step where that run's minimum falls to it.
     The key top * (size + 1) - (the run's minimum so far) never decreases,
     so one searchsorted finds that step. Levels lie in [0, size], and every
-    cell must be crossed.
+    cell must be crossed; for a block of rows on a grid of g thresholds,
+    _crossing_rates stacks the rows' levels into [0, rows * (g + 1) - 1].
     """
     width = size + 1
     top = np.maximum.accumulate(high)
@@ -151,29 +158,38 @@ def _crossing_rates(series: SinrSeries, thresholds: np.ndarray) -> np.ndarray:
     threshold t with v[k] >= t > v[k+1]. On a strictly increasing grid
     those are the cells from the level of v[k+1] up to, not including, the
     level of v[k], where a level counts the thresholds at or below a value.
-    A difference array counts the crossings per cell, and _first_steps
-    finds each cell's first and last crossing sample. The grid must be
+    A block's rows are one series with row r's levels raised by r * (size +
+    1): each row keeps a band of levels of its own, and the step from one
+    row into the next goes up and crosses nothing. A difference array counts
+    the crossings per cell, _first_steps finds each cell's first and last
+    crossing sample, and the rows' rates are averaged. The grid must be
     strictly increasing and finite, as ExperimentConfig checks.
     """
+    values = np.atleast_2d(series.values_db)
+    rows, n = values.shape
     size = thresholds.size
-    rates = np.zeros(size)
-    levels = _levels(series.values_db, thresholds)
+    width = size + 1
+    levels = (_levels(values, thresholds) + np.arange(rows)[:, None] * width).ravel()
+    # Every band's top level is a cell that no step crosses; the last band's is left out.
+    cells = rows * width - 1
     at = np.flatnonzero(levels[1:] < levels[:-1]) + 1
     high, low = levels[at - 1], levels[at]
-    count = np.cumsum(np.bincount(low, minlength=size + 1)
-                      - np.bincount(high, minlength=size + 1))[:size]
+    count = np.cumsum(np.bincount(low, minlength=cells + 1)
+                      - np.bincount(high, minlength=cells + 1))[:cells]
     crossed = np.flatnonzero(count >= 2)
     if crossed.size == 0:
-        return rates
-    first = at[_first_steps(high, low, crossed, size)]
+        return np.zeros(size)
+    # Samples within the row: sample k of a row lies at grid time (start_index + k) * period_ms.
+    row_start = crossed // width * n
+    first = at[_first_steps(high, low, crossed, cells)] - row_start
     # The last crossing is the first one of the steps reversed and turned upside down.
-    last = at[::-1][_first_steps(size - low[::-1], size - high[::-1], size - 1 - crossed,
-                                 size)]
-    # Sample k lies at grid time (start_index + k) * period_ms.
+    last = at[::-1][_first_steps(cells - low[::-1], cells - high[::-1], cells - 1 - crossed,
+                                 cells)] - row_start
     start, period = series.start_index, series.period_ms
     span_s = ((start + last) * period - (start + first) * period) / 1000.0
+    rates = np.zeros(rows * width)
     rates[crossed] = count[crossed] / span_s
-    return rates
+    return rates.reshape(rows, width)[:, :size].mean(axis=0)
 
 
 def level_crossing_rate(series: SinrSeries, threshold_db: float) -> float:
@@ -182,13 +198,19 @@ def level_crossing_rate(series: SinrSeries, threshold_db: float) -> float:
     A crossing happens at sample i when the series was at or above the
     threshold at i-1 and below it at i. The rate is the crossing count
     divided by the total time between the first and the last crossing;
-    fewer than two crossings give 0 Hz. Requires a finite threshold.
+    fewer than two crossings give 0 Hz. A block's rate is the mean over its
+    sensors of each sensor's rate, from one pass over the block. Requires a
+    finite threshold.
     """
     return float(_crossing_rates(series, np.array([threshold_db]))[0])
 
 
 def lcr_curve(series: SinrSeries, thresholds_db: np.ndarray) -> MetricsCurve:
-    """Level crossing rate over a threshold grid, by the rule of level_crossing_rate."""
+    """Level crossing rate over a threshold grid, by the rule of level_crossing_rate.
+
+    A block's curve is the mean over its sensors of each sensor's curve, from
+    one pass over the block.
+    """
     return MetricsCurve("lcr", thresholds_db, _crossing_rates(series, thresholds_db))
 
 

@@ -616,15 +616,15 @@ def test_curves_aggregate_over_sensors():
     result = run(config).runs[0]
     pooled = result.curves["coop"]["outage"]
     # Pooled outage equals the mean of the two per-sensor curves (equal
-    # sample counts), and the lcr curve is the per-sensor mean.
+    # sample counts), and the lcr curve is the per-sensor mean, byte for byte.
     coop = sinr_blocks(config)["coop"]
     per_sensor = [np.searchsorted(np.sort(coop[i]), pooled.thresholds_db, side="left") / 60.0
                   for i in (0, 1)]
     np.testing.assert_allclose(pooled.values, np.mean(per_sensor, axis=0), atol=1e-12)
     per_lcr = [lcr_curve(SinrSeries(coop[i], 120.0, 0), pooled.thresholds_db).values
                for i in (0, 1)]
-    np.testing.assert_allclose(result.curves["coop"]["lcr"].values,
-                               np.mean(per_lcr, axis=0), atol=1e-12)
+    assert (result.curves["coop"]["lcr"].values.tobytes()
+            == np.mean(per_lcr, axis=0).tobytes())
 
 
 def test_summary_rows_are_consistent_with_curves():

@@ -142,25 +142,41 @@ def near(grid):
         [float(np.nextafter(t, -math.inf)), t, float(np.nextafter(t, math.inf))]))
 
 
-@st.composite
-def series_on_grid(draw):
-    """A series and its grid, sampled at one of several periods from a drawn grid index.
-
-    The series either hits grid points and stays flat in runs, or trends up
-    or down in small steps, setting many new highs or lows. Grids include
-    the default one, one-threshold grids and grids spanning a few ulps.
-    """
-    grid = draw(any_grid)
+def _row(draw, grid):
+    """Flat runs on and off grid points, or a trend of small steps up or down."""
     if draw(st.booleans()):
         level = st.one_of(near(grid), st.floats(-45.0, 45.0))
         runs = draw(st.lists(st.tuples(level, st.integers(1, 4)), min_size=1, max_size=60))
-        values = np.repeat([v for v, _ in runs], [k for _, k in runs])
-    else:
-        trend = draw(st.sampled_from([-1.0, 1.0]))
-        steps = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=120))
-        values = draw(st.floats(-45.0, 45.0)) + trend * np.cumsum(steps)
+        return np.repeat([v for v, _ in runs], [k for _, k in runs])
+    trend = draw(st.sampled_from([-1.0, 1.0]))
+    steps = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=120))
+    return draw(st.floats(-45.0, 45.0)) + trend * np.cumsum(steps)
+
+
+@st.composite
+def series_on_grid(draw):
+    """A series or block and its grid, sampled at one of several periods from a drawn
+    grid index.
+
+    The block has 1-3 rows of the first row's length (the others are cut or
+    repeated to it); one row may also come as a 1-D series. Each row either
+    hits grid points and stays flat in runs, or trends up or down in small
+    steps, setting many new highs or lows. Grids include the default one,
+    one-threshold grids and grids spanning a few ulps.
+    """
+    grid = draw(any_grid)
+    rows = [_row(draw, grid) for _ in range(draw(st.integers(1, 3)))]
+    values = np.array([np.resize(row, rows[0].size) for row in rows])
+    if len(rows) == 1 and draw(st.booleans()):
+        values = values[0]
     period = draw(st.sampled_from([0.5, 1.0, 7.5, 15.0, 120.0]))
     return SinrSeries(values, period, draw(st.integers(0, 40_000))), grid
+
+
+def row_series(sinr):
+    """Each row of a series or block as a series of its own."""
+    return [SinrSeries(row, sinr.period_ms, sinr.start_index)
+            for row in np.atleast_2d(sinr.values_db)]
 
 
 @given(any_grid.flatmap(lambda grid: st.tuples(st.just(grid), st.lists(
@@ -185,7 +201,8 @@ def test_lcr_curve_equals_the_definition_on_a_long_series():
 @example((series([0.5, -1.0, 2.0, 0.5, 2.0, 0.5]), np.array([0.0, 1.0])))
 def test_lcr_curve_equals_the_per_threshold_definition(case):
     sinr, grid = case
-    want = np.array([level_crossing_rate_reference(sinr, float(t)) for t in grid])
+    want = np.mean([[level_crossing_rate_reference(row, float(t)) for t in grid]
+                    for row in row_series(sinr)], axis=0)
     got = lcr_curve(sinr, grid).values
     assert got.tobytes() == want.tobytes()
     assert np.all(got >= 0.0)
@@ -195,7 +212,7 @@ def test_lcr_curve_equals_the_per_threshold_definition(case):
 def test_lcr_at_one_threshold_equals_the_definition(case, threshold):
     sinr, grid = case
     for t in (threshold, float(grid[0])):
-        want = level_crossing_rate_reference(sinr, t)
+        want = np.mean([level_crossing_rate_reference(row, t) for row in row_series(sinr)])
         got = level_crossing_rate(sinr, t)
         assert got == want and got >= 0.0
 

@@ -202,7 +202,7 @@ def test_a_checkout_outside_git_records_an_unknown_commit_and_dirtiness(tmp_path
 
 # Stands in for perfbench/run.py: it logs the bytecode prefix it runs under and whether
 # the bytecode of a module beside it was already there, imports that module and prints a
-# result.
+# result, whose wall_s is 100 on a cold run and 1 on a warm one.
 STUB_PREFIX = """
 import importlib.util, json, os
 from pathlib import Path
@@ -214,7 +214,7 @@ with (here / "prefixes.log").open("a") as log:
     log.write(json.dumps({"prefix": os.environ.get("PYTHONPYCACHEPREFIX"),
                           "cached": str(cached), "warm": warm}) + "\\n")
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
-                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+                  "metrics": {"wall_s": {"value": 1.0 if warm else 100.0, "unit": "s"}}}))
 """
 
 
@@ -233,15 +233,19 @@ def test_each_side_runs_under_its_own_fresh_bytecode_prefix(tmp_path, capsys, mo
                              "bound": 0.25}]}))
     assert bench_pairs.main(["--base", str(roots["base"]), "--change", str(roots["change"]),
                              "--workload", "w", "--seeds", "1..2"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    # The cold warm-up's wall_s of 100 is discarded: every recorded run reads 1.
+    assert out.count("result discarded") == 2
+    assert "wall_s         s     1 [1, 1]" in out
     prefixes = {}
     for side, root in roots.items():
         runs = [json.loads(line)
                 for line in (root / "perfbench" / "prefixes.log").read_text().splitlines()]
-        # One prefix for all four of the side's runs: the first compiles, the rest read.
-        assert len(runs) == 4
+        # One prefix for the warm-up and the side's four recorded runs: the warm-up
+        # compiles, and the first recorded run already reads.
+        assert len(runs) == 5
         assert len({run["prefix"] for run in runs}) == 1
-        assert [run["warm"] for run in runs] == [False, True, True, True]
+        assert [run["warm"] for run in runs] == [False, True, True, True, True]
         prefix = prefixes[side] = Path(runs[0]["prefix"])
         assert Path(runs[0]["cached"]).is_relative_to(prefix)
         assert not (root / "perfbench" / "__pycache__").exists()

@@ -19,9 +19,11 @@ the base median, else "unresolved" when the base's quartile spread exceeds
 that much and not every change value beats every base value, else "no
 worse". Each side compiles its bytecode into its own fresh
 ``PYTHONPYCACHEPREFIX``, a directory that the session creates outside both
-checkouts and removes at its end: every module is compiled on the side's
-first run and read back on its later ones, so whatever ``__pycache__`` a
-checkout holds warms neither side's cold starts. SIGTERM ends the running
+checkouts and removes at its end, so whatever ``__pycache__`` a checkout
+holds warms neither side's cold starts. Before the first pair each side
+runs once at the first seed as a warm-up that compiles every module it
+imports; the warm-up is printed and its result discarded, so every
+recorded run reads its bytecode back. SIGTERM ends the running
 ``perfbench/run.py`` process before the script exits.
 """
 
@@ -119,8 +121,12 @@ def main(argv=None) -> int:
     correct = {side: True for side in SIDES}
     print("pair seed first " + " ".join(f"{m['name']}(base,change)" for m in metrics))
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        # Not yet created: each side's first run compiles everything it imports.
+        # Not yet created: each side's warm-up compiles everything it imports.
         prefixes = {side: str(Path(scratch) / side) for side in SIDES}
+        for side in SIDES:
+            print(f"warm-up {side} seed {args.seeds[0]}: result discarded", flush=True)
+            run_perfbench(roots[side], args.workload, args.seeds[0], seconds, trace=0,
+                          pycache_prefix=prefixes[side])
         for k, seed in enumerate(args.seeds):
             order = run_order(k)
             runs = {side: [] for side in SIDES}
