@@ -135,26 +135,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "opportunistic relaying")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, summary in [
+            ("simulate", _cmd_simulate, "run one experiment"),
+            ("sweep", _cmd_sweep, "run the combination matrix with repetitions"),
+            ("gen-traces", _cmd_gen_traces, "write the synthetic source traces")]:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment YAML file")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the config master seed")
         p.add_argument("--quiet", action="store_true", help="suppress console output")
-
-    p = sub.add_parser("simulate", help="run one experiment")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="run the combination matrix with repetitions")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("gen-traces", help="write the synthetic source traces")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_gen_traces)
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("overlay-traces",
                        help="overlay extracted shadowing onto a base trace")

@@ -5,12 +5,13 @@ radio, channels, metrics, interference, sweep) plus the network
 definitions and the run settings. Each section is read by one
 ``_Section``: a key that is absent takes the default of the class it
 configures, a key that nothing reads is an error, and every error names
-the offending key by its full dotted path.
+the offending key by its full dotted path. The loader checks only what is
+about the text: keys, YAML types and shapes, and spellings. Each rule on a
+value lives in the record the value builds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -19,7 +20,7 @@ import yaml
 
 from .channel import BodyLocation, FieldError, LinkId, SyntheticChannelParams
 from .engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
-                     SyntheticChannelSource, _anchor_pairs, _distance_key, source_links)
+                     SyntheticChannelSource, _anchor_pairs, _distance_key)
 from .metrics import threshold_grid
 from .network import MacConfig, NodeSpec, WbanConfig
 from .relaying import NoiseModel
@@ -72,13 +73,6 @@ def _as_float(value, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _as_positive(value, key: str) -> float:
-    number = _as_float(value, key)
-    if not (math.isfinite(number) and number > 0):
-        raise ConfigError(f"{key}: expected a positive finite number, got {value!r}")
-    return number
-
-
 def _as_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
@@ -89,15 +83,14 @@ def _as_power(value, key: str) -> float:
     return float("-inf") if value in ("-inf", "mute") else _as_float(value, key)
 
 
-def _as_ints(value, key: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
+def _as_ints(value, key: str, nonempty: bool = False) -> tuple[int, ...]:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"{key}: expected a {'nonempty ' if nonempty else ''}list of "
+                          f"integers, got {value!r}")
     return tuple(_as_int(v, key) for v in value)
 
 
 def _as_start_indices(value, key: str) -> tuple[int, ...] | None:
-    if value is not None and not (isinstance(value, list) and value):
-        raise ConfigError(f"{key}: expected a nonempty list of integers")
     return None if value is None else _as_ints(value, key)
 
 
@@ -130,7 +123,7 @@ def _parse_distances(value, key: str, anchor: BodyLocation) -> dict[tuple[str, s
         if pair not in read:
             raise ConfigError(f"{name}: interference from source_location {anchor} reads "
                               f"only {', '.join(map('-'.join, read))}")
-        written[pair] = _as_positive(metres, name)
+        written[pair] = _as_float(metres, name)
     return {**RadioConfig().link_distances_m, **written}
 
 
@@ -164,11 +157,11 @@ class _Section:
         value = self.get(key, required=required)
         return self._child(None if value is _ABSENT else value, self.name(key))
 
-    def sections(self, key: str, expected: str, ok=bool) -> list[_Section]:
-        """The mappings in the list under ``key``; ``ok`` judges the list's length."""
+    def sections(self, key: str, what: str) -> list[_Section]:
+        """The mappings in the nonempty list under ``key``, a list of ``what``."""
         items = self.get(key, required=True)
-        if not isinstance(items, list) or not ok(len(items)):
-            raise ConfigError(f"{self.name(key)}: expected {expected}")
+        if not (isinstance(items, list) and items):
+            raise ConfigError(f"{self.name(key)}: expected a nonempty list of {what}")
         return [self._child(item, f"{self.name(key)}[{k}]") for k, item in enumerate(items)]
 
     def _child(self, raw, path: str) -> _Section:
@@ -210,10 +203,8 @@ def _wban(section: _Section) -> WbanConfig:
         WbanConfig,
         section.get("subject", _as_int, required=True),
         _node(section.section("hub", required=True)),
-        tuple(_node(relay) for relay in section.sections(
-            "relays", "a list of exactly 2 nodes", lambda n: n == 2)),
-        tuple(_node(sensor) for sensor in section.sections(
-            "sensors", "a nonempty list of nodes")))
+        tuple(_node(relay) for relay in section.sections("relays", "nodes")),
+        tuple(_node(sensor) for sensor in section.sections("sensors", "nodes")))
 
 
 def _shadow(section: _Section, base: SyntheticChannelParams | None = None,
@@ -243,11 +234,11 @@ def _channels(section: _Section, config_dir: Path):
     by_link, keys = {}, {}
     for link_text in overrides.raw:
         link = _parse_link(link_text, overrides.name(link_text))
-        if keys.setdefault(str(link), link_text) != link_text:
+        if keys.setdefault(link, link_text) != link_text:
             raise ConfigError(f"{overrides.name(link_text)}: the link {link} is overridden "
-                              f"twice, also by {overrides.name(keys[str(link)])}")
-        by_link[str(link)] = _shadow(overrides.section(link_text),
-                                     on_body if link.is_intra else inter_body)
+                              f"twice, also by {overrides.name(keys[link])}")
+        by_link[link] = _shadow(overrides.section(link_text),
+                                on_body if link.is_intra else inter_body)
     return synthetic.build(
         SyntheticChannelSource,
         sample_period_ms=synthetic.get("sample_period_ms", _as_float),
@@ -265,16 +256,6 @@ def _thresholds(metrics: _Section):
         raise ConfigError(f"{metrics.name('threshold_{start,stop,step}_db')}: {exc}") from None
 
 
-def _check_overrides(config: ExperimentConfig) -> None:
-    """Reject a synthetic override of a link that neither simulate nor a sweep pair fetches."""
-    if not (isinstance(config.channels, SyntheticChannelSource) and config.channels.overrides):
-        return
-    read = {str(link) for link in source_links(config)}
-    for text in config.channels.overrides:
-        if text not in read:
-            raise ConfigError(f"channels.synthetic.overrides.{text}: no run reads this link")
-
-
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Load and validate an experiment configuration file."""
     path = Path(path)
@@ -288,8 +269,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     top = _Section(_as_mapping(raw, str(path)), "")
 
-    wbans = tuple(_wban(w) for w in top.sections(
-        "wbans", "a nonempty list of network definitions"))
+    wbans = tuple(_wban(w) for w in top.sections("wbans", "network definitions"))
     section = top.section("mac")
     mac = section.build(MacConfig,
                         section.get("n_coexisting", _as_int, required=True),
@@ -307,7 +287,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     anchor = ExperimentConfig.interferer_source_location if anchor is _ABSENT else anchor
     channels = _channels(top.section("channels", required=True), path.parent)
     seed = top.get("seed", _as_int)
-    config = top.build(
+    return top.build(
         ExperimentConfig,
         wbans=wbans,
         victim_subject=top.get("victim", _as_int, required=True),
@@ -317,7 +297,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         noise=noise.build(NoiseModel,
                           noise_floor_dbm=noise.get("noise_floor_dbm", _as_float)),
         radio=radio.build(RadioConfig,
-                          frequency_hz=radio.get("frequency_hz", _as_positive),
+                          frequency_hz=radio.get("frequency_hz", _as_float),
                           link_distances_m=radio.get("link_distances_m",
                                                      partial(_parse_distances, anchor=anchor))),
         channels=channels,
@@ -327,7 +307,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         thresholds_db=_thresholds(metrics),
         lcr_ref_threshold_db=metrics.get("lcr_ref_threshold_db", _as_float),
         interferer_source_location=anchor,
-        sweep_victims=sweep.get("victims", _as_ints),
-        sweep_interferers=sweep.get("interferers", _as_ints))
-    _check_overrides(config)
-    return config
+        # The record reads () as a sweep key left out, so an empty list would sweep
+        # the default.
+        sweep_victims=sweep.get("victims", partial(_as_ints, nonempty=True)),
+        sweep_interferers=sweep.get("interferers", partial(_as_ints, nonempty=True)))

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkError,
+from .channel import (BodyLocation, ChannelTrace, FieldError, LinkId, MissingLinkError,
                       SyntheticChannelParams, TraceError, downsample, extract_shadowing,
                       generate_synthetic, load_trace, overlay)
 from .metrics import (MetricsCurve, MetricsError, SinrSeries, empirical_outage,
@@ -43,15 +43,15 @@ class SyntheticChannelSource:
     """Generates every required trace with the AR(1) shadowing model.
 
     on_body parameters apply to links within a subject, inter_body to
-    links between subjects; overrides (keyed by link string) replace the
-    class parameters for individual links.
+    links between subjects; overrides (keyed by link) replace the class
+    parameters for individual links.
     """
 
     sample_period_ms: float = 120.0
     duration_ms: float = 4_800_000.0
     on_body: SyntheticChannelParams = SyntheticChannelParams(-55.0, 6.0, 240.0)
     inter_body: SyntheticChannelParams = SyntheticChannelParams(-70.0, 6.0, 500.0)
-    overrides: Mapping[str, SyntheticChannelParams] = field(default_factory=dict)
+    overrides: Mapping[LinkId, SyntheticChannelParams] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.sample_period_ms) and self.sample_period_ms > 0.0):
@@ -62,7 +62,7 @@ class SyntheticChannelSource:
                              f"{self.duration_ms}")
 
     def params_for(self, link: LinkId) -> SyntheticChannelParams:
-        override = self.overrides.get(str(link))
+        override = self.overrides.get(link)
         if override is not None:
             return override
         return self.on_body if link.is_intra else self.inter_body
@@ -114,11 +114,20 @@ def _anchor_pairs(anchor: BodyLocation) -> list[tuple[str, str]]:
 
 @dataclass(frozen=True, eq=False)
 class RadioConfig:
-    """Carrier frequency and inter-device distances for shadowing extraction."""
+    """Carrier frequency and inter-device distances for shadowing extraction, each
+    positive and finite; a ``FieldError`` names a distance by its pair, as
+    ``link_distances_m.C-LH``."""
 
     frequency_hz: float = 2.36e9
     link_distances_m: Mapping[tuple[str, str], float] = field(
         default_factory=lambda: {("C", "LH"): 0.40, ("LH", "RH"): 0.30})
+
+    def __post_init__(self):
+        for name, value in [("frequency_hz", self.frequency_hz),
+                            *((f"link_distances_m.{'-'.join(pair)}", metres)
+                              for pair, metres in self.link_distances_m.items())]:
+            if not (math.isfinite(value) and value > 0):
+                raise FieldError(name, f"expected a positive finite number, got {value!r}")
 
     def distance_m(self, a: BodyLocation, b: BodyLocation) -> float:
         key = _distance_key(a, b)
@@ -212,6 +221,13 @@ class ExperimentConfig:
         if not math.isfinite(self.lcr_ref_threshold_db):
             raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
                               f"got {self.lcr_ref_threshold_db}")
+        # An override that neither simulate nor a sweep pair fetches would change nothing.
+        if isinstance(self.channels, SyntheticChannelSource) and self.channels.overrides:
+            read = set(source_links(self))
+            for link in self.channels.overrides:
+                if link not in read:
+                    raise ConfigError(f"channels.synthetic.overrides.{link}: "
+                                      "no run reads this link")
 
     def wban(self, subject: int) -> WbanConfig:
         for wban in self.wbans:

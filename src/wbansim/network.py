@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BodyLocation, _linear
+from .channel import BodyLocation, FieldError, _linear
 
 COORDINATOR_LOCATIONS = frozenset(
     {BodyLocation.CHEST, BodyLocation.LEFT_HIP, BodyLocation.RIGHT_HIP})
@@ -58,9 +58,9 @@ class WbanConfig:
 
     def __post_init__(self):
         if len(self.relays) != 2:
-            raise ValueError("exactly two relay nodes are required")
+            raise FieldError("relays", "exactly two relay nodes are required")
         if not 1 <= len(self.sensors) <= 3:
-            raise ValueError("one to three sensor nodes are required")
+            raise FieldError("sensors", "one to three sensor nodes are required")
         coord_locs = {self.hub.location, self.relays[0].location, self.relays[1].location}
         if len(coord_locs) != 3 or not coord_locs <= COORDINATOR_LOCATIONS:
             raise ValueError("hub and relays must occupy three distinct locations "

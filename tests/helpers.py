@@ -47,9 +47,9 @@ def with_on_body_coherence(config: ExperimentConfig, coherence_time_ms: float,
     if not isinstance(source, SyntheticChannelSource):
         raise ConfigError("channels: coherence variation needs a synthetic source")
     overrides = {
-        text: (replace(params, coherence_time_ms=coherence_time_ms)
-               if LinkId.parse(text).is_intra else params)
-        for text, params in source.overrides.items()}
+        link: (replace(params, coherence_time_ms=coherence_time_ms)
+               if link.is_intra else params)
+        for link, params in source.overrides.items()}
     new_source = replace(source,
                          on_body=replace(source.on_body,
                                          coherence_time_ms=coherence_time_ms),

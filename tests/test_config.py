@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wbansim import cli, config as config_module, engine
-from wbansim.channel import BodyLocation, LinkId
-from helpers import sinr_blocks, with_on_body_coherence
+from wbansim.channel import BodyLocation, FieldError, LinkId
+from helpers import C, HD, LH, LW, RH, sinr_blocks, with_on_body_coherence
 from wbansim.cli import main
 from wbansim.config import load_config
-from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
+from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig, RadioConfig,
                             SyntheticChannelSource, run, sweep)
+from wbansim.network import NodeSpec, WbanConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -145,10 +147,19 @@ def test_bad_values_are_named(tmp_path):
         load_config(write_config(tmp_path, BASE.replace("slot_len_ms: 60.0",
                                                         "slot_len_ms: 1.0e308")))
     # A dB quantity whose linear value is not a finite float fails at load, by
-    # key, as do a victim sensor or noise floor of 0 mW and an override that no
-    # run reads.
+    # key, as do a victim sensor or noise floor of 0 mW, an override that no
+    # run reads, a node count out of range, and a distance, which the record
+    # names by its pair's sorted spelling.
     head, tail = BASE.rsplit("hub: {location: C}", 1)
     for text, key in [
+            (BASE + "radio: {link_distances_m: {LH-C: .nan}}\n",
+             "radio.link_distances_m.C-LH: expected a positive finite number, got nan"),
+            (BASE.replace("      - {location: RH}\n",
+                          "      - {location: RH}\n      - {location: HD}\n", 1),
+             "wbans[0].relays: exactly two relay nodes are required"),
+            (BASE.replace("      - {location: HD}\n", "      - {location: HD}\n      - "
+                          "{location: LW}\n      - {location: RW}\n      - {location: B}\n", 1),
+             "wbans[0].sensors: one to three sensor nodes are required"),
             (head + "hub: {location: C, tx_power_dbm: 4000}" + tail,
              "wbans[1].hub.tx_power_dbm"),
             (BASE.replace("{location: HD}", "{location: HD, tx_power_dbm: 4000}", 1),
@@ -213,9 +224,53 @@ def test_an_override_that_simulate_or_a_sweep_pair_reads_loads_and_runs(
         tmp_path, base, link, sweep_text):
     text = base + f'    overrides: {{"{link}": {{mean_gain_db: -40.0}}}}\n' + sweep_text
     config = load_config(write_config(tmp_path, text))
-    assert config.channels.overrides[link].mean_gain_db == -40.0
+    assert config.channels.overrides[LinkId.parse(link)].mean_gain_db == -40.0
     run(config)
     sweep(config)
+
+
+def _default_overriding(link: str) -> ExperimentConfig:
+    """The default config, rebuilt in Python with an override on ``link``."""
+    default = load_config(DEFAULT_CONFIG)
+    overrides = {LinkId.parse(link): default.channels.on_body}
+    return replace(default, channels=replace(default.channels, overrides=overrides))
+
+
+def _wban(relays=(LH, RH), sensors=(HD,)) -> WbanConfig:
+    return WbanConfig(1, NodeSpec(C), tuple(map(NodeSpec, relays)),
+                      tuple(map(NodeSpec, sensors)))
+
+
+@pytest.mark.parametrize("build,field", [
+    pytest.param(lambda: RadioConfig(frequency_hz=0.0), "frequency_hz", id="frequency 0"),
+    *[pytest.param(lambda m=metres: RadioConfig(link_distances_m={("C", "LH"): m}),
+                   "link_distances_m.C-LH", id=f"distance {metres}")
+      for metres in (0.0, math.nan, math.inf)],
+    pytest.param(lambda: _wban(relays=(LH,)), "relays", id="1 relay"),
+    pytest.param(lambda: _wban(relays=(LH, RH, HD)), "relays", id="3 relays"),
+    pytest.param(lambda: _wban(sensors=()), "sensors", id="0 sensors"),
+    pytest.param(lambda: _wban(sensors=(HD, LW, BodyLocation.RIGHT_WRIST,
+                                        BodyLocation.BACK)), "sensors", id="4 sensors"),
+    pytest.param(lambda: _default_overriding("1:LW->1:C"),
+                 "channels.synthetic.overrides.1:LW->1:C", id="override no run reads"),
+])
+def test_a_config_built_in_python_meets_every_record_rule(build, field):
+    # No loader runs: each record holds its rule, and dataclasses.replace runs it.
+    with pytest.raises((FieldError, ConfigError)) as raised:
+        build()
+    assert str(raised.value).startswith(f"{field}: ")
+    if isinstance(raised.value, FieldError):
+        assert raised.value.field == field
+
+
+@pytest.mark.parametrize("sweep_text,key", [
+    ("sweep: {victims: [1], interferers: []}\n", "sweep.interferers"),
+    ("sweep: {victims: []}\n", "sweep.victims")], ids=["interferers", "victims"])
+def test_an_empty_sweep_list_fails_at_load(tmp_path, sweep_text, key):
+    # The record reads an empty list as the key left out, which sweeps the default.
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected a nonempty list "
+                                          r"of integers, got \[\]$"):
+        load_config(write_config(tmp_path, BASE + sweep_text))
 
 
 def test_two_spellings_of_one_overridden_link_fail_at_load(tmp_path):
@@ -403,10 +458,10 @@ def test_link_overrides_merge_over_class_params(tmp_path):
       "2:LH->1:LH": {mean_gain_db: -80.0}
 """)
     source = load_config(write_config(tmp_path, text)).channels
-    override = source.overrides["1:HD->1:C"]
+    override = source.overrides[LinkId.parse("1:HD->1:C")]
     assert (override.mean_gain_db, override.shadow_sigma_db,
             override.coherence_time_ms) == (-55.0, 2.0, 240.0)
-    cross = source.overrides["2:LH->1:LH"]
+    cross = source.overrides[LinkId.parse("2:LH->1:LH")]
     assert (cross.mean_gain_db, cross.coherence_time_ms) == (-80.0, 500.0)
     assert source.params_for(LinkId.parse("1:HD->1:C")) == override
     assert source.params_for(LinkId.parse("1:HD->1:LH")) == source.on_body
@@ -441,7 +496,8 @@ start_indices: [0, 5, 9]
     assert config.sweep_interferers == (1, 2)
     assert config.repetitions == 3
     assert config.start_indices == (0, 5, 9)
-    with pytest.raises(ConfigError, match="start_indices"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "start_indices lists 0 entries but repetitions is 1")):
         load_config(write_config(tmp_path, BASE + "\nstart_indices: []\n"))
     # start_indices is the one start pin; a single start_index is no key.
     with pytest.raises(ConfigError, match=re.escape("top level: unknown key(s) start_index")):
@@ -482,9 +538,10 @@ def test_coherence_swap_touches_on_body_only(tmp_path):
     swapped = with_on_body_coherence(config, 5000.0)
     assert swapped.channels.on_body.coherence_time_ms == 5000.0
     assert swapped.channels.inter_body.coherence_time_ms == 500.0
-    assert swapped.channels.overrides["1:HD->1:C"].coherence_time_ms == 5000.0
-    assert swapped.channels.overrides["1:HD->1:C"].shadow_sigma_db == 2.0
-    assert swapped.channels.overrides["2:LH->1:LH"].coherence_time_ms == 500.0
+    intra, cross = LinkId.parse("1:HD->1:C"), LinkId.parse("2:LH->1:LH")
+    assert swapped.channels.overrides[intra].coherence_time_ms == 5000.0
+    assert swapped.channels.overrides[intra].shadow_sigma_db == 2.0
+    assert swapped.channels.overrides[cross].coherence_time_ms == 500.0
     # The original is untouched.
     assert config.channels.on_body.coherence_time_ms == 240.0
 

@@ -1,6 +1,7 @@
 """The gain rule, the no-regression verdict, seed ranges and bytecode prefixes of
 tools/bench_pairs.py, how the benchmark tools end their child on SIGTERM, and what
-tools/bench_record.py records of a checkout outside git and of a run that is not correct."""
+tools/bench_record.py records of a checkout outside git, of a run that is not correct and
+of a run far off its median."""
 
 import argparse
 import json
@@ -198,6 +199,33 @@ def test_a_checkout_outside_git_records_an_unknown_commit_and_dirtiness(tmp_path
     result = record(tmp_path, 1)
     assert result["git_commit"] == "unknown"
     assert result["git_dirty"] is None
+
+
+# Stands in for perfbench/run.py: its wall_s and peak_rss_mb depend on --seed.
+STUB_BY_SEED = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": {1: 1.0, 2: 1.2, 3: 1.6}[seed], "unit": "s"},
+                              "peak_rss_mb": {"value": 10.0 * seed, "unit": "MiB"}}}))
+"""
+
+
+def test_a_run_further_from_its_median_than_the_bound_is_flagged(tmp_path, capsys):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_BY_SEED)
+    # peak_rss_mb spreads widest but declares no bound, so nothing judges it.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}],
+         "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    entry = record(tmp_path, 3)["workloads"]["w"]
+    # Seed 1 is 0.2 s from the median of 1.2 s, inside 0.25 of it; seed 3 is 0.4 s off.
+    assert entry["outliers"] == [{"metric": "wall_s", "seed": 3, "value": 1.6, "median": 1.2}]
+    assert entry["end_to_end"]["wall_s"]["median"] == 1.2
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: w --seed 3: wall_s 1.6 differs from the median 1.2 by more "
+                        "than the bound (0.25 of the median)"]
 
 
 # Stands in for perfbench/run.py: it logs the bytecode prefix it runs under and whether

@@ -10,7 +10,10 @@ process. The file, written at the root of the repository this script sits
 in, holds per workload the median of every metric over the runs, the
 end-to-end values of each run, the attempted and failed operation counts,
 whether every run was correct and, for each run that was not, its seed,
-trace flag and the ``problem:`` lines it printed to stderr; plus the
+trace flag and the ``problem:`` lines it printed to stderr, and as
+``outliers`` each end-to-end value further from its median than the
+metric's ``bound`` (a fraction of the median), which it also prints as a
+warning; plus the
 checkout's git commit and whether its tracked files differ from it
 ("unknown" and null outside a git work tree), and the host's processor
 count and CPU model. Runs alternate between workloads, so a slow spell of
@@ -89,6 +92,7 @@ def record(root: Path, runs: int) -> dict:
     """Every workload of the checkout, untraced and traced, ``runs`` times."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     results = {name: {0: [], 1: []} for name in names}
     for seed in range(1, runs + 1):
@@ -112,6 +116,16 @@ def record(root: Path, runs: int) -> dict:
                           for m in metrics}
         for m, summary in entry["end_to_end"].items():
             summary["runs"] = [r["metrics"][m]["value"] for r in by_trace[0]]
+        # The median hides a run that is far off it; name each such run.
+        entry["outliers"] = [
+            {"metric": m, "seed": seed, "value": value, "median": summary["median"]}
+            for m, summary in entry["end_to_end"].items() if m in bounds
+            for seed, value in enumerate(summary["runs"], start=1)
+            if abs(value - summary["median"]) > bounds[m] * abs(summary["median"])]
+        for o in entry["outliers"]:
+            print(f"warning: {name} --seed {o['seed']}: {o['metric']} {o['value']:.4g} differs "
+                  f"from the median {o['median']:.4g} by more than the bound "
+                  f"({bounds[o['metric']]:g} of the median)", file=sys.stderr)
         workloads[name] = entry
     status = _git(root, "status", "--porcelain", "--untracked-files=no")
     return {"git_commit": _git(root, "rev-parse", "HEAD") or "unknown",
