@@ -13,12 +13,11 @@ whether every run was correct and, for each run that was not, its seed,
 trace flag and the ``problem:`` lines it printed to stderr, and as
 ``outliers`` each end-to-end value further from its median than the
 metric's ``bound`` (a fraction of the median), which it also prints as a
-warning; plus the
-checkout's git commit and whether its tracked files differ from it
-("unknown" and null outside a git work tree), and the host's processor
-count and CPU model. Runs alternate between workloads, so a slow spell of
-the host spreads over all of them. SIGTERM ends the running
-``perfbench/run.py`` process before the script exits.
+warning; plus the checkout's git commit and whether its tracked files
+differ from it ("unknown" and null outside a git work tree), and the
+host's processor count and CPU model. Runs alternate between workloads,
+so a slow spell of the host spreads over all of them. SIGTERM ends the
+running ``perfbench/run.py`` process before the script exits.
 """
 
 from __future__ import annotations
