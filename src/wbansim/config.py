@@ -90,10 +90,6 @@ def _as_ints(value, key: str, nonempty: bool = False) -> tuple[int, ...]:
     return tuple(_as_int(v, key) for v in value)
 
 
-def _as_start_indices(value, key: str) -> tuple[int, ...] | None:
-    return None if value is None else _as_ints(value, key)
-
-
 def _parse_location(value, key: str) -> BodyLocation:
     try:
         return BodyLocation.parse(value)
@@ -303,7 +299,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         channels=channels,
         master_seed=seed if seed_override is None else seed_override,
         repetitions=top.get("repetitions", _as_int),
-        start_indices=top.get("start_indices", _as_start_indices),
+        start_indices=top.get("start_indices", _as_ints),
         thresholds_db=_thresholds(metrics),
         lcr_ref_threshold_db=metrics.get("lcr_ref_threshold_db", _as_float),
         interferer_source_location=anchor,

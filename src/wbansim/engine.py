@@ -308,44 +308,62 @@ def assemble_channels(config: ExperimentConfig, subject: int,
     with the shadowing extracted from the victim's on-body anchor-to-
     location trace for the other device locations. Every link the source
     lacks is named in one MissingLinkError. It returns the gains in mW.
+
+    The role arrays are filled row by row. The on-body traces live until
+    their rows and the donors' shadowing exist, and each interferer's base
+    and overlays until its rows are written, so no two interferers' traces
+    are held at once.
     """
     victim = config.wban(subject)
     anchor = config.interferer_source_location
     seed = channel_seed(config)
-
-    traces: dict[LinkId, ChannelTrace] = {}
     missing: list[str] = []
-    for link in required_source_links(config, subject, interferers):
+
+    def fetch(link: LinkId) -> ChannelTrace | None:
         try:
-            traces[link] = downsample(config.channels.trace(link, seed),
-                                      config.epoch_period_ms)
+            return downsample(config.channels.trace(link, seed), config.epoch_period_ms)
         except MissingLinkError as exc:
             missing.append(str(exc))
+            return None
+
+    bases = {u: LinkId(u, anchor, subject, anchor) for u in interferers}
+    traces = {link: fetch(link) for link in required_source_links(config, subject, interferers)
+              if link.is_intra}
     if missing:
+        for link in bases.values():
+            fetch(link)
         raise MissingLinkError("; ".join(missing))
 
     receivers = _device_locations(victim)
-    n = min(trace.n_samples for link, trace in traces.items() if link.is_intra)
-
-    def on_body(tx: BodyLocation, rx: BodyLocation) -> np.ndarray:
-        return traces[LinkId(subject, tx, subject, rx)].samples[:n]
-
-    sensors = np.array([[on_body(sensor.location, rx) for sensor in victim.sensors]
-                        for rx in receivers])
-    relays = np.array([on_body(relay.location, receivers[0]) for relay in victim.relays])
+    n = min(trace.n_samples for trace in traces.values())
+    sensors = np.empty((len(receivers), len(victim.sensors), n))
+    for r, rx in enumerate(receivers):
+        for i, sensor in enumerate(victim.sensors):
+            sensors[r, i] = traces[LinkId(subject, sensor.location, subject, rx)].samples[:n]
+    relays = np.empty((len(victim.relays), n))
+    for k, relay in enumerate(victim.relays):
+        relays[k] = traces[LinkId(subject, relay.location, subject, receivers[0])].samples[:n]
     # Each non-anchor receiver's donor shadowing, shared by every interferer.
     donors = {loc: extract_shadowing(traces[LinkId(subject, anchor, subject, loc)],
                                      config.radio.distance_m(anchor, loc),
                                      config.radio.frequency_hz)
               for loc in receivers if loc != anchor} if interferers else {}
+    del traces
     foes = {}
-    for interferer in interferers:
-        base = traces[LinkId(interferer, anchor, subject, anchor)]
+    for interferer, link in bases.items():
+        base = fetch(link)
+        if base is None:
+            continue
         rows = [base if loc == anchor else
                 overlay(base, donors[loc], LinkId(interferer, anchor, subject, loc))
                 for loc in receivers]
         m = min(base.n_samples, *(row.n_samples for row in rows))
-        foes[interferer] = np.array([row.samples[:m] for row in rows])
+        foes[interferer] = np.empty((len(rows), m))
+        for gains, row in zip(foes[interferer], rows):
+            gains[:] = row.samples[:m]
+        del base, rows
+    if missing:
+        raise MissingLinkError("; ".join(missing))
     # In place, 10 ** (dB / 10) times the transmit power for sensors and relays; a
     # power beyond float range is left to the run, which names its sensor.
     with np.errstate(all="ignore"):
@@ -428,6 +446,11 @@ def _wrap(a: np.ndarray, cycle: float) -> np.ndarray:
     return a + cycle * (a < 0)
 
 
+# The epochs of one interferer's weights computed at once, so that the temporaries of
+# _interference_weights stay bounded however many epochs a run has.
+_WEIGHTS_BLOCK_EPOCHS = 4096
+
+
 def _interference_weights(config: ExperimentConfig, subject: int,
                           interferers: tuple[int, ...], offsets: Mapping[int, np.ndarray],
                           ) -> np.ndarray:
@@ -454,9 +477,6 @@ def _interference_weights(config: ExperimentConfig, subject: int,
     for weighted, interferer in zip(weights, interferers):
         i_layout = superframe_layout(config.wban(interferer), mac)
         i_end = max(rel_b + dur_b for rel_b, dur_b, _ in i_layout.transmissions)
-        # Both offsets lie in [0, cycle) and both relative starts in [0, slot),
-        # so every delta lies in (-2 cycle, 2 cycle), where _wrap is exact.
-        delta_base = offsets[interferer] - offsets[subject]
         # The interferer's active period starts gap after the victim's. When
         # v_end + margin <= gap <= cycle - i_end - margin, the exact delta of
         # every pair lies in [dur_a + margin, cycle - dur_b - margin], since
@@ -467,18 +487,24 @@ def _interference_weights(config: ExperimentConfig, subject: int,
         # zeros at +0.0: such epochs are skipped. Without room for the margins,
         # every epoch is kept.
         low, high = v_end + margin, cycle - i_end - margin
-        if low > high:
-            meet = slice(None)
-        else:
-            gap = _wrap(delta_base, cycle)
-            meet = np.flatnonzero((gap < low) | (gap > high))
-        met = delta_base[meet]
-        weighted_met = np.zeros((len(sub_intervals), met.size))
-        for rel_b, dur_b, node in i_layout.transmissions:
-            delta = _wrap((met + rel_b) - rel_a, cycle)
-            weighted_met += ((overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a)
-                             * node.tx_power_mw)
-        weighted[:, meet] = weighted_met
+        # Every step is elementwise, so a block of epochs gets the bytes of the whole.
+        for start in range(0, config.epochs, _WEIGHTS_BLOCK_EPOCHS):
+            block = slice(start, start + _WEIGHTS_BLOCK_EPOCHS)
+            # Both offsets lie in [0, cycle) and both relative starts in [0, slot),
+            # so every delta lies in (-2 cycle, 2 cycle), where _wrap is exact.
+            delta_base = offsets[interferer][block] - offsets[subject][block]
+            if low > high:
+                meet = slice(None)
+            else:
+                gap = _wrap(delta_base, cycle)
+                meet = np.flatnonzero((gap < low) | (gap > high))
+            met = delta_base[meet]
+            weighted_met = np.zeros((len(sub_intervals), met.size))
+            for rel_b, dur_b, node in i_layout.transmissions:
+                delta = _wrap((met + rel_b) - rel_a, cycle)
+                weighted_met += ((overlap_lengths(delta, dur_a, dur_b, cycle) / dur_a)
+                                 * node.tx_power_mw)
+            weighted[:, block][:, meet] = weighted_met
     return weights.reshape(len(interferers), 2, len(victim.sensors), config.epochs)
 
 
@@ -495,16 +521,21 @@ def _sinr_db(config: ExperimentConfig, subject: int, interferers: tuple[int, ...
     # Out-of-range values are found below, by block, and named.
     with np.errstate(all="ignore"):
         # The interferers' power, added in order: at each receiver while the
-        # sensors broadcast, and at the hub while the relays forward.
+        # sensors broadcast, and at the hub while the relays forward. Every product
+        # goes through one buffer, and the noise is added and the powers divided in
+        # place; addition commutes, so the bytes are those of noise + interference.
         broadcast = np.zeros(received.shape)
         forward = np.zeros(received.shape[1:])
+        product = np.empty(received.shape)
         for u, foe_weights in zip(interferers, weights):
             gains = channels.foes[u][:, window]
-            broadcast += gains[:, None] * foe_weights[0]
-            forward += gains[0] * foe_weights[1]
-        noise_mw = config.noise.noise_mw
-        nu_direct, *nu_sr = received / (noise_mw + broadcast)
-        nu_rh = channels.relays[:, None, window] / (noise_mw + forward)
+            broadcast += np.multiply(gains[:, None], foe_weights[0], out=product)
+            forward += np.multiply(gains[0], foe_weights[1], out=product[0])
+        del product
+        broadcast += config.noise.noise_mw
+        forward += config.noise.noise_mw
+        nu_direct, *nu_sr = np.divide(received, broadcast, out=broadcast)
+        nu_rh = channels.relays[:, None, window] / forward
         coop = cooperative_sinr(nu_direct, nu_sr, nu_rh)
         blocks = {"single": 10.0 * np.log10(nu_direct), "coop": 10.0 * np.log10(coop)}
     for scheme, block in blocks.items():

@@ -273,6 +273,19 @@ def test_an_empty_sweep_list_fails_at_load(tmp_path, sweep_text, key):
         load_config(write_config(tmp_path, BASE + sweep_text))
 
 
+@pytest.mark.parametrize("text,message", [
+    (BASE + "start_indices: ~\n", "start_indices: expected a list of integers, got None"),
+    (BASE.replace("interferers: [2]", "interferers: ~"),
+     "interferers: expected a list of integers, got None"),
+    (BASE + "sweep: {victims: ~}\n",
+     "sweep.victims: expected a nonempty list of integers, got None")],
+    ids=["start_indices", "interferers", "sweep.victims"])
+def test_a_null_list_fails_at_load(tmp_path, text, message):
+    # A null is no list: it neither leaves the starts to be drawn nor sweeps the default.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(write_config(tmp_path, text))
+
+
 def test_two_spellings_of_one_overridden_link_fail_at_load(tmp_path):
     text = BASE + ('    overrides: {"1:HD->1:C": {mean_gain_db: -40.0}, '
                    '"1:hd->1:c": {mean_gain_db: -45.0}}\n')

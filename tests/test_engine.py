@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from wbansim import engine
 from wbansim.channel import (BodyLocation, ChannelTrace, LinkId, MissingLinkError,
                              SyntheticChannelParams, downsample, fspl_db, load_trace,
                              save_trace)
+from wbansim.config import load_config
 from wbansim.engine import (ConfigError, CsvChannelSource, ExperimentConfig,
                             RadioConfig, SyntheticChannelSource, assemble_channels,
                             required_source_links, run, sweep)
 from wbansim.metrics import SinrSeries, empirical_outage, lcr_curve, threshold_at_outage
 from wbansim.network import MacConfig, superframe_layout
 from wbansim.seeding import substream
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
 
 def base_config(**kw):
@@ -175,6 +179,25 @@ def test_missing_trace_is_reported(tmp_path):
     named = str(error.value)
     assert all(f"link {link} in" in named for link in missing)
     assert f"link {present} in" not in named
+
+
+@pytest.mark.parametrize("lacks", ["both bases", "an on-body trace and a base"])
+def test_every_missing_link_is_named_once(tmp_path, lacks):
+    config = base_config(wbans=(make_wban(1), make_wban(2), make_wban(3)),
+                         interferer_subjects=(2, 3), channels=CsvChannelSource(tmp_path))
+    links = required_source_links(config, *simulate_pair(config))
+    on_body = [link for link in links if link.is_intra]
+    bases = [link for link in links if not link.is_intra]
+    assert len(bases) == 2
+    missing = bases if lacks == "both bases" else [on_body[1], bases[0]]
+    for k, link in enumerate(links):
+        if link not in missing:
+            save_trace(ChannelTrace(link, 120.0, np.full(8, -60.0)), tmp_path / f"t{k}.csv")
+    with pytest.raises(MissingLinkError) as error:
+        assemble_channels(config, *simulate_pair(config))
+    named = str(error.value)
+    for link in links:
+        assert named.count(f"link {link} in") == (link in missing), link
 
 
 def _assert_roles_equal_the_reference(config, subject, interferers):
@@ -362,6 +385,20 @@ def test_interference_weights_at_the_edges_of_the_skipped_gaps(
     foe_offsets = _fold(victim_offsets + np.tile(gaps, 3), cycle)
     config = base_config(wbans=(victim, interferer), mac=mac, epochs=victim_offsets.size)
     offsets = {1: victim_offsets, 2: foe_offsets}
+    _assert_weights_equal(config,
+                          engine._interference_weights(config, *simulate_pair(config), offsets),
+                          interference_weights_reference(config, offsets))
+
+
+@pytest.mark.parametrize("n_coexisting", [8, 2], ids=["skipping", "keeping every epoch"])
+def test_interference_weights_across_block_edges_equal_the_reference(n_coexisting):
+    # The properties above stay inside one block of epochs; this run spans three.
+    epochs = 2 * engine._WEIGHTS_BLOCK_EPOCHS + 17
+    wbans = (make_wban(1, sensor_locs=(HD, LW), relay_power=-3.0), make_wban(2, hub_power=2.0),
+             make_wban(3, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)))
+    config = base_config(wbans=wbans, mac=MacConfig(n_coexisting, 15.0), epochs=epochs,
+                         interferer_subjects=(2, 3))
+    offsets = engine._draw_offsets(config, (1, 2, 3))
     _assert_weights_equal(config,
                           engine._interference_weights(config, *simulate_pair(config), offsets),
                           interference_weights_reference(config, offsets))
@@ -805,6 +842,53 @@ def test_a_sweeps_peak_memory_does_not_grow_with_its_runs():
 
     sweep(config)  # imports and caches of the first sweep stay outside both peaks
     assert peak(12) - peak(2) < one_run_blocks
+
+
+def _traced_peak(call):
+    """What ``call()`` returns and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_holds_no_more_than_its_on_body_traces_and_two_in_flight():
+    """Beyond the role arrays it returns, assembly's traced peak stays below the
+    victim's on-body source traces plus two traces in flight. The default config
+    reads 6 on-body traces (the sensor's three hops, the relays' two and the donor
+    1:LH->1:RH), so the bound is 8 traces of 40 000 samples, 8 x 320 000 B. The
+    on-body traces end once their rows and the donors' shadowing exist, and each
+    interferer's base and overlays once its rows are written."""
+    config = load_config(DEFAULT_CONFIG)
+    pair = simulate_pair(config)
+    assemble_channels(config, *pair)  # the import of the generator stays outside the peak
+    channels, peak = _traced_peak(lambda: assemble_channels(config, *pair))
+    result = (channels.sensors.nbytes + channels.relays.nbytes
+              + sum(gains.nbytes for gains in channels.foes.values()))
+    on_body = sum(link.is_intra for link in required_source_links(config, *pair))
+    trace = channels.sensors.shape[-1] * channels.sensors.itemsize
+    assert (on_body, trace) == (6, 320_000)
+    assert peak - result < (on_body + 2) * trace
+
+
+def test_the_interference_weights_temporaries_do_not_grow_with_the_epochs():
+    """On a layout that keeps every epoch, the weights' traced peak beyond their output
+    grows by less than one (sub-interval, block) array, 2 x 4096 x 8 B = 64 KiB, from
+    2 blocks of epochs to 8: an interferer's epochs are weighed one block at a time.
+    Weighed all at once, each of its temporaries would grow by 2 x 6 x 4096 x 8 B."""
+    block = engine._WEIGHTS_BLOCK_EPOCHS
+
+    def beyond_output(blocks):
+        config = base_config(mac=MacConfig(2, 60.0), epochs=blocks * block)
+        offsets = engine._draw_offsets(config, (1, 2))
+        weights, peak = _traced_peak(
+            lambda: engine._interference_weights(config, *simulate_pair(config), offsets))
+        return peak - weights.nbytes
+
+    beyond_output(2)  # first-call caches stay outside both peaks
+    sub_intervals = 2  # one sensor's broadcast and forward
+    assert beyond_output(8) - beyond_output(2) < sub_intervals * block * 8
 
 
 def test_sweep_matrix_and_worker_equivalence():

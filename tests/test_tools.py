@@ -1,11 +1,12 @@
 """The gain rule, the no-regression verdict, seed ranges and bytecode prefixes of
 tools/bench_pairs.py, how the benchmark tools end their child on SIGTERM, and what
 tools/bench_record.py records of a checkout outside git, of a run that is not correct and
-of a run far off its median."""
+of a run far off its median, and the bytecode prefix and warm-ups it records under."""
 
 import argparse
 import json
 import os
+import py_compile
 import signal
 import subprocess
 import sys
@@ -283,3 +284,36 @@ def test_each_side_runs_under_its_own_fresh_bytecode_prefix(tmp_path, capsys, mo
         assert not any(prefix.is_relative_to(root) for root in roots.values())
         # The session made it and removes it.
         assert not prefix.exists()
+
+
+def test_a_recording_runs_under_one_fresh_bytecode_prefix_after_warm_ups(tmp_path, capsys,
+                                                                          monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_PREFIX)
+    (tmp_path / "perfbench" / "stubmod.py").write_text("VALUE = 1\n")
+    # Bytecode the checkout already holds warms no run.
+    stale = tmp_path / "perfbench" / "__pycache__" / f"stubmod.{sys.implementation.cache_tag}.pyc"
+    py_compile.compile(str(tmp_path / "perfbench" / "stubmod.py"), cfile=str(stale))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}],
+         "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    workloads = record(tmp_path, 2)["workloads"]
+    # The cold warm-up's wall_s of 100 is discarded: every recorded run reads 1.
+    for name in ("w", "v"):
+        assert workloads[name]["end_to_end"]["wall_s"]["runs"] == [1.0, 1.0]
+        assert workloads[name]["outliers"] == []
+    assert capsys.readouterr().err.count("result discarded") == 2
+    runs = [json.loads(line)
+            for line in (tmp_path / "perfbench" / "prefixes.log").read_text().splitlines()]
+    # Two warm-ups, then 2 workloads x 2 trace flags x 2 seeds, all under one prefix:
+    # the first warm-up compiles, and every later run reads.
+    assert len(runs) == 2 + 8
+    assert len({run["prefix"] for run in runs}) == 1
+    assert [run["warm"] for run in runs] == [False] + [True] * 9
+    prefix = Path(runs[0]["prefix"])
+    assert prefix.is_absolute() and not prefix.is_relative_to(tmp_path)
+    assert Path(runs[0]["cached"]).is_relative_to(prefix)
+    # The session made it and removes it; the checkout's own bytecode is untouched.
+    assert not prefix.exists()
+    assert stale.exists()

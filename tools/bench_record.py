@@ -16,8 +16,15 @@ metric's ``bound`` (a fraction of the median), which it also prints as a
 warning; plus the checkout's git commit and whether its tracked files
 differ from it ("unknown" and null outside a git work tree), and the
 host's processor count and CPU model. Runs alternate between workloads,
-so a slow spell of the host spreads over all of them. SIGTERM ends the
-running ``perfbench/run.py`` process before the script exits.
+so a slow spell of the host spreads over all of them. Every run compiles
+its bytecode into one fresh ``PYTHONPYCACHEPREFIX``, a directory that the
+session creates outside the checkout and removes at its end, so whatever
+``__pycache__`` the checkout holds warms no cold start; before the first
+recorded run each workload runs once, untraced at seed 1, as a warm-up
+that compiles every module it imports and whose result is discarded, so
+every recorded run reads its bytecode back and two checkouts' ``setup_s``
+compare fairly. SIGTERM ends the running ``perfbench/run.py`` process
+before the script exits.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -94,10 +102,17 @@ def record(root: Path, runs: int) -> dict:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     results = {name: {0: [], 1: []} for name in names}
-    for seed in range(1, runs + 1):
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
+        # Not yet created: the first warm-up compiles everything it imports.
+        prefix = str(Path(scratch) / "pycache")
         for name in names:
-            for trace in (0, 1):
-                results[name][trace].append(run_perfbench(root, name, seed, seconds, trace))
+            print(f"warm-up {name} --seed 1: result discarded", file=sys.stderr)
+            run_perfbench(root, name, 1, seconds, 0, pycache_prefix=prefix)
+        for seed in range(1, runs + 1):
+            for name in names:
+                for trace in (0, 1):
+                    results[name][trace].append(run_perfbench(root, name, seed, seconds,
+                                                              trace, pycache_prefix=prefix))
 
     workloads = {}
     for name, by_trace in results.items():
