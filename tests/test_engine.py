@@ -179,25 +179,26 @@ def test_missing_trace_is_reported(tmp_path):
     named = str(error.value)
     assert all(f"link {link} in" in named for link in missing)
     assert f"link {present} in" not in named
-
-
-@pytest.mark.parametrize("lacks", ["both bases", "an on-body trace and a base"])
-def test_every_missing_link_is_named_once(tmp_path, lacks):
+    # With two interferers, each missing link is named once and no present one, whether
+    # every on-body trace is there or not.
     config = base_config(wbans=(make_wban(1), make_wban(2), make_wban(3)),
-                         interferer_subjects=(2, 3), channels=CsvChannelSource(tmp_path))
+                         interferer_subjects=(2, 3))
     links = required_source_links(config, *simulate_pair(config))
     on_body = [link for link in links if link.is_intra]
     bases = [link for link in links if not link.is_intra]
     assert len(bases) == 2
-    missing = bases if lacks == "both bases" else [on_body[1], bases[0]]
-    for k, link in enumerate(links):
-        if link not in missing:
-            save_trace(ChannelTrace(link, 120.0, np.full(8, -60.0)), tmp_path / f"t{k}.csv")
-    with pytest.raises(MissingLinkError) as error:
-        assemble_channels(config, *simulate_pair(config))
-    named = str(error.value)
-    for link in links:
-        assert named.count(f"link {link} in") == (link in missing), link
+    for name, missing in [("no-bases", bases), ("mixed", [on_body[1], bases[0]])]:
+        (tmp_path / name).mkdir()
+        for k, link in enumerate(links):
+            if link not in missing:
+                save_trace(ChannelTrace(link, 120.0, np.full(8, -60.0)),
+                           tmp_path / name / f"t{k}.csv")
+        with pytest.raises(MissingLinkError) as error:
+            assemble_channels(replace(config, channels=CsvChannelSource(tmp_path / name)),
+                              *simulate_pair(config))
+        named = str(error.value)
+        for link in links:
+            assert named.count(f"link {link} in") == (link in missing), (name, link)
 
 
 def _assert_roles_equal_the_reference(config, subject, interferers):
@@ -821,6 +822,15 @@ def test_batched_mean_and_std_over_the_last_axis_equal_the_1d_calls(reps, blocks
         assert repr(float(std[k])) == repr(float(np.std(block)))
 
 
+def _traced_peak(call):
+    """What ``call()`` returns and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_sweeps_peak_memory_does_not_grow_with_its_runs():
     """Ten more repetitions raise a sweep's traced peak by less than one run's SINR
     blocks, 2 schemes x 3 sensors x 4000 epochs x 8 B = 192 000 B: a run's blocks
@@ -833,24 +843,10 @@ def test_a_sweeps_peak_memory_does_not_grow_with_its_runs():
     one_run_blocks = 2 * sensors * epochs * 8
 
     def peak(repetitions):
-        tracemalloc.start()
-        try:
-            sweep(replace(config, repetitions=repetitions))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: sweep(replace(config, repetitions=repetitions)))[1]
 
     sweep(config)  # imports and caches of the first sweep stay outside both peaks
     assert peak(12) - peak(2) < one_run_blocks
-
-
-def _traced_peak(call):
-    """What ``call()`` returns and the peak of the memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_assembly_holds_no_more_than_its_on_body_traces_and_two_in_flight():
