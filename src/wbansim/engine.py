@@ -23,8 +23,8 @@ from typing import Mapping
 import numpy as np
 
 from .channel import (BodyLocation, ChannelTrace, FieldError, LinkId, MissingLinkError,
-                      SyntheticChannelParams, TraceError, downsample, extract_shadowing,
-                      generate_synthetic, load_trace, overlay)
+                      SyntheticChannelParams, TraceError, decimation_stride, downsample,
+                      extract_shadowing, generate_synthetic, load_trace, overlay)
 from .metrics import (MetricsCurve, MetricsError, SinrSeries, empirical_outage,
                       lcr_curve, level_crossing_rate, threshold_at_outage,
                       threshold_grid)
@@ -221,6 +221,14 @@ class ExperimentConfig:
         if not math.isfinite(self.lcr_ref_threshold_db):
             raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
                               f"got {self.lcr_ref_threshold_db}")
+        # Assembly decimates every synthetic trace to the epoch period, by downsample's rule.
+        if isinstance(self.channels, SyntheticChannelSource):
+            period, epoch = self.channels.sample_period_ms, self.epoch_period_ms
+            if decimation_stride(period, epoch) is None:
+                raise ConfigError(
+                    f"channels.synthetic.sample_period_ms: the epoch period {epoch} ms "
+                    "(the TDMA cycle mac.n_coexisting * mac.slot_len_ms) must be a whole "
+                    f"multiple of {period} ms, got the ratio {epoch / period}")
         # An override that neither simulate nor a sweep pair fetches would change nothing.
         if isinstance(self.channels, SyntheticChannelSource) and self.channels.overrides:
             read = set(source_links(self))

@@ -435,6 +435,69 @@ def test_synthetic_matches_the_recurrence_bit_for_bit(link, n, period_ms, decay,
     np.testing.assert_array_equal(trace.samples.view(np.uint64), expected.view(np.uint64))
 
 
+@settings(max_examples=100, deadline=None)
+@given(link=_LINKS, n=st.integers(1, 5000),
+       period_ms=st.floats(0.1, 1000.0),
+       decay=st.floats(1e-6, 40.0),
+       mean=st.floats(-200.0, 200.0),
+       sigma=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+       seed=st.integers(0, 2**63 - 1))
+def test_synthetic_over_many_chunks_matches_the_recurrence_bit_for_bit(link, n, period_ms,
+                                                                      decay, mean, sigma,
+                                                                      seed):
+    # Up to 5000 / channel._AR1_CHUNK chunks of the kernel's estimate, rho up to
+    # exp(-1e-6), where the repair walk does all the work, and sigma 0, whose shocks
+    # are signed zeros.
+    params = SyntheticChannelParams(mean, sigma, period_ms / decay)
+    trace = generate_synthetic(params, link, n * period_ms, period_ms, seed)
+    expected = synthetic_samples_reference(params, link, n * period_ms, period_ms, seed)
+    assert trace.n_samples == n
+    np.testing.assert_array_equal(trace.samples.view(np.uint64), expected.view(np.uint64))
+
+
+def _nudged(estimate):
+    """Every 97th sample one ulp up: on top of the lanes' own misses."""
+    estimate[::97] = np.nextafter(estimate[::97], np.inf)
+    return estimate
+
+
+def _garbage(estimate):
+    return np.random.default_rng(0).normal(0.0, 6.0, estimate.size)
+
+
+@pytest.mark.parametrize("spoil", [_nudged, _garbage])
+def test_the_repair_walk_mends_every_miss_of_the_estimate(spoil):
+    # 12 000 samples at 15 ms with a 500 ms coherence time, as csv-traces draws its
+    # inter-body links. The estimate decides only how much is walked, not the result.
+    params = SyntheticChannelParams(-70.0, 6.0, 500.0)
+    link = LinkId.parse("2:LH->1:LH")
+    lanes = channel._ar1_lanes
+    with mock.patch.object(channel, "_ar1_lanes", lambda x, rho: spoil(lanes(x, rho))), \
+            mock.patch.object(channel, "_ar1_repair", wraps=channel._ar1_repair) as repair:
+        trace = generate_synthetic(params, link, 15.0 * 12_000, 15.0, 1)
+    misses = repair.call_args.args[3]
+    print(f"{spoil.__name__}: {misses.size} misses")
+    assert set(range(0, 12_000, 97)) <= set(misses.tolist())
+    expected = synthetic_samples_reference(params, link, 15.0 * 12_000, 15.0, 1)
+    np.testing.assert_array_equal(trace.samples.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n,period_ms,coherence_ms", [
+    (40_000, 120.0, 240.0), (40_000, 120.0, 500.0),  # default
+    (4000, 120.0, 240.0), (4000, 120.0, 500.0),      # crowd
+    (12_000, 15.0, 240.0), (12_000, 15.0, 500.0),    # csv-traces
+])
+def test_synthetic_equals_lfilter_at_the_benchmark_sizes(n, period_ms, coherence_ms):
+    signal = pytest.importorskip("scipy.signal")
+    params = SyntheticChannelParams(-55.0, 6.0, coherence_ms)
+    with mock.patch.object(channel, "_ar1", wraps=channel._ar1) as ar1:
+        trace = generate_synthetic(params, LINK, n * period_ms, period_ms, 3)
+    shocks, rho = ar1.call_args.args
+    assert (shocks.size, rho) == (n, math.exp(-period_ms / coherence_ms))
+    expected = params.mean_gain_db + signal.lfilter([1.0], [1.0, -rho], shocks)
+    np.testing.assert_array_equal(trace.samples.view(np.uint64), expected.view(np.uint64))
+
+
 def test_synthetic_param_validation():
     for bad in (dict(mean_gain_db=math.inf), dict(shadow_sigma_db=-1.0),
                 dict(shadow_sigma_db=math.inf), dict(coherence_time_ms=0.0),

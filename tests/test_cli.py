@@ -356,16 +356,18 @@ import sys
 from wbansim.cli import main
 from wbansim.config import load_config
 load_config({default!r})
-assert main({overlay!r}) == 0
-assert main({simulate!r}) == 0
-assert "scipy" not in sys.modules
+for argv in {commands!r}:
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
-def test_csv_runs_and_overlays_never_load_scipy(tmp_path):
-    # scipy is imported where a synthetic trace is drawn, and nowhere else.
+def test_no_command_loads_scipy(tmp_path):
+    # Synthetic traces are drawn by wbansim's own AR(1) kernel, so no command needs scipy.
     root = Path(__file__).resolve().parent.parent
     config = write_config(tmp_path, CSV_CONFIG)
+    synthetic = write_config(tmp_path, THREE_BODY_SWEEP, "synthetic.yaml")
     traces = tmp_path / "traces"
     traces.mkdir()
     rng = np.random.default_rng(0)
@@ -377,15 +379,20 @@ def test_csv_runs_and_overlays_never_load_scipy(tmp_path):
                "--shadowing-from", str(traces / trace_filename(links[1])),
                "--distance-m", "0.4", "--out-file", str(tmp_path / "overlay.csv"),
                "--quiet"]
-    simulate = ["simulate", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]
+    commands = [overlay,
+                ["simulate", "--config", config, "--out", str(tmp_path / "csv"), "--quiet"],
+                *([command, "--config", synthetic, "--out", str(tmp_path / command), "--quiet"]
+                  for command in ("simulate", "sweep", "gen-traces"))]
     script = COLD_START.format(default=str(root / "configs" / "default.yaml"),
-                               overlay=overlay, simulate=simulate)
+                               commands=commands)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "summary.csv").exists()
+    assert (tmp_path / "csv" / "summary.csv").exists()
+    assert (tmp_path / "sweep" / "aggregate.csv").exists()
+    assert any((tmp_path / "gen-traces").glob("*.csv"))
 
 
 # ------------------------------------------------- byte identity across processes

@@ -628,6 +628,28 @@ def test_epoch_period_must_equal_the_cycle(tmp_path, value):
         load_config(write_config(tmp_path, BASE + f"epoch_period_ms: {value}\n"))
 
 
+@pytest.mark.parametrize("edits,epoch,period,ratio", [
+    ([("sample_period_ms: 120.0", "sample_period_ms: 50.0")], 120.0, 50.0, 2.4),
+    ([("n_coexisting: 2", "n_coexisting: 3"),
+      ("epoch_period_ms: 120.0", "epoch_period_ms: 180.0")], 180.0, 120.0, 1.5),
+], ids=["sample_period_ms 50", "n_coexisting 3"])
+def test_a_synthetic_period_that_does_not_divide_the_epoch_fails_at_load(
+        tmp_path, capsys, edits, epoch, period, ratio):
+    # Assembly would fail to decimate the first trace, naming a link, not a key.
+    text = DEFAULT_CONFIG.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    bad = write_config(tmp_path, text)
+    message = (f"channels.synthetic.sample_period_ms: the epoch period {epoch} ms (the TDMA "
+               "cycle mac.n_coexisting * mac.slot_len_ms) must be a whole multiple of "
+               f"{period} ms, got the ratio {ratio}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(bad)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def _key_paths(mapping, prefix=""):
     paths = set()
     for key, value in mapping.items():

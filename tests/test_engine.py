@@ -29,12 +29,14 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.y
 
 
 def base_config(**kw):
+    # Traces sampled at the epoch period, 200 epochs long: 120 ms by default.
+    cycle = kw.get("mac", MacConfig()).cycle_ms
     defaults = dict(
         wbans=(make_wban(1), make_wban(2)),
         victim_subject=1,
         interferer_subjects=(2,),
         epochs=40,
-        channels=SyntheticChannelSource(duration_ms=120.0 * 200),
+        channels=SyntheticChannelSource(sample_period_ms=cycle, duration_ms=cycle * 200),
         master_seed=3,
     )
     defaults.update(kw)

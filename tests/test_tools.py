@@ -1,13 +1,15 @@
 """The gain rule, the no-regression verdict, seed ranges and bytecode prefixes of
 tools/bench_pairs.py, how the benchmark tools end their child on SIGTERM, and what
 tools/bench_record.py records of a checkout outside git, of a run that is not correct and
-of a run far off its median, and the bytecode prefix and warm-ups it records under."""
+of a run far off its median, the bytecode prefix and warm-ups it records under, and the
+cold commands it times."""
 
 import argparse
 import json
 import os
 import py_compile
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -156,6 +158,66 @@ def test_sigterm_ends_the_running_benchmark_child(tmp_path, script, args):
                 pass
 
 
+# Stand in for the checkout's perfbench/workloads.py and perfbench/calibrate.py, and for
+# wbansim.cli: every workload runs "simulate" then "sweep", the kernel always takes 0.5 s,
+# and a command logs itself to $STUB_COLD_LOG, if set, sleeping 1 s in its first two runs.
+STUB_WORKLOADS = """
+from dataclasses import dataclass
+from pathlib import Path
+
+
+@dataclass
+class Op:
+    command: str
+    argv: list
+    out: Path
+
+
+@dataclass
+class Plan:
+    out: Path
+    ops: list
+
+
+def build(name, root, work, seed):
+    out = work / "out"
+    return Plan(out, [Op(c, [c, "--out", str(out / c)], out / c) for c in ("simulate", "sweep")])
+"""
+
+STUB_CALIBRATE = """
+def kernel_seconds():
+    return 0.5
+
+
+def scale(seconds, kernel):
+    return seconds * 0.25 / kernel
+"""
+
+STUB_CLI = """
+import json, os, sys, time
+command = sys.argv[1]
+log = os.environ.get("STUB_COLD_LOG")
+if log:
+    previous = open(log).read().count(json.dumps(command)) if os.path.exists(log) else 0
+    with open(log, "a") as handle:
+        handle.write(json.dumps({"command": command,
+                                 "prefix": os.environ.get("PYTHONPYCACHEPREFIX")}) + "\\n")
+    time.sleep(1.0 if previous < 2 else 0.0)
+if command == os.environ.get("STUB_COLD_FAIL"):
+    sys.exit(f"stub: {command} failed")
+"""
+
+
+def _cold_stubs(root):
+    """The files a recording's cold commands read, besides perfbench/run.py."""
+    (root / "perfbench").mkdir(parents=True, exist_ok=True)
+    (root / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (root / "perfbench" / "calibrate.py").write_text(STUB_CALIBRATE)
+    (root / "src" / "wbansim").mkdir(parents=True)
+    (root / "src" / "wbansim" / "__init__.py").write_text("")
+    (root / "src" / "wbansim" / "cli.py").write_text(STUB_CLI)
+
+
 # Stands in for perfbench/run.py: one correct result with one end-to-end metric.
 STUB_RESULT = """
 import json
@@ -177,6 +239,7 @@ print(json.dumps({"correct": False, "attempted": 1, "failed": 0,
 def test_a_run_that_is_not_correct_keeps_its_problem_lines(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB_INCORRECT)
+    _cold_stubs(tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
     entry = record(tmp_path, 2)["workloads"]["w"]
@@ -193,6 +256,7 @@ def test_a_checkout_outside_git_records_an_unknown_commit_and_dirtiness(tmp_path
                                                                          monkeypatch):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RESULT)
+    _cold_stubs(tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
     # git looks for a repository no higher than tmp_path, which holds none.
@@ -215,6 +279,7 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
 def test_a_run_further_from_its_median_than_the_bound_is_flagged(tmp_path, capsys):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB_BY_SEED)
+    _cold_stubs(tmp_path)
     # peak_rss_mb spreads widest but declares no bound, so nothing judges it.
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "workloads": [{"name": "w"}],
@@ -292,6 +357,7 @@ def test_a_recording_runs_under_one_fresh_bytecode_prefix_after_warm_ups(tmp_pat
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(STUB_PREFIX)
     (tmp_path / "perfbench" / "stubmod.py").write_text("VALUE = 1\n")
+    _cold_stubs(tmp_path)
     # Bytecode the checkout already holds warms no run.
     stale = tmp_path / "perfbench" / "__pycache__" / f"stubmod.{sys.implementation.cache_tag}.pyc"
     py_compile.compile(str(tmp_path / "perfbench" / "stubmod.py"), cfile=str(stale))
@@ -317,3 +383,54 @@ def test_a_recording_runs_under_one_fresh_bytecode_prefix_after_warm_ups(tmp_pat
     # The session made it and removes it; the checkout's own bytecode is untouched.
     assert not prefix.exists()
     assert stale.exists()
+
+
+def test_cold_command_s_is_the_median_of_fresh_processes_under_the_sessions_prefix(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    log = tmp_path / "cold.log"
+    monkeypatch.setenv("STUB_COLD_LOG", str(log))
+    root = tmp_path / "checkout"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_PREFIX)
+    (root / "perfbench" / "stubmod.py").write_text("VALUE = 1\n")
+    _cold_stubs(root)
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    cold = record(root, 1)["workloads"]["w"]["cold_command_s"]
+    assert list(cold["ops"]) == ["simulate", "sweep"]
+    for op in cold["ops"].values():
+        # Two slow runs of five: the median is a fast one, where a mean would not be.
+        assert len(op["runs"]) == 5
+        assert op["raw"] == statistics.median(op["runs"]) < 1.0 <= sorted(op["runs"])[3]
+        # Rescaled by the checkout's kernel: 0.25 reference seconds over 0.5 s.
+        assert op["value"] == pytest.approx(op["raw"] * 0.5)
+    assert cold["kernel_s"] == 0.5
+    assert cold["raw"] == pytest.approx(sum(op["raw"] for op in cold["ops"].values()))
+    assert cold["value"] == pytest.approx(sum(op["value"] for op in cold["ops"].values()))
+    # Every command process ran under the prefix of the session's perfbench runs.
+    commands = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [c["command"] for c in commands] == ["simulate", "sweep"] * 5
+    runs = [json.loads(line)
+            for line in (root / "perfbench" / "prefixes.log").read_text().splitlines()]
+    prefixes = {run["prefix"] for run in runs} | {c["prefix"] for c in commands}
+    assert len(prefixes) == 1
+    prefix = Path(prefixes.pop())
+    assert prefix.is_absolute() and not prefix.is_relative_to(root)
+    assert not prefix.exists()
+    # Loading the checkout's workloads.py left no bytecode beside it.
+    assert not (root / "perfbench" / "__pycache__").exists()
+
+
+def test_a_cold_command_that_fails_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STUB_COLD_FAIL", "sweep")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RESULT)
+    _cold_stubs(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    with pytest.raises(SystemExit) as exc:
+        record(tmp_path, 1)
+    assert str(exc.value).startswith("w: cold command sweep exited 1: sweep --out ")
+    assert str(exc.value).endswith(str(Path("w", "out", "sweep")))
+    assert "stub: sweep failed" in capsys.readouterr().err

@@ -23,24 +23,35 @@ session creates outside the checkout and removes at its end, so whatever
 recorded run each workload runs once, untraced at seed 1, as a warm-up
 that compiles every module it imports and whose result is discarded, so
 every recorded run reads its bytecode back and two checkouts' ``setup_s``
-compare fairly. SIGTERM ends the running ``perfbench/run.py`` process
+compare fairly. After the warm-ups, it also records per workload
+``cold_command_s``: what a user waits for each command of one iteration
+(the ops that the checkout's ``perfbench/workloads.py`` builds at seed 1),
+the median over ``COLD_RUNS`` fresh ``python -m wbansim.cli <op>`` processes
+under the same prefix, timed from the recorder around each process, in raw
+seconds and rescaled by the checkout's ``perfbench/calibrate.py`` kernel,
+timed beside each process, as perfbench rescales its own times; and their
+sums. SIGTERM ends the running ``perfbench/run.py`` or command process
 before the script exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+COLD_RUNS = 5  # fresh processes per command; cold_command_s is their median
 
 
 def _git(root: Path, *args: str) -> str | None:
@@ -67,6 +78,12 @@ def end_children_on_sigterm() -> None:
     signal.signal(signal.SIGTERM, raise_exit)
 
 
+def _child_env(pycache_prefix: str, **extra: str) -> dict:
+    """The environment of a child that compiles into ``pycache_prefix`` and reads it back."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return {**env, "PYTHONPYCACHEPREFIX": pycache_prefix, **extra}
+
+
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int,
                   pycache_prefix: str | None = None) -> dict:
     """One ``perfbench/run.py`` process of the checkout at ``root``; its JSON result.
@@ -78,10 +95,7 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     """
     command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    env = None
-    if pycache_prefix is not None:
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-        env["PYTHONPYCACHEPREFIX"] = pycache_prefix
+    env = None if pycache_prefix is None else _child_env(pycache_prefix)
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -95,7 +109,67 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     return result
 
 
-def record(root: Path, runs: int) -> dict:
+def _perfbench_module(root: Path, name: str):
+    """The checkout's ``perfbench/<name>.py``, loaded afresh and compiled into no file."""
+    spec = importlib.util.spec_from_file_location(f"_bench_record_{name}",
+                                                  root / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def cold_commands(root: Path, names: list[str], work: Path, pycache_prefix: str,
+                  cold_runs: int = COLD_RUNS) -> dict:
+    """Per workload, each command of one iteration timed in fresh processes.
+
+    Each of ``cold_runs`` rounds runs every workload's ops in order (a later op
+    may read what an earlier one wrote), each op as ``python -m wbansim.cli`` of
+    the checkout's ``src/`` under ``pycache_prefix``, and times the checkout's
+    calibration kernel before each. A command that fails ends the recording,
+    naming it.
+    """
+    workloads = _perfbench_module(root, "workloads")
+    calibrate = _perfbench_module(root, "calibrate")
+    plans = {name: workloads.build(name, root, work / name, 1) for name in names}
+    env = _child_env(pycache_prefix, PYTHONPATH=str(root / "src"))
+    times = {name: {op.command: [] for op in plan.ops} for name, plan in plans.items()}
+    kernels = {name: [] for name in names}
+    for _ in range(cold_runs):
+        for name, plan in plans.items():
+            shutil.rmtree(plan.out, ignore_errors=True)
+            for op in plan.ops:
+                kernels[name].append(calibrate.kernel_seconds())
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "wbansim.cli", *op.argv],
+                                      cwd=root, capture_output=True, text=True, env=env)
+                elapsed = time.perf_counter() - start
+                if proc.returncode != 0:
+                    sys.stderr.write(proc.stderr)
+                    raise SystemExit(f"{name}: cold command {op.command} exited "
+                                     f"{proc.returncode}: {' '.join(op.argv)}")
+                times[name][op.command].append(elapsed)
+    result = {}
+    for name, by_op in times.items():
+        kernel = statistics.median(kernels[name])
+        ops = {command: {"raw": statistics.median(runs),
+                         "value": calibrate.scale(statistics.median(runs), kernel),
+                         "runs": runs}
+               for command, runs in by_op.items()}
+        result[name] = {"value": sum(op["value"] for op in ops.values()),
+                        "raw": sum(op["raw"] for op in ops.values()),
+                        "unit": "s", "kernel_s": kernel, "ops": ops}
+        print(f"{name}: cold_command_s {result[name]['value']:.4g} s ("
+              + ", ".join(f"{command} {op['raw']:.4g}" for command, op in ops.items())
+              + " raw s)", file=sys.stderr)
+    return result
+
+
+def record(root: Path, runs: int, cold_runs: int = COLD_RUNS) -> dict:
     """Every workload of the checkout, untraced and traced, ``runs`` times."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -108,6 +182,7 @@ def record(root: Path, runs: int) -> dict:
         for name in names:
             print(f"warm-up {name} --seed 1: result discarded", file=sys.stderr)
             run_perfbench(root, name, 1, seconds, 0, pycache_prefix=prefix)
+        cold = cold_commands(root, names, Path(scratch) / "cold", prefix, cold_runs)
         for seed in range(1, runs + 1):
             for name in names:
                 for trace in (0, 1):
@@ -140,6 +215,7 @@ def record(root: Path, runs: int) -> dict:
             print(f"warning: {name} --seed {o['seed']}: {o['metric']} {o['value']:.4g} differs "
                   f"from the median {o['median']:.4g} by more than the bound "
                   f"({bounds[o['metric']]:g} of the median)", file=sys.stderr)
+        entry["cold_command_s"] = cold[name]
         workloads[name] = entry
     status = _git(root, "status", "--porcelain", "--untracked-files=no")
     return {"git_commit": _git(root, "rev-parse", "HEAD") or "unknown",
