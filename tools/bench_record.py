@@ -123,11 +123,10 @@ def _perfbench_module(root: Path, name: str):
     return module
 
 
-def cold_commands(root: Path, names: list[str], work: Path, pycache_prefix: str,
-                  cold_runs: int = COLD_RUNS) -> dict:
+def cold_commands(root: Path, names: list[str], work: Path, pycache_prefix: str) -> dict:
     """Per workload, each command of one iteration timed in fresh processes.
 
-    Each of ``cold_runs`` rounds runs every workload's ops in order (a later op
+    Each of ``COLD_RUNS`` rounds runs every workload's ops in order (a later op
     may read what an earlier one wrote), each op as ``python -m wbansim.cli`` of
     the checkout's ``src/`` under ``pycache_prefix``, and times the checkout's
     calibration kernel before each. A command that fails ends the recording,
@@ -139,7 +138,7 @@ def cold_commands(root: Path, names: list[str], work: Path, pycache_prefix: str,
     env = _child_env(pycache_prefix, PYTHONPATH=str(root / "src"))
     times = {name: {op.command: [] for op in plan.ops} for name, plan in plans.items()}
     kernels = {name: [] for name in names}
-    for _ in range(cold_runs):
+    for _ in range(COLD_RUNS):
         for name, plan in plans.items():
             shutil.rmtree(plan.out, ignore_errors=True)
             for op in plan.ops:
@@ -169,7 +168,7 @@ def cold_commands(root: Path, names: list[str], work: Path, pycache_prefix: str,
     return result
 
 
-def record(root: Path, runs: int, cold_runs: int = COLD_RUNS) -> dict:
+def record(root: Path, runs: int) -> dict:
     """Every workload of the checkout, untraced and traced, ``runs`` times."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -182,7 +181,7 @@ def record(root: Path, runs: int, cold_runs: int = COLD_RUNS) -> dict:
         for name in names:
             print(f"warm-up {name} --seed 1: result discarded", file=sys.stderr)
             run_perfbench(root, name, 1, seconds, 0, pycache_prefix=prefix)
-        cold = cold_commands(root, names, Path(scratch) / "cold", prefix, cold_runs)
+        cold = cold_commands(root, names, Path(scratch) / "cold", prefix)
         for seed in range(1, runs + 1):
             for name in names:
                 for trace in (0, 1):
