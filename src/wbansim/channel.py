@@ -15,7 +15,6 @@ simulation.
 from __future__ import annotations
 
 import enum
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -170,6 +169,17 @@ class SyntheticChannelParams:
 _HEADER_RE = re.compile(r"^link=(?P<link>[^,]+),period_ms=(?P<period>[^,\s]+)$")
 
 
+# A trace CSV is written this many rows at a time, so a write holds one block's
+# floats and text however long the trace.
+_TRACE_BLOCK_ROWS = 4096
+# The characters of a data row that save_trace writes; only such rows go to numpy's
+# reader. They are checked this many at a time.
+_PLAIN_ROW_BYTES = b"0123456789.e+-,\n"
+_CHECK_BLOCK_CHARS = 1 << 16
+# The suffixes of the paths that np.loadtxt opens through a decompressor.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+
+
 def load_trace(path) -> ChannelTrace:
     """Load a trace CSV, validating the header and the timestamp grid.
 
@@ -177,17 +187,16 @@ def load_trace(path) -> ChannelTrace:
     and data rows must be ``<t_ms>,<gain_db>`` with timestamps running
     0, p, 2p, ... strictly. A field is anything Python's ``float()`` accepts,
     blank rows are skipped, and an error names the first bad row's line.
+
+    A file of the characters ``save_trace`` writes is checked in blocks of
+    ``_CHECK_BLOCK_CHARS`` and parsed by numpy's C reader straight from the
+    file, so the read holds the parsed (rows, 2) float64 columns and the gains'
+    copy, 24 B per row, and no copy of the file. Any other file, and any file
+    that breaks a rule, is read whole as text for the row scan.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise TraceError(f"cannot read trace file {path}: {exc}") from exc
-    head, _, data = text.partition("\n")
-    # A printable first line holds no other line break, so it is the first of
-    # text.splitlines(); only a file that goes to the row scan is split.
-    plain_head = bool(text) and head.isprintable()
-    lines = [head] if plain_head else text.splitlines()
+    head = _plain_head(path)
+    lines = [head] if head is not None else _read_text(path).splitlines()
     if not lines:
         raise TraceError(f"{path}:1: empty file, expected a header line")
     header = _HEADER_RE.match(lines[0].strip())
@@ -201,30 +210,68 @@ def load_trace(path) -> ChannelTrace:
     if not (math.isfinite(period) and period > 0):
         raise TraceError(f"{path}:1: period_ms must be positive, got {header.group('period')}")
 
-    gains = _read_rows(data, period) if plain_head else None
+    gains = _read_rows(path, period) if head is not None else None
     if gains is None:
-        gains = _scan_rows(path, text.splitlines(), period)
+        if head is not None:  # numpy's reader was in doubt: the row scan decides
+            lines = _read_text(path).splitlines()
+        gains = _scan_rows(path, lines, period)
     return ChannelTrace(link, period, gains)
 
 
-def _read_rows(data: str, period: float):
-    """The gains of a data section read by numpy's C reader, else None.
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise TraceError(f"cannot read trace file {path}: {exc}") from exc
 
-    Only a section of the characters ``save_trace`` writes is read: there the
-    reader splits rows at line feeds, as ``splitlines`` does, and parses a
-    field as ``float()`` does. Any doubt (a reader error, no rows, an off-grid
-    timestamp, a non-finite gain) is left to the row scan, which names the
-    first bad row.
+
+def _plain_head(path: Path) -> str | None:
+    """The header line of a file that numpy's reader may parse, else None.
+
+    Such a file has a printable first line and, after it, only the characters
+    of ``_PLAIN_ROW_BYTES`` and at least one that is not a line feed. Lines end
+    as ``read_text`` ends them: the file is read as text with universal
+    newlines, so CRLF and CR ends count as line feeds. A file that cannot be
+    read or decoded is left to ``_read_text``, which raises its error.
     """
-    if data.encode().translate(None, b"0123456789.e+-,\n") or not data.strip():
+    try:
+        with path.open() as file:
+            head = file.readline()
+            if not head or not head.removesuffix("\n").isprintable():
+                return None
+            filled = False
+            while block := file.read(_CHECK_BLOCK_CHARS):
+                data = block.encode()
+                if data.translate(None, _PLAIN_ROW_BYTES):
+                    return None
+                filled = filled or data.count(b"\n") < len(data)
+    except (OSError, UnicodeDecodeError):
+        return None
+    return head.removesuffix("\n") if filled else None
+
+
+def _read_rows(path: Path, period: float):
+    """The gains of a plain file's data rows read by numpy's C reader, else None.
+
+    The reader reads the file in chunks, as text with the universal newlines of
+    ``read_text``, skips the header line, splits rows at line feeds, as
+    ``splitlines`` does for these characters, skips blank rows and parses a
+    field as ``float()`` does. Any doubt (a reader error, an off-grid
+    timestamp, a non-finite gain) is left to the row scan, which names the
+    first bad row. So is a path that numpy would open as compressed, by its suffix.
+    """
+    if path.suffix in _COMPRESSED_SUFFIXES:
         return None
     try:  # the unpacking fails unless the rows hold two fields
-        times, gains = np.loadtxt(io.StringIO(data), delimiter=",", comments=None,
+        times, gains = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
                                   dtype=np.float64, ndmin=2).T
     except ValueError:
         return None
-    # The row scan's operations, element by element.
-    on_grid = np.abs(times - np.arange(times.size) * period) <= 1e-6 * period
+    # The row scan's operations, element by element: |t - k * p| <= 1e-6 * p.
+    deviation = np.arange(times.size, dtype=np.float64)
+    deviation *= period
+    deviation -= times
+    on_grid = np.abs(deviation, out=deviation) <= 1e-6 * period
     if not (on_grid.all() and np.isfinite(gains).all()):
         return None
     return gains
@@ -258,13 +305,23 @@ def _scan_rows(path, lines, period: float) -> list[float]:
 
 
 def save_trace(trace: ChannelTrace, path) -> None:
-    """Write a trace in the CSV format understood by :func:`load_trace`."""
+    """Write a trace in the CSV format understood by :func:`load_trace`.
+
+    Rows are formatted and written ``_TRACE_BLOCK_ROWS`` at a time, so a write
+    holds one block's floats and text, well under 1 MiB, however long the trace.
+    """
     period = float(trace.sample_period_ms)
-    # float(i) * period, as Python computes i * period: the same timestamps
-    # for every i below 2**53. One format call writes every row.
-    cells = np.column_stack((np.arange(trace.n_samples) * period, trace.samples))
-    Path(path).write_text(f"link={trace.link},period_ms={period!r}\n"
-                          + ("%r,%r\n" * trace.n_samples) % tuple(cells.ravel().tolist()))
+    n = trace.n_samples
+    row_format = "%r,%r\n" * _TRACE_BLOCK_ROWS
+    with Path(path).open("w") as file:
+        file.write(f"link={trace.link},period_ms={period!r}\n")
+        for start in range(0, n, _TRACE_BLOCK_ROWS):
+            stop = min(start + _TRACE_BLOCK_ROWS, n)
+            # float(i) * period, as Python computes i * period: the same timestamps
+            # for every i below 2**53.
+            cells = np.column_stack((np.arange(start, stop) * period,
+                                     trace.samples[start:stop]))
+            file.write(row_format[:6 * (stop - start)] % tuple(cells.ravel().tolist()))
 
 
 def downsample(trace: ChannelTrace, target_period_ms: float) -> ChannelTrace:
@@ -398,25 +455,28 @@ def _ar1(x: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _ar1_lanes(x: np.ndarray, rho: float) -> np.ndarray:
-    """An estimate of the AR(1) output, all chunks of ``_AR1_CHUNK`` samples at once.
+    """An estimate of the AR(1) output, all chunks of up to ``_AR1_CHUNK`` samples at once.
 
     The series is cut into chunks. Each chunk's sum weighted by the powers of
     ``rho`` (one matmul) and a doubling scan over the chunk ends estimate the
     value each chunk starts from. Every chunk then runs in its own lane, one
     multiply and one add per step for all lanes, from the estimate at the end of
     the chunk ``k`` chunks earlier: ``k`` chunks of burn-in cover ``4 / (1 - rho)``
-    samples, over which an error of a few ulp in the estimate shrinks about e^4
-    times and mostly rounds away. Where it has not, the lane's first sample is a
-    miss that ``_ar1`` repairs: fewer than 1 % of the lanes on the benchmark's
-    traces. Where the lanes' sequential steps would cost more than walking every
-    sample in Python floats (a step costs about as much as 16 samples walked),
-    the estimate is all zeros and the repair does the work.
+    samples (``k`` is the fewest chunks of 16 that do, and the chunks are then cut
+    as short as that allows, so a lane runs fewer sequential steps), over which an
+    error of a few ulp in the estimate shrinks about e^4 times and mostly rounds
+    away. Where it has not, the lane's first sample is a miss that ``_ar1``
+    repairs: fewer than 1 % of the lanes on the benchmark's traces. Where the
+    lanes' sequential steps would cost more than walking every sample in Python
+    floats (a step costs about as much as 16 samples walked), the estimate is all
+    zeros and the repair does the work.
     """
-    n, chunk = x.size, _AR1_CHUNK
+    n = x.size
     burn = 4.0 / (1.0 - rho) if rho < 1.0 else math.inf
-    if (burn + 2 * chunk) * 16 > n:
+    if (burn + 2 * _AR1_CHUNK) * 16 > n:
         return np.zeros(n)
-    k = math.ceil(burn / chunk)
+    k = math.ceil(burn / _AR1_CHUNK)
+    chunk = math.ceil(burn / k)
     m = -(-n // chunk)
     # k chunks of zeros in front: a lane that starts there starts exactly, from 0.0.
     padded = np.zeros((k + m) * chunk)

@@ -6,10 +6,10 @@ Subcommands:
     gen-traces      write the synthetic source traces simulate and sweep read
     overlay-traces  build an interference trace from a base and a donor
 
-Exit codes: 0 on success, 1 for configuration or input errors, 2 for
-runtime failures. Usage errors (an unknown flag, or a flag value that fails
-its check, such as ``--distance-m 0``) also exit 2, with a message that
-names the flag. Outputs are pure functions of the inputs.
+Exit codes: 0 on success, 1 for configuration errors, 2 for runtime errors
+such as a missing or malformed trace CSV. Usage errors (an unknown flag, or
+a flag value that fails its check, such as ``--distance-m 0``) also exit 2,
+with a message that names the flag. Outputs are pure functions of the inputs.
 """
 
 from __future__ import annotations

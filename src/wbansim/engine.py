@@ -71,6 +71,12 @@ class SyntheticChannelSource:
         return generate_synthetic(self.params_for(link), link, self.duration_ms,
                                   self.sample_period_ms, seed)
 
+    def epochs(self, stride: int) -> int:
+        """The epochs of every trace once assembly keeps each ``stride``-th sample:
+        ceil(n / stride) of the n samples ``generate_synthetic`` draws."""
+        n = int(math.floor(self.duration_ms / self.sample_period_ms + 1e-9))
+        return -(-n // stride)
+
 
 @dataclass(frozen=True)
 class CsvChannelSource:
@@ -221,14 +227,19 @@ class ExperimentConfig:
         if not math.isfinite(self.lcr_ref_threshold_db):
             raise ConfigError(f"metrics.lcr_ref_threshold_db must be finite, "
                               f"got {self.lcr_ref_threshold_db}")
-        # Assembly decimates every synthetic trace to the epoch period, by downsample's rule.
+        # Assembly decimates every synthetic trace to the epoch period, by downsample's
+        # rule, and every run's window must lie within the epochs that leaves. A CSV
+        # source's lengths are known only when its files are read, so its runs check them.
         if isinstance(self.channels, SyntheticChannelSource):
             period, epoch = self.channels.sample_period_ms, self.epoch_period_ms
-            if decimation_stride(period, epoch) is None:
+            stride = decimation_stride(period, epoch)
+            if stride is None:
                 raise ConfigError(
                     f"channels.synthetic.sample_period_ms: the epoch period {epoch} ms "
                     "(the TDMA cycle mac.n_coexisting * mac.slot_len_ms) must be a whole "
                     f"multiple of {period} ms, got the ratio {epoch / period}")
+            _check_windows(self, self.channels.epochs(stride),
+                           self.start_indices or ())
         # An override that neither simulate nor a sweep pair fetches would change nothing.
         if isinstance(self.channels, SyntheticChannelSource) and self.channels.overrides:
             read = set(source_links(self))
@@ -577,6 +588,20 @@ def _execute_run(config: ExperimentConfig, subject: int, interferers: tuple[int,
     return RunResult(subject, interferers, rep, start_index, curves, summary)
 
 
+def _check_windows(config: ExperimentConfig, available: int, starts) -> None:
+    """Raise a ConfigError naming ``epochs`` or ``start_indices[k]`` unless traces of
+    ``available`` epochs hold ``config.epochs`` epochs from every start ``starts[k]``."""
+    epochs = config.epochs
+    if available < epochs:
+        raise ConfigError(f"epochs: each run needs {epochs} epochs but the channel "
+                          f"traces cover {available}")
+    for k, start in enumerate(starts):
+        if start > available - epochs:
+            raise ConfigError(f"start_indices[{k}]: a run from epoch {start} needs "
+                              f"[{start}, {start + epochs}) but the channel traces "
+                              f"cover {available} epochs")
+
+
 def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[int, ...],
                      channels: VictimChannels, offsets: Mapping[int, np.ndarray],
                      starts) -> list[RunResult]:
@@ -587,25 +612,16 @@ def _run_combination(config: ExperimentConfig, subject: int, interferers: tuple[
     checked against the traces before any run, and the interference weights
     are computed once for all of them.
     """
-    epochs = config.epochs
     # Every trace the pair reads covers these epochs: the on-body ones and
     # each of its interferers' bases and overlays.
     available = min([channels.sensors.shape[-1],
                      *(channels.foes[u].shape[-1] for u in interferers)])
-    usable = available - epochs
-    if usable < 0:
-        raise ConfigError(f"epochs: each run needs {epochs} epochs but the channel "
-                          f"traces cover {available}")
+    _check_windows(config, available, starts or ())
     if starts is None:
         (interferer,) = interferers
         starts = [int(substream(config.master_seed, "start", subject, interferer, rep)
-                      .integers(0, usable + 1))
+                      .integers(0, available - config.epochs + 1))
                   for rep in range(config.repetitions)]
-    for k, start in enumerate(starts):
-        if start > usable:
-            raise ConfigError(f"start_indices[{k}]: a run from epoch {start} needs "
-                              f"[{start}, {start + epochs}) but the channel traces "
-                              f"cover {available} epochs")
     weights = _interference_weights(config, subject, interferers, offsets)
     return [_execute_run(config, subject, interferers, channels, weights, start, rep)
             for rep, start in enumerate(starts)]

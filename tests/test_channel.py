@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from typing import NamedTuple
 from unittest import mock
 
@@ -213,6 +214,101 @@ def test_valid_files_load_to_the_reference_samples(tmp_path, file):
     assert loaded.samples.tobytes() == expected.samples.tobytes()
     # numpy's reader takes every plain file; only others reach the row scan.
     assert not (file.plain and scan.called)
+
+
+_BLOCK = channel._TRACE_BLOCK_ROWS
+
+
+def _load_spying(path):
+    """``load_trace(path)``, and whether numpy's reader and the row scan ran."""
+    with mock.patch.object(channel, "_scan_rows", wraps=channel._scan_rows) as scan, \
+            mock.patch.object(channel.np, "loadtxt", wraps=np.loadtxt) as reader:
+        loaded = load_trace(path)
+    return loaded, reader.called, scan.called
+
+
+def _assert_loads_the_reference(path):
+    loaded, expected = load_trace(path), load_trace_reference(path)
+    assert (loaded.link, loaded.sample_period_ms) == (expected.link, expected.sample_period_ms)
+    assert loaded.samples.tobytes() == expected.samples.tobytes()
+
+
+@pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_trace_csvs_across_block_edges_match_the_row_by_row_reference(tmp_path, rows):
+    trace = make_trace(np.random.default_rng(rows).normal(-55.0, 6.0, rows), period_ms=15.0)
+    save_trace(trace, tmp_path / "fast.csv")
+    save_trace_reference(trace, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    _, by_numpy, by_scan = _load_spying(tmp_path / "fast.csv")
+    assert by_numpy and not by_scan
+    _assert_loads_the_reference(tmp_path / "fast.csv")
+
+
+def test_a_character_past_the_first_checked_block_sends_the_file_to_the_row_scan(tmp_path):
+    path = tmp_path / "t.csv"
+    save_trace(make_trace(np.linspace(-60.0, -50.0, 3 * _BLOCK + 7), period_ms=15.0), path)
+    text = path.read_text()
+    assert len(text) > 2 * channel._CHECK_BLOCK_CHARS
+    # The last row's gain spelt with an underscore, which float() reads and numpy does not.
+    head, _, last = text.rstrip("\n").rpartition("\n")
+    t, gain = last.split(",")
+    path.write_text(f"{head}\n{t},{gain[:2]}_{gain[2:]}\n")
+    _, by_numpy, by_scan = _load_spying(path)
+    assert by_scan and not by_numpy
+    _assert_loads_the_reference(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_plain_files_with_crlf_or_cr_line_ends_take_numpys_reader(tmp_path, newline):
+    # read_text() translates both to line feeds, and so does the reader's text stream.
+    path = tmp_path / "t.csv"
+    save_trace(make_trace(np.linspace(-60.0, -50.0, _BLOCK + 1), period_ms=40.0), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    loaded, by_numpy, by_scan = _load_spying(path)
+    assert by_numpy and not by_scan
+    assert loaded.n_samples == _BLOCK + 1
+    _assert_loads_the_reference(path)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_plain_file_named_like_a_compressed_one_goes_to_the_row_scan(tmp_path, suffix):
+    # np.loadtxt would open it through a decompressor.
+    path = tmp_path / f"t{suffix}"
+    save_trace(make_trace([-50.0, -51.0, -52.0]), path)
+    _, by_numpy, by_scan = _load_spying(path)
+    assert by_scan and not by_numpy
+    _assert_loads_the_reference(path)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_csv_reads_and_writes_hold_bounded_memory(tmp_path):
+    """One call's traced peak on a 240 000-row plain trace, an hour at 15 ms.
+
+    A read holds numpy's parsed (rows, 2) float64 columns, 16 B per row, and the
+    trace's copy of the gains, 8 B per row; besides them only fixed blocks: the
+    character check's 64 Ki characters, each encoded and translated, and the
+    reader's chunks. The bound also allows the file's bytes, as a read that held
+    them once would: file size + 24 B per row + 1 MiB. A write holds one block of
+    4096 rows: 8192 floats (24 B each, with 8 B list and 8 B tuple slots), the
+    24 Ki-character format and about 160 KiB of text and its encoding, about
+    0.6 MiB, so 1 MiB whatever the length. Reading or writing the whole trace at
+    once held 43.5 and 27.9 MiB.
+    """
+    rows = 240_000
+    trace = make_trace(np.random.default_rng(7).normal(-55.0, 6.0, rows), period_ms=15.0)
+    path = tmp_path / "t.csv"
+    save_trace(trace, path)
+    load_trace(path)  # first-call caches stay outside both peaks
+    assert _traced_peak(lambda: load_trace(path)) <= path.stat().st_size + 24 * rows + 2**20
+    assert _traced_peak(lambda: save_trace(trace, path)) <= 2**20
 
 
 _FAULTS = ("one field", "three fields", "trailing comma", "unparsable", "stray character",

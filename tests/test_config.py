@@ -650,6 +650,38 @@ def test_a_synthetic_period_that_does_not_divide_the_epoch_fails_at_load(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits,message", [
+    ([("duration_ms: 4800000.0", "duration_ms: 1200000.0")],
+     "epochs: each run needs 20000 epochs but the channel traces cover 10000"),
+    # 59 997 samples of 40 ms, every third kept: ceil(59997 / 3) = 19 999 epochs.
+    ([("sample_period_ms: 120.0", "sample_period_ms: 40.0"),
+      ("duration_ms: 4800000.0", "duration_ms: 2399880.0")],
+     "epochs: each run needs 20000 epochs but the channel traces cover 19999"),
+    ([("repetitions: 10", "repetitions: 2\nstart_indices: [0, 20001]")],
+     "start_indices[1]: a run from epoch 20001 needs [20001, 40001) but the channel "
+     "traces cover 40000 epochs"),
+], ids=["duration_ms", "decimated duration_ms", "start_indices"])
+def test_a_synthetic_run_window_past_the_traces_fails_at_load_before_any_draw(
+        tmp_path, capsys, monkeypatch, edits, message):
+    # The run would otherwise draw and assemble its traces before it found out.
+    draws = []
+    generate = engine.generate_synthetic
+    monkeypatch.setattr(engine, "generate_synthetic",
+                        lambda *args: draws.append(args[1]) or generate(*args))
+    text = DEFAULT_CONFIG.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    bad = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(bad)
+    for command in ("simulate", "sweep", "gen-traces"):
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / command),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert draws == []
+
+
 def _key_paths(mapping, prefix=""):
     paths = set()
     for key, value in mapping.items():

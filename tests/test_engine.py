@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import HD, LW, make_wban, sinr_blocks
@@ -43,6 +43,14 @@ def base_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def covering_config(epochs, **kw):
+    """``base_config`` whose traces cover ``epochs``, as a config must, for a test
+    that weighs interference over more epochs than the default 200."""
+    cycle = kw.get("mac", MacConfig()).cycle_ms
+    return base_config(epochs=epochs, **kw, channels=SyntheticChannelSource(
+        sample_period_ms=cycle, duration_ms=cycle * epochs))
+
+
 def simulate_pair(config):
     """The (victim, interferers) pair that simulate runs."""
     return config.victim_subject, config.interferer_subjects
@@ -57,6 +65,32 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
     return SyntheticChannelSource(duration_ms=120.0 * n,
                                   on_body=SyntheticChannelParams(on_db, 0.0, 240.0),
                                   inter_body=SyntheticChannelParams(inter_db, 0.0, 500.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_coexisting=st.integers(2, 8), slot_len_ms=st.floats(1.0, 100.0),
+       stride=st.integers(1, 7), samples=st.integers(1, 600),
+       fraction=st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, 0.5, 1.0 - 1e-6]))
+def test_the_epochs_checked_at_load_are_the_epochs_assembly_gives(
+        n_coexisting, slot_len_ms, stride, samples, fraction):
+    """A synthetic config loads exactly when assembly's arrays cover its epochs:
+    ceil(floor(duration / period + 1e-9) / stride) of them."""
+    mac = MacConfig(n_coexisting, slot_len_ms)
+    period = mac.cycle_ms / stride
+    duration = period * (samples + fraction)
+    assume(engine.decimation_stride(period, mac.cycle_ms) is not None
+           and duration >= period)
+    config = base_config(mac=mac, epochs=1, channels=SyntheticChannelSource(
+        sample_period_ms=period, duration_ms=duration))
+    channels = assemble_channels(config, *simulate_pair(config))
+    available = channels.sensors.shape[-1]
+    assert {channels.relays.shape[-1], channels.foes[2].shape[-1]} == {available}
+    assert replace(config, epochs=available).epochs == available
+    with pytest.raises(ConfigError, match=rf"^epochs: each run needs {available + 1} "
+                                          rf"epochs but the channel traces cover {available}$"):
+        replace(config, epochs=available + 1)
+    with pytest.raises(ConfigError, match=rf"^start_indices\[0\]: a run from epoch 1 needs "):
+        replace(config, epochs=available, start_indices=(1,))
 
 
 # ----------------------------------------------------------------- validation
@@ -386,7 +420,7 @@ def test_interference_weights_at_the_edges_of_the_skipped_gaps(
     victim_offsets = _fold(np.concatenate(
         [np.zeros(gaps.size), rng.uniform(0.0, cycle, gaps.size), cycle - gaps]), cycle)
     foe_offsets = _fold(victim_offsets + np.tile(gaps, 3), cycle)
-    config = base_config(wbans=(victim, interferer), mac=mac, epochs=victim_offsets.size)
+    config = covering_config(victim_offsets.size, wbans=(victim, interferer), mac=mac)
     offsets = {1: victim_offsets, 2: foe_offsets}
     _assert_weights_equal(config,
                           engine._interference_weights(config, *simulate_pair(config), offsets),
@@ -399,8 +433,8 @@ def test_interference_weights_across_block_edges_equal_the_reference(n_coexistin
     epochs = 2 * engine._WEIGHTS_BLOCK_EPOCHS + 17
     wbans = (make_wban(1, sensor_locs=(HD, LW), relay_power=-3.0), make_wban(2, hub_power=2.0),
              make_wban(3, sensor_locs=(HD, LW, BodyLocation.RIGHT_WRIST)))
-    config = base_config(wbans=wbans, mac=MacConfig(n_coexisting, 15.0), epochs=epochs,
-                         interferer_subjects=(2, 3))
+    config = covering_config(epochs, wbans=wbans, mac=MacConfig(n_coexisting, 15.0),
+                             interferer_subjects=(2, 3))
     offsets = engine._draw_offsets(config, (1, 2, 3))
     _assert_weights_equal(config,
                           engine._interference_weights(config, *simulate_pair(config), offsets),
@@ -413,7 +447,7 @@ def test_overlaps_are_computed_only_in_epochs_where_the_slots_meet(monkeypatch):
     monkeypatch.setattr(engine, "overlap_lengths", lambda delta, *args: columns.append(
         delta.shape[1]) or overlap_lengths(delta, *args))
     for n_coexisting in (8, 2):
-        config = base_config(mac=MacConfig(n_coexisting, 15.0), epochs=400)
+        config = covering_config(400, mac=MacConfig(n_coexisting, 15.0))
         offsets = engine._draw_offsets(config, (1, 2))
         columns.clear()
         engine._interference_weights(config, *simulate_pair(config), offsets)
@@ -878,7 +912,7 @@ def test_the_interference_weights_temporaries_do_not_grow_with_the_epochs():
     block = engine._WEIGHTS_BLOCK_EPOCHS
 
     def beyond_output(blocks):
-        config = base_config(mac=MacConfig(2, 60.0), epochs=blocks * block)
+        config = covering_config(blocks * block, mac=MacConfig(2, 60.0))
         offsets = engine._draw_offsets(config, (1, 2))
         weights, peak = _traced_peak(
             lambda: engine._interference_weights(config, *simulate_pair(config), offsets))

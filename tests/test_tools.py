@@ -1,8 +1,8 @@
-"""The gain rule, the no-regression verdict, seed ranges and bytecode prefixes of
-tools/bench_pairs.py, how the benchmark tools end their child on SIGTERM, and what
-tools/bench_record.py records of a checkout outside git, of a run that is not correct and
-of a run far off its median, the bytecode prefix and warm-ups it records under, and the
-cold commands it times."""
+"""The gain rule, the no-regression verdict, seed ranges, bytecode prefixes and paired
+cold commands of tools/bench_pairs.py, how the benchmark tools end their child on
+SIGTERM, and what tools/bench_record.py records of a checkout outside git, of a run that
+is not correct and of a run far off its median, the bytecode prefix and warm-ups it
+records under, and the cold commands it times."""
 
 import argparse
 import json
@@ -321,6 +321,7 @@ def test_each_side_runs_under_its_own_fresh_bytecode_prefix(tmp_path, capsys, mo
         (root / "perfbench").mkdir(parents=True)
         (root / "perfbench" / "run.py").write_text(STUB_PREFIX)
         (root / "perfbench" / "stubmod.py").write_text("VALUE = 1\n")
+        _cold_stubs(root)
         (root / "BENCHMARK.json").write_text(json.dumps(
             {"run_seconds": 1, "workloads": [{"name": "w"}],
              "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
@@ -434,3 +435,73 @@ def test_a_cold_command_that_fails_is_named(tmp_path, monkeypatch, capsys):
     assert str(exc.value).startswith("w: cold command sweep exited 1: sweep --out ")
     assert str(exc.value).endswith(str(Path("w", "out", "sweep")))
     assert "stub: sweep failed" in capsys.readouterr().err
+
+
+# Stand in for perfbench/run.py and wbansim.cli of a checkout: each appends its
+# checkout's name, what it ran and its bytecode prefix to $STUB_ORDER_LOG; a command
+# first sleeps for the seconds in the checkout's "delay" file.
+STUB_ORDER_RUN = """
+import json, os, sys
+from pathlib import Path
+root = Path(__file__).resolve().parent.parent
+with open(os.environ["STUB_ORDER_LOG"], "a") as log:
+    log.write(json.dumps([root.name, "run", os.environ.get("PYTHONPYCACHEPREFIX")]) + "\\n")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+STUB_ORDER_CLI = """
+import json, os, sys, time
+from pathlib import Path
+root = Path(__file__).resolve().parent.parent.parent
+time.sleep(float((root / "delay").read_text()))
+with open(os.environ["STUB_ORDER_LOG"], "a") as log:
+    log.write(json.dumps([root.name, sys.argv[1:], os.environ.get("PYTHONPYCACHEPREFIX")])
+              + "\\n")
+"""
+
+
+def test_each_side_runs_its_cold_commands_after_each_of_its_runs_in_a_pair(
+        tmp_path, capsys, monkeypatch):
+    log = tmp_path / "order.log"
+    monkeypatch.setenv("STUB_ORDER_LOG", str(log))
+    roots = {}
+    for side, delay in (("base", 0.0), ("change", 0.3)):
+        root = roots[side] = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(STUB_ORDER_RUN)
+        _cold_stubs(root)
+        (root / "src" / "wbansim" / "cli.py").write_text(STUB_ORDER_CLI)
+        (root / "delay").write_text(str(delay))
+        (root / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
+                             "bound": 0.25}]}))
+    assert bench_pairs.main(["--base", str(roots["base"]), "--change", str(roots["change"]),
+                             "--workload", "w", "--seeds", "1..2"]) == 0
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    # The warm-ups run no command; then in each pair, X Y Y X, each run of a side
+    # is followed by that side's commands of one iteration, as cold_commands builds them.
+    steps = [(side, what if what == "run" else what[0]) for side, what, _ in entries]
+    position = ["run", "simulate", "sweep"]
+    assert steps == [("base", "run"), ("change", "run")] + [
+        (side, what) for order in (run_order(0), run_order(1)) for side in order
+        for what in position]
+    for side, what, prefix in entries:
+        if what != "run":
+            assert what == [what[0], "--out", what[2]]
+            assert Path(what[2]).parts[-3:] == ("w", "out", what[0])
+        # Each side's commands run under that side's bytecode prefix.
+        assert prefix == next(p for s, w, p in entries if s == side and w == "run")
+    assert len({prefix for _, _, prefix in entries}) == 2
+    # The change's commands sleep 0.3 s each: 2 x 0.3 x 0.5 calibrated s per iteration.
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("cold_command_s"))
+    assert "  0/2 " in row and row.endswith("worse (bound 0.25)")
+
+
+def test_cold_commands_are_judged_under_wall_s_bound():
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    wall = next(m for m in spec["end_to_end"] if m["name"] == "wall_s")
+    assert bench_pairs.COLD_COMMAND["bound"] == wall["bound"]
+    assert bench_pairs.COLD_COMMAND["better"] == wall["better"]

@@ -23,8 +23,17 @@ checkouts and removes at its end, so whatever ``__pycache__`` a checkout
 holds warms neither side's cold starts. Before the first pair each side
 runs once at the first seed as a warm-up that compiles every module it
 imports; the warm-up is printed and its result discarded, so every
-recorded run reads its bytecode back. SIGTERM ends the running
-``perfbench/run.py`` process before the script exits.
+recorded run reads its bytecode back.
+
+Each pair also judges ``cold_command_s``, what a user waits for the commands of
+one iteration: right after each of its four ``perfbench/run.py`` runs, that side
+runs the ``python -m wbansim.cli <op>`` children that
+``bench_record.cold_commands`` builds for the workload, each a fresh process
+under the side's prefix, and sums their wall seconds, each rescaled by the side's
+calibration kernel timed before it. A side's value in a pair is the mean of its
+two sums, judged like the end-to-end metrics under ``COLD_COMMAND``'s bound.
+SIGTERM ends the running ``perfbench/run.py`` or command process before the
+script exits.
 """
 
 from __future__ import annotations
@@ -38,9 +47,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_record import end_children_on_sigterm, run_perfbench  # noqa: E402
+from bench_record import ColdCommands, end_children_on_sigterm, run_perfbench  # noqa: E402
 
 SIDES = ("base", "change")
+# The cold commands time the same work as wall_s, each in a fresh process, so they
+# are judged under wall_s's bound in BENCHMARK.json, 0.25 of the base median.
+COLD_COMMAND = {"name": "cold_command_s", "unit": "s", "better": "lower", "bound": 0.25}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -113,7 +125,7 @@ def main(argv=None) -> int:
         parser.error("the checkouts declare different end-to-end metrics")
     if specs["base"]["run_seconds"] != specs["change"]["run_seconds"]:
         parser.error("the checkouts declare different run_seconds")
-    metrics = specs["change"]["end_to_end"]
+    metrics = [*specs["change"]["end_to_end"], COLD_COMMAND]
     seconds = float(specs["change"]["run_seconds"])
 
     values = {side: {m["name"]: [] for m in metrics} for side in SIDES}
@@ -127,6 +139,9 @@ def main(argv=None) -> int:
             print(f"warm-up {side} seed {args.seeds[0]}: result discarded", flush=True)
             run_perfbench(roots[side], args.workload, args.seeds[0], seconds, trace=0,
                           pycache_prefix=prefixes[side])
+        cold = {side: ColdCommands(roots[side], [args.workload], Path(scratch) / "cold" / side,
+                                   prefixes[side])
+                for side in SIDES}
         for k, seed in enumerate(args.seeds):
             order = run_order(k)
             runs = {side: [] for side in SIDES}
@@ -135,6 +150,8 @@ def main(argv=None) -> int:
                                        pycache_prefix=prefixes[side])
                 failed[side] += result["failed"]
                 correct[side] = correct[side] and result["correct"]
+                result["metrics"][COLD_COMMAND["name"]] = {
+                    "value": cold[side].seconds(args.workload)}
                 runs[side].append(result)
             for side in SIDES:
                 for name, value in pair_values(runs[side], metrics).items():

@@ -123,40 +123,70 @@ def _perfbench_module(root: Path, name: str):
     return module
 
 
-def cold_commands(root: Path, names: list[str], work: Path, pycache_prefix: str) -> dict:
-    """Per workload, each command of one iteration timed in fresh processes.
+class ColdCommands:
+    """One checkout's commands of one iteration per workload, run as fresh processes.
 
-    Each of ``COLD_RUNS`` rounds runs every workload's ops in order (a later op
-    may read what an earlier one wrote), each op as ``python -m wbansim.cli`` of
-    the checkout's ``src/`` under ``pycache_prefix``, and times the checkout's
-    calibration kernel before each. A command that fails ends the recording,
-    naming it.
+    Each workload's ops are those the checkout's ``perfbench/workloads.py`` builds at
+    seed 1 under ``work``; each runs as ``python -m wbansim.cli`` of the checkout's
+    ``src/`` under ``pycache_prefix``, and the checkout's calibration kernel is
+    timed before each.
     """
-    workloads = _perfbench_module(root, "workloads")
-    calibrate = _perfbench_module(root, "calibrate")
-    plans = {name: workloads.build(name, root, work / name, 1) for name in names}
-    env = _child_env(pycache_prefix, PYTHONPATH=str(root / "src"))
-    times = {name: {op.command: [] for op in plan.ops} for name, plan in plans.items()}
+
+    def __init__(self, root: Path, names: list[str], work: Path, pycache_prefix: str):
+        workloads = _perfbench_module(root, "workloads")
+        self.calibrate = _perfbench_module(root, "calibrate")
+        self.root = root
+        self.plans = {name: workloads.build(name, root, work / name, 1) for name in names}
+        self.env = _child_env(pycache_prefix, PYTHONPATH=str(root / "src"))
+
+    def run(self, name: str) -> list[tuple[str, float, float]]:
+        """Workload ``name``'s ops in order, from an empty output tree (a later op may
+        read what an earlier one wrote): each op's command, its wall seconds timed
+        around the process and the kernel seconds timed before it. A command that
+        fails ends the session, naming it."""
+        plan = self.plans[name]
+        shutil.rmtree(plan.out, ignore_errors=True)
+        timings = []
+        for op in plan.ops:
+            kernel = self.calibrate.kernel_seconds()
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "wbansim.cli", *op.argv],
+                                  cwd=self.root, capture_output=True, text=True,
+                                  env=self.env)
+            elapsed = time.perf_counter() - start
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr)
+                raise SystemExit(f"{name}: cold command {op.command} exited "
+                                 f"{proc.returncode}: {' '.join(op.argv)}")
+            timings.append((op.command, elapsed, kernel))
+        return timings
+
+    def seconds(self, name: str) -> float:
+        """One run of workload ``name``'s ops: their wall seconds, each rescaled by
+        the kernel timed before it, summed."""
+        return sum(self.calibrate.scale(elapsed, kernel)
+                   for _, elapsed, kernel in self.run(name))
+
+
+def cold_commands(root: Path, names: list[str], work: Path, pycache_prefix: str) -> dict:
+    """Per workload, each command of one iteration timed in ``COLD_RUNS`` fresh processes.
+
+    Each round runs every workload's ops in order (see ``ColdCommands``); an op's
+    figure is the median of its rounds, raw and rescaled by the median kernel time.
+    """
+    cold = ColdCommands(root, names, work, pycache_prefix)
+    times = {name: {op.command: [] for op in plan.ops} for name, plan in cold.plans.items()}
     kernels = {name: [] for name in names}
     for _ in range(COLD_RUNS):
-        for name, plan in plans.items():
-            shutil.rmtree(plan.out, ignore_errors=True)
-            for op in plan.ops:
-                kernels[name].append(calibrate.kernel_seconds())
-                start = time.perf_counter()
-                proc = subprocess.run([sys.executable, "-m", "wbansim.cli", *op.argv],
-                                      cwd=root, capture_output=True, text=True, env=env)
-                elapsed = time.perf_counter() - start
-                if proc.returncode != 0:
-                    sys.stderr.write(proc.stderr)
-                    raise SystemExit(f"{name}: cold command {op.command} exited "
-                                     f"{proc.returncode}: {' '.join(op.argv)}")
-                times[name][op.command].append(elapsed)
+        for name in names:
+            for command, elapsed, kernel in cold.run(name):
+                kernels[name].append(kernel)
+                times[name][command].append(elapsed)
     result = {}
     for name, by_op in times.items():
         kernel = statistics.median(kernels[name])
         ops = {command: {"raw": statistics.median(runs),
-                         "value": calibrate.scale(statistics.median(runs), kernel),
+                         "value": cold.calibrate.scale(statistics.median(runs), kernel),
                          "runs": runs}
                for command, runs in by_op.items()}
         result[name] = {"value": sum(op["value"] for op in ops.values()),
