@@ -190,9 +190,10 @@ def load_trace(path) -> ChannelTrace:
 
     A file of the characters ``save_trace`` writes is checked in blocks of
     ``_CHECK_BLOCK_CHARS`` and parsed by numpy's C reader straight from the
-    file, so the read holds the parsed (rows, 2) float64 columns and the gains'
-    copy, 24 B per row, and no copy of the file. Any other file, and any file
-    that breaks a rule, is read whole as text for the row scan.
+    file, so beyond fixed blocks the read holds the parsed (rows, 2) float64
+    columns and the gains' copy, 24 B per row, and no copy of the file. Any
+    other file, and any file that breaks a rule, is read whole as text for the
+    row scan.
     """
     path = Path(path)
     head = _plain_head(path)
@@ -391,6 +392,11 @@ def overlay(part1: ChannelTrace, part2_shadowing: ChannelTrace,
                         part1.samples[:n] + part2_shadowing.samples[:n])
 
 
+def synthetic_samples(duration_ms: float, sample_period_ms: float) -> int:
+    """The samples ``generate_synthetic`` draws: floor(duration / period + 1e-9)."""
+    return int(math.floor(duration_ms / sample_period_ms + 1e-9))
+
+
 def generate_synthetic(params: SyntheticChannelParams, link: LinkId, duration_ms: float,
                        sample_period_ms: float, seed: int) -> ChannelTrace:
     """Generate a lognormal block-fading trace with exponential correlation.
@@ -414,7 +420,7 @@ def generate_synthetic(params: SyntheticChannelParams, link: LinkId, duration_ms
     """
     if not (0 < sample_period_ms <= duration_ms):
         raise ValueError("need 0 < sample_period_ms <= duration_ms")
-    n = int(math.floor(duration_ms / sample_period_ms + 1e-9))
+    n = synthetic_samples(duration_ms, sample_period_ms)
     rho = math.exp(-sample_period_ms / params.coherence_time_ms)
     shocks = substream(seed, "trace", str(link)).standard_normal(n)
     shocks[0] *= params.shadow_sigma_db
@@ -455,28 +461,25 @@ def _ar1(x: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _ar1_lanes(x: np.ndarray, rho: float) -> np.ndarray:
-    """An estimate of the AR(1) output, all chunks of up to ``_AR1_CHUNK`` samples at once.
+    """An estimate of the AR(1) output, all chunks of ``_AR1_CHUNK`` samples at once.
 
     The series is cut into chunks. Each chunk's sum weighted by the powers of
     ``rho`` (one matmul) and a doubling scan over the chunk ends estimate the
     value each chunk starts from. Every chunk then runs in its own lane, one
     multiply and one add per step for all lanes, from the estimate at the end of
     the chunk ``k`` chunks earlier: ``k`` chunks of burn-in cover ``4 / (1 - rho)``
-    samples (``k`` is the fewest chunks of 16 that do, and the chunks are then cut
-    as short as that allows, so a lane runs fewer sequential steps), over which an
-    error of a few ulp in the estimate shrinks about e^4 times and mostly rounds
-    away. Where it has not, the lane's first sample is a miss that ``_ar1``
-    repairs: fewer than 1 % of the lanes on the benchmark's traces. Where the
-    lanes' sequential steps would cost more than walking every sample in Python
-    floats (a step costs about as much as 16 samples walked), the estimate is all
-    zeros and the repair does the work.
+    samples, over which an error of a few ulp in the estimate shrinks about e^4
+    times and mostly rounds away. Where it has not, the lane's first sample is a
+    miss that ``_ar1`` repairs: fewer than 1 % of the lanes on the benchmark's
+    traces. Where the lanes' sequential steps would cost more than walking every
+    sample in Python floats (a step costs about as much as 16 samples walked),
+    the estimate is all zeros and the repair does the work.
     """
-    n = x.size
+    n, chunk = x.size, _AR1_CHUNK
     burn = 4.0 / (1.0 - rho) if rho < 1.0 else math.inf
-    if (burn + 2 * _AR1_CHUNK) * 16 > n:
+    if (burn + 2 * chunk) * 16 > n:
         return np.zeros(n)
-    k = math.ceil(burn / _AR1_CHUNK)
-    chunk = math.ceil(burn / k)
+    k = math.ceil(burn / chunk)
     m = -(-n // chunk)
     # k chunks of zeros in front: a lane that starts there starts exactly, from 0.0.
     padded = np.zeros((k + m) * chunk)

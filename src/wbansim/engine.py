@@ -24,7 +24,8 @@ import numpy as np
 
 from .channel import (BodyLocation, ChannelTrace, FieldError, LinkId, MissingLinkError,
                       SyntheticChannelParams, TraceError, decimation_stride, downsample,
-                      extract_shadowing, generate_synthetic, load_trace, overlay)
+                      extract_shadowing, generate_synthetic, load_trace, overlay,
+                      synthetic_samples)
 from .metrics import (MetricsCurve, MetricsError, SinrSeries, empirical_outage,
                       lcr_curve, level_crossing_rate, threshold_at_outage,
                       threshold_grid)
@@ -74,8 +75,7 @@ class SyntheticChannelSource:
     def epochs(self, stride: int) -> int:
         """The epochs of every trace once assembly keeps each ``stride``-th sample:
         ceil(n / stride) of the n samples ``generate_synthetic`` draws."""
-        n = int(math.floor(self.duration_ms / self.sample_period_ms + 1e-9))
-        return -(-n // stride)
+        return -(-synthetic_samples(self.duration_ms, self.sample_period_ms) // stride)
 
 
 @dataclass(frozen=True)

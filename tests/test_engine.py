@@ -67,6 +67,8 @@ def flat_source(on_db=-55.0, inter_db=-70.0, n=200):
                                   inter_body=SyntheticChannelParams(inter_db, 0.0, 500.0))
 
 
+# ----------------------------------------------------------------- validation
+
 @settings(max_examples=80, deadline=None)
 @given(n_coexisting=st.integers(2, 8), slot_len_ms=st.floats(1.0, 100.0),
        stride=st.integers(1, 7), samples=st.integers(1, 600),
@@ -92,8 +94,6 @@ def test_the_epochs_checked_at_load_are_the_epochs_assembly_gives(
     with pytest.raises(ConfigError, match=rf"^start_indices\[0\]: a run from epoch 1 needs "):
         replace(config, epochs=available, start_indices=(1,))
 
-
-# ----------------------------------------------------------------- validation
 
 @pytest.mark.parametrize("kwargs,match", [
     (dict(wbans=(make_wban(1), make_wban(1))), "duplicate subject"),
